@@ -2,7 +2,9 @@
 
 The generator emits bit 0 when the state is left of the branch split and
 bit 1 to the right.  Refining the partition against map preimages yields,
-for every N-bit word, the exact set of initial states that produce it.
+for every N-bit word, the exact set of initial states that produce it.  A
+refinement is stored as sorted cut points with one integer word code per
+interval between them; `cells` assembles each word's interval set.
 
 Run:  python demos/02_partition_refinement.py
 """
@@ -21,15 +23,14 @@ ladder = refinement_ladder(m, s, 4)
 print(f"split point 1/sqrt(3) = {xb:.6f}\n")
 for p in ladder[:3]:
     print(f"depth {p.depth}:")
-    for w in p.words():
-        cell = p.cells[w]
+    for w, cell in p.cells.items():
         body = " u ".join(f"({a:.5f}, {b:.5f})" for a, b in cell)
         print(f"  {w}: measure {cell.measure:.5f}  {body}")
     print()
 
 # the depth-2 boundaries are the two preimages of the split point
 p2 = ladder[1]
-cuts = sorted({e for c in p2.cells.values() for iv in c for e in iv} - {0.0, 1.0, xb})
+cuts = sorted(set(p2.cuts.tolist()) - {0.0, 1.0, xb})
 print("new depth-2 cut points (preimages of the split):")
 for x in cuts:
     print(f"  x = {x:.5f},  M(x) = {m(x):.9f}")

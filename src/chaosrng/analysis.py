@@ -2,8 +2,9 @@
 
 `run_analysis` is the one-call pipeline behind the CLI's `analyze` command.
 Every run passes through `check_invariants`, an always-on assertion suite
-over the structural guarantees (marginal consistency, the telescoping
-entropy identity, entropy bounds, partition disjointness and unit measure).
+over the structural guarantees (partition prefix consistency, marginal
+consistency, the telescoping entropy identity, entropy bounds).  Refined
+cells are disjoint and tile [0, 1] by construction, as runs of one cut array.
 """
 from __future__ import annotations
 
@@ -48,8 +49,6 @@ def check_invariants(
             raise InvariantViolation(f"H_{n} = {Hn} outside [0, {n}]")
     try:
         report.validate()
-    except AssertionError:
-        raise
     except Exception as exc:
         raise InvariantViolation(str(exc)) from exc
 

@@ -26,7 +26,7 @@ try:
     from numba import njit
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # pragma: no cover - numba is optional (the "fast" extra)
     _HAVE_NUMBA = False
 
     def njit(*a, **k):
@@ -240,9 +240,6 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig, shards: int = 1) -> Densi
 # ---------------------------------------------------------------------------
 # Transfer-operator route
 
-_fp_cache: dict[tuple[int, int], list] = {}
-
-
 def _fp_data(m: MapModel, L: int) -> list:
     """Precompute, per monotone branch, where every bin edge pulls back to.
 
@@ -255,10 +252,6 @@ def _fp_data(m: MapModel, L: int) -> list:
     measure of its preimage under the piecewise-linear density model, so no
     slope stencil or quadrature error enters.
     """
-    key = (id(m), L)
-    cached = _fp_cache.get(key)
-    if cached is not None:
-        return cached
     edges = np.arange(L + 1) / L
     terms = []
     for br in m.branches:
@@ -274,7 +267,6 @@ def _fp_data(m: MapModel, L: int) -> list:
         bpos = base * L
         bb = min(int(np.floor(bpos)), L - 1)
         terms.append((sign, b, frac, bb, bpos - bb))
-    _fp_cache[key] = terms
     return terms
 
 
@@ -284,8 +276,11 @@ def fp_step(m: MapModel, f: DensityHistogram) -> DensityHistogram:
     new mass of bin i = density mass of the preimage M^{-1}([i/L, (i+1)/L)),
     accumulated branch by branch from the cumulative of f.
     """
+    return _fp_apply(_fp_data(m, f.L), f)
+
+
+def _fp_apply(terms: list, f: DensityHistogram) -> DensityHistogram:
     f.validate()
-    terms = _fp_data(m, f.L)
     masses = f.bin_masses
     cum = np.concatenate(([0.0], np.cumsum(masses)))
     phi = np.zeros(f.L + 1)
@@ -327,10 +322,11 @@ def fp_fixed_point(
     if grid_factor < 1:
         raise ValueError("grid_factor must be a positive integer")
     Lf = L * grid_factor
+    terms = _fp_data(m, Lf)
     f = uniform_density(Lf)
     dist = np.inf
     for it in range(1, max_iter + 1):
-        nxt = fp_step(m, f)
+        nxt = _fp_apply(terms, f)
         dist = l1_distance(f, nxt)
         f = nxt
         if dist < tol:

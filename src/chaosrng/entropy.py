@@ -66,7 +66,7 @@ def block_probabilities(
     *,
     warn_below_bin: bool = True,
 ) -> ProbabilityTable:
-    """Integrate the density over every cell of the refined partition.
+    """Integrate the density over every cell (the intervals with its code).
 
     The sum over all words must already be 1 to within 1e-6 (the cells tile
     the interval); the table is renormalized and the factor recorded.
@@ -80,13 +80,13 @@ def block_probabilities(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    raw = {w: f.set_mass(c) for w, c in p.cells.items()}
-    total = sum(raw.values())
+    raw = np.bincount(p.codes, weights=np.diff(f.cumulative(p.cuts)), minlength=2**p.depth)
+    total = float(raw.sum())
     if abs(total - 1.0) > 1e-6:
         raise AccuracyError(f"cell masses sum to {total!r}; renormalization factor out of tolerance")
     table = ProbabilityTable(
         depth=p.depth,
-        probs={w: v / total for w, v in raw.items()},
+        probs={format(c, f"0{p.depth}b"): v for c, v in enumerate((raw / total).tolist())},
         meta={"renormalization": 1.0 / total, "density_method": f.method},
     )
     table.validate()

@@ -1,15 +1,15 @@
 """Disjoint unions of subintervals of the unit interval.
 
-An :class:`IntervalSet` is the workhorse representation for bit-generation
-partitions and their refinements: a sorted list of pairwise-disjoint open
-intervals ``(lo, hi)`` inside ``[0, 1]``.  Touching intervals are merged on
+An :class:`IntervalSet` represents the bit-generation sets S(0), S(1) and
+the user-facing view of a refined cell: a sorted list of pairwise-disjoint
+open intervals ``(lo, hi)`` inside ``[0, 1]``.  Touching intervals are merged on
 construction, so the representation is canonical and two sets describing the
 same region compare equal.
 """
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 class IntervalSet:
@@ -92,12 +92,6 @@ class IntervalSet:
             out.append((cursor, hi))
         return IntervalSet(out)
 
-    def min_width(self) -> float:
-        """Width of the narrowest component (inf when empty)."""
-        if not self._intervals:
-            return float("inf")
-        return min(b - a for a, b in self._intervals)
-
 
 def _normalize(
     intervals: Iterable[tuple[float, float]],
@@ -118,11 +112,3 @@ def _normalize(
             merged.append((a, b))
     return tuple(merged)
 
-
-def disjoint(sets: Sequence[IntervalSet], tol: float = 0.0) -> bool:
-    """True when no two sets overlap by more than `tol` per overlap."""
-    pieces = sorted((a, b) for s in sets for a, b in s)
-    for (a1, b1), (a2, _) in zip(pieces, pieces[1:]):
-        if a2 < b1 - tol:
-            return False
-    return True

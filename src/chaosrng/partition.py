@@ -1,21 +1,22 @@
 """Bit-generation partitions and their depth-N refinements.
 
 The unit interval is split into S(0) and S(1); the emitted bit is the index
-of the set containing the current state.  The depth-N refinement maps every
-N-bit word to the set of initial states that generate exactly that word,
-computed exactly (up to root tolerance) with interval algebra:
-
-    cell(i_1 .. i_{N+1}) = S(i_1)  intersect  M^{-1}( cell(i_2 .. i_{N+1}) )
+of the set containing the current state.  The depth-N refinement gives every
+N-bit word the initial states that generate exactly that word.  Since
+cell(i w) = S(i) n M^-1(cell(w)), its boundaries are C_N = C_1 u M^-1(C_{N-1}):
+a refinement is one sorted cut array plus an integer word code per interval,
+computed exactly (up to root tolerance) from the branch inverses.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from pathlib import Path
 
-from .intervals import IntervalSet, disjoint
-from .maps import MapModel, preimage_of_set
+import numpy as np
+
+from .intervals import IntervalSet
+from .maps import MapModel
 
 DEFAULT_MAX_DEPTH = 20
 
@@ -65,77 +66,98 @@ def symmetric_partition() -> SymbolPartition:
     return SymbolPartition.from_s0(IntervalSet([(0.0, 0.5)]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinedPartition:
-    """Mapping from every N-bit word to its initial-state interval set.
-
-    Empty words stay in the table (with empty sets) so entropy sums can run
-    over the full 2^N index space.
+    """Depth-N refinement: the intervals (cuts[i], cuts[i+1]) tile [0, 1], and
+    codes[i] is the N-bit word their starts emit, as an integer with the first
+    bit most significant.  A word's cell is the union of its code's intervals.
     """
 
     depth: int
-    cells: dict  # word string "010..." -> IntervalSet
+    cuts: np.ndarray  # sorted floats from 0 to 1
+    codes: np.ndarray  # one int word code per interval
 
-    def words(self) -> list[str]:
-        return sorted(self.cells)
+    @property
+    def cells(self) -> dict:
+        """Every N-bit word string mapped to its cell as an IntervalSet (built on each access)."""
+        pieces = [[] for _ in range(2**self.depth)]
+        for c, a, b in zip(self.codes.tolist(), self.cuts[:-1].tolist(), self.cuts[1:].tolist()):
+            pieces[c].append((a, b))
+        return {format(c, f"0{self.depth}b"): IntervalSet(ps) for c, ps in enumerate(pieces)}
 
     def nonempty_count(self) -> int:
-        return sum(1 for c in self.cells.values() if not c.is_empty)
+        return int(np.unique(self.codes).size)
 
     def min_cell_width(self) -> float:
-        return min(c.min_width() for c in self.cells.values())
+        """Width of the narrowest cell component, i.e. of a run of equal codes."""
+        starts = np.flatnonzero(np.diff(self.codes, prepend=-1))
+        return float(np.min(np.diff(self.cuts[np.append(starts, self.codes.size)])))
 
     def word_of(self, x: float) -> str | None:
-        for w, c in self.cells.items():
-            if c.contains(x):
-                return w
-        return None
+        """Word of start x, with the left-cell tie convention (lo, hi]."""
+        i = int(np.searchsorted(self.cuts, x)) - 1
+        return format(int(self.codes[i]), f"0{self.depth}b") if 0.0 < x <= 1.0 else None
 
     def validate(self, parent: "RefinedPartition | None" = None) -> None:
-        if len(self.cells) != 2**self.depth:
-            raise PartitionInvariantError("cell table must cover the full 2^N index space")
-        if not disjoint(list(self.cells.values()), tol=1e-12):
-            raise PartitionInvariantError("refined cells overlap")
-        total = sum(c.measure for c in self.cells.values())
-        if abs(total - 1.0) > 1e-8:
-            raise PartitionInvariantError(f"cell measures sum to {total!r}, not 1")
-        if parent is not None:
-            if parent.depth != self.depth - 1:
-                raise PartitionInvariantError("parent must be one level shallower")
-            for w, cell in parent.cells.items():
-                merged = self.cells[w + "0"].union(self.cells[w + "1"])
-                if abs(merged.measure - cell.measure) > 1e-9 or merged.intersect(cell).measure < cell.measure - 1e-9:
-                    raise PartitionInvariantError(f"children of {w!r} do not reassemble their parent cell")
+        cuts, codes = self.cuts, self.codes
+        if codes.shape != (cuts.size - 1,) or cuts[0] != 0.0 or cuts[-1] != 1.0 or np.any(np.diff(cuts) <= 0):
+            raise PartitionInvariantError("cuts must rise strictly from 0 to 1, with one code per interval")
+        if np.any((codes < 0) | (codes >= 2**self.depth)):
+            raise PartitionInvariantError(f"word codes must lie in [0, 2^{self.depth})")
+        if parent is None:
+            return
+        if parent.depth != self.depth - 1:
+            raise PartitionInvariantError("parent must be one level shallower")
+        if not np.isin(parent.cuts, cuts).all():
+            raise PartitionInvariantError("parent cut points are missing from the refinement")
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        if np.any(parent.codes[np.searchsorted(parent.cuts, mids) - 1] != codes >> 1):
+            raise PartitionInvariantError("children do not reassemble their parent cells")
 
     def to_json(self, path: str | Path) -> None:
-        payload = {w: [list(iv) for iv in c] for w, c in sorted(self.cells.items())}
+        payload = {w: [list(iv) for iv in c] for w, c in self.cells.items()}
         Path(path).write_text(json.dumps(payload))
 
 
 def depth_one(s: SymbolPartition) -> RefinedPartition:
-    return RefinedPartition(depth=1, cells={"0": s.s0, "1": s.s1})
+    cuts = np.unique([0.0, 1.0, *(e for iv in (*s.s0, *s.s1) for e in iv)])
+    codes = [s.symbol_of(x) for x in 0.5 * (cuts[:-1] + cuts[1:])]
+    return RefinedPartition(depth=1, cuts=cuts, codes=np.array(codes, dtype=np.int64))
 
 
 def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> RefinedPartition:
-    """Depth N -> N+1: prepend each possible first bit to every word."""
-    pre = {w: preimage_of_set(m, cell) for w, cell in p.cells.items()}
-    cells = {}
-    for first in "01":
-        base = s[first]
-        for w, pw in pre.items():
-            cells[first + w] = base.intersect(pw)
-    return RefinedPartition(depth=p.depth + 1, cells=cells)
+    """Depth N -> N+1: prepend each possible first bit to every word.
+
+    Within a branch each new interval pulls back a piece of one parent
+    interval, whose code follows the first bit; M is never evaluated forward.
+    """
+    first = depth_one(s)
+    pulled = []  # per branch: preimages ascending, parent interval of the piece after each
+    for br in m.branches:
+        ylo, yhi = br.image
+        y = np.concatenate(([ylo], p.cuts[(p.cuts > ylo) & (p.cuts < yhi)], [yhi]))
+        par = np.searchsorted(p.cuts, y[:-1], side="right") - 1
+        x = np.asarray(br.inverse(y), dtype=float)
+        # near a critical value the map is flat to float precision, so the
+        # inverse can stop ~1e-8 short of the branch edge; snap
+        x = np.where(x - br.lo < 2e-8, br.lo, np.where(br.hi - x < 2e-8, br.hi, x))
+        if not br.increasing:
+            x, par = x[::-1], par[::-1]
+        x[0], x[-1] = br.lo, br.hi  # the image ends pull back to the branch ends
+        pulled.append((br, x, par))
+    cuts = np.unique(np.concatenate([first.cuts, *(x for _, x, _ in pulled)]))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    codes = first.codes[np.searchsorted(first.cuts, mids) - 1] << p.depth
+    for br, x, par in pulled:
+        inside = (mids > br.lo) & (mids < br.hi)
+        codes[inside] |= p.codes[par[np.searchsorted(x, mids[inside]) - 1]]
+    return RefinedPartition(depth=p.depth + 1, cuts=cuts, codes=codes)
 
 
-def refine(
-    m: MapModel,
-    s: SymbolPartition,
-    N: int,
-    *,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    min_cell_width: float | None = None,
-) -> RefinedPartition:
-    """Depth-N refinement of the bit-generation partition.
+def refinement_ladder(
+    m: MapModel, s: SymbolPartition, N: int, *, max_depth: int = DEFAULT_MAX_DEPTH, min_cell_width: float | None = None
+) -> list[RefinedPartition]:
+    """All refinements up to depth N (reusing each level to build the next).
 
     `min_cell_width`, when given, aborts once the narrowest nonempty cell
     component falls below it (cells finer than the density grid make the
@@ -149,24 +171,20 @@ def refine(
             "drop below any usable grid resolution"
         )
     s.validate()
-    p = depth_one(s)
-    for _ in range(N - 1):
-        p = refine_once(m, s, p)
-        if min_cell_width is not None and p.min_cell_width() < min_cell_width:
+    ladder = [depth_one(s)]
+    while ladder[-1].depth < N:
+        ladder.append(refine_once(m, s, ladder[-1]))
+        if min_cell_width is not None and ladder[-1].min_cell_width() < min_cell_width:
             raise RefinementError(
-                f"narrowest cell at depth {p.depth} is {p.min_cell_width():.3e}, "
+                f"narrowest cell at depth {ladder[-1].depth} is {ladder[-1].min_cell_width():.3e}, "
                 f"below the resolution floor {min_cell_width:.3e}"
             )
-    return p
-
-
-def refinement_ladder(m: MapModel, s: SymbolPartition, N: int, **kw) -> list[RefinedPartition]:
-    """All refinements up to depth N (reusing each level to build the next)."""
-    ladder = [depth_one(s)]
-    refine(m, s, 1, **kw)  # argument validation only
-    for _ in range(N - 1):
-        ladder.append(refine_once(m, s, ladder[-1]))
     return ladder
+
+
+def refine(m: MapModel, s: SymbolPartition, N: int, **kw) -> RefinedPartition:
+    """Depth-N refinement of the bit-generation partition (see `refinement_ladder`)."""
+    return refinement_ladder(m, s, N, **kw)[-1]
 
 
 def partition_from_config(cfg: dict) -> SymbolPartition:

@@ -138,6 +138,18 @@ def test_fp_tent_uniform_is_fixed(tent):
     assert np.abs(h.weights - 1.0).max() < 1e-12
 
 
+def test_fp_step_reads_the_map_it_is_given():
+    # maps built and freed in turn can reuse each other's id(); a step must
+    # never pick up pull-back data of an earlier, freed map
+    u = uniform_density(256)
+    for i in range(1000):
+        m = cr.tent_map() if i % 2 == 0 else cr.logistic_map()
+        f = fp_step(m, u)
+        if i % 2 == 0:
+            assert np.allclose(f.weights, 1.0, atol=1e-9), f"step {i}"
+        del m, f
+
+
 def test_fp_bernoulli_uniform_is_fixed(bernoulli):
     h = fp_fixed_point(bernoulli, 256, tol=1e-12)
     assert np.abs(h.weights - 1.0).max() < 1e-10

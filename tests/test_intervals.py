@@ -1,10 +1,9 @@
 """Interval-set algebra: canonical form plus measure-theoretic properties."""
-import math
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaosrng.intervals import IntervalSet, disjoint
+from chaosrng.intervals import IntervalSet
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 pair = st.tuples(unit, unit)
@@ -18,6 +17,7 @@ def test_normalization_merges_and_sorts():
 
 def test_degenerate_and_reversed_pieces_drop():
     assert IntervalSet([(0.4, 0.4), (0.9, 0.2)]).is_empty
+    assert IntervalSet().measure == 0.0
 
 
 def test_clipping_to_unit_interval():
@@ -31,22 +31,6 @@ def test_contains_left_cell_tie():
     assert not s.contains(0.2)  # left endpoint belongs to the neighbor
     assert s.contains(0.3)
     assert not s.contains(0.7)
-
-
-def test_min_width_and_empty():
-    assert IntervalSet([(0.1, 0.2), (0.5, 0.9)]).min_width() == 0.1 or math.isclose(
-        IntervalSet([(0.1, 0.2), (0.5, 0.9)]).min_width(), 0.1
-    )
-    assert IntervalSet().min_width() == float("inf")
-    assert IntervalSet().measure == 0.0
-
-
-def test_disjoint_helper():
-    a = IntervalSet([(0.0, 0.5)])
-    b = IntervalSet([(0.5, 1.0)])
-    c = IntervalSet([(0.4, 0.6)])
-    assert disjoint([a, b])
-    assert not disjoint([a, c])
 
 
 @given(interval_sets)

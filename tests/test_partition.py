@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chaosrng as cr
+from chaosrng.density import DensityHistogram
+from chaosrng.entropy import ProbabilityTable, block_entropy, block_probabilities
 from chaosrng.intervals import IntervalSet
+from chaosrng.maps import piecewise_linear_map, preimage_of_set
 from chaosrng.partition import (
     PartitionInvariantError,
     RefinementError,
@@ -56,6 +61,12 @@ def test_depth_limits(cubic, branch_part):
         refine(cubic, branch_part, 25)
     with pytest.raises(RefinementError):
         refine(cubic, branch_part, 10, min_cell_width=0.1)
+    # the ladder enforces both limits too, not only at depth 1
+    with pytest.raises(RefinementError, match="exceeds the cap"):
+        refinement_ladder(cubic, branch_part, 6, max_depth=5)
+    with pytest.raises(RefinementError, match="resolution floor"):
+        refinement_ladder(cubic, branch_part, 8, min_cell_width=0.1)
+    assert len(refinement_ladder(cubic, branch_part, 3, min_cell_width=1e-3)) == 3
 
 
 def test_bernoulli_cells_are_binary_expansions(bernoulli, sym_part):
@@ -119,13 +130,23 @@ def test_word_of_matches_iteration(cubic, branch_part):
 
 
 def test_validate_catches_corruption(cubic, branch_part):
-    p = refine(cubic, branch_part, 3)
-    broken = dict(p.cells)
-    broken["000"] = IntervalSet()
+    parent, p = refinement_ladder(cubic, branch_part, 3)[1:]
+    p.validate(parent=parent)
+    codes = p.codes.copy()
+    codes[0] = 2**3  # a code outside the depth-3 index space
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cells=broken).validate()
+        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate()
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=2, cells=p.cells).validate()
+        cr.RefinedPartition(depth=2, cuts=p.cuts, codes=p.codes).validate()
+    codes = p.codes.copy()
+    codes[0] ^= 0b100  # flip the first bit: the word no longer extends its parent's
+    with pytest.raises(PartitionInvariantError):
+        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(parent=parent)
+    i = int(np.searchsorted(p.cuts, XB))  # drop the parent cut point 1/sqrt(3)
+    with pytest.raises(PartitionInvariantError):
+        cr.RefinedPartition(depth=3, cuts=np.delete(p.cuts, i), codes=np.delete(p.codes, i)).validate(parent=parent)
+    with pytest.raises(PartitionInvariantError):  # cut points out of order
+        cr.RefinedPartition(depth=3, cuts=p.cuts[::-1], codes=p.codes).validate()
 
 
 def test_to_json(tmp_path, tent, sym_part):
@@ -140,3 +161,67 @@ def test_depth_one(sym_part):
     assert p.depth == 1
     assert p.cells["0"] == sym_part.s0
     assert p.cells["1"] == sym_part.s1
+
+
+# ---------------------------------------------------------------------------
+# the interval-set recurrence that the cut/code ladder replaces, as a reference
+
+
+def reference_ladder(m, s, N):
+    """cell(i w) = S(i) n M^-1(cell(w)), one {word: IntervalSet} dict per depth."""
+    levels = [{"0": s.s0, "1": s.s1}]
+    while len(levels) < N:
+        pre = {w: preimage_of_set(m, c) for w, c in levels[-1].items()}
+        levels.append({i + w: s[i].intersect(pw) for i in "01" for w, pw in pre.items()})
+    return levels
+
+
+def _bumpy_density(L=500):
+    w = np.random.default_rng(0).uniform(0.2, 2.0, L)
+    return DensityHistogram(L=L, weights=w * (L / w.sum()), method="fp_operator")
+
+
+def assert_matches_reference(m, s, N, f):
+    for p, cells in zip(refinement_ladder(m, s, N), reference_ladder(m, s, N), strict=True):
+        raw = {w: f.set_mass(c) for w, c in cells.items()}
+        total = sum(raw.values())
+        want = ProbabilityTable(depth=p.depth, probs={w: v / total for w, v in raw.items()})
+        got = block_probabilities(p, f, warn_below_bin=False)
+        assert max(abs(got[w] - want[w]) for w in want.probs) < 1e-12
+        assert abs(block_entropy(got) - block_entropy(want)) < 1e-12
+        if p.depth <= 6:
+            for w, c in p.cells.items():
+                assert c.measure + cells[w].measure - 2 * c.intersect(cells[w]).measure < 1e-12, w
+
+
+@pytest.mark.parametrize("name", sorted(cr.maps.BUILTIN_MAPS))
+def test_ladder_matches_interval_recurrence_on_builtins(name):
+    m = cr.maps.BUILTIN_MAPS[name]()
+    s = SymbolPartition.from_s0(IntervalSet([(0.0, m.branches[0].hi)]))
+    assert_matches_reference(m, s, 10, _bumpy_density())
+
+
+unit_value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def maps_and_partitions(draw):
+    k = draw(st.integers(2, 4))  # monotone branches
+    widths = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    xs = [0.0, *(np.cumsum(widths)[:-1] / widths.sum()).tolist(), 1.0]
+    ys = draw(st.lists(unit_value, min_size=k + 1, max_size=k + 1))
+    assume(all(abs(a - b) > 0.05 for a, b in zip(ys, ys[1:])))
+    pts = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=1, max_size=3, unique=True)))
+    assume(all(b - a > 0.01 for a, b in zip(pts, pts[1:])))
+    edges = [0.0, *pts, 1.0]
+    first = draw(st.integers(0, 1))
+    s0 = [(a, b) for i, (a, b) in enumerate(zip(edges, edges[1:])) if i % 2 == first]
+    depth = draw(st.integers(1, {2: 10, 3: 6, 4: 5}[k]))
+    return piecewise_linear_map(xs, ys), SymbolPartition.from_s0(IntervalSet(s0)), depth
+
+
+@settings(max_examples=30, deadline=None)
+@given(maps_and_partitions())
+def test_ladder_matches_interval_recurrence_on_generated_maps(case):
+    m, s, N = case
+    assert_matches_reference(m, s, N, _bumpy_density())
