@@ -11,23 +11,17 @@ periodic orbits.
 """
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .density import RNG_ALGORITHM, scaled_map_table
+from .density import RNG_ALGORITHM, chain_states, scaled_map_table
 from .entropy import ProbabilityTable
 from .maps import MapModel, eval_map
 from .partition import SymbolPartition
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
 
 DEFAULT_STREAM_L = 1 << 20
 
@@ -58,36 +52,16 @@ class BitstreamConfig:
             raise ValueError(f"start must lie in (0,1), got {self.start}")
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _digitized_bits(table, bit_of, noise, j0, L, out):  # pragma: no cover - jitted
-        j = j0
-        for n in range(out.shape[0]):
-            out[n] = bit_of[j]
-            v = int(np.floor(table[j] + noise[n]))
-            if v < 1:
-                v = 1
-            elif v > L:
-                v = L
-            j = v
-
-
-def _digitized_bits_py(table, bit_of, noise, j0, L, out):
-    j = j0
-    floor = np.floor
-    for n in range(out.shape[0]):
-        out[n] = bit_of[j]
-        v = int(floor(table[j] + noise[n]))
-        j = 1 if v < 1 else (L if v > L else v)
-
-
 def _grid_bit_table(s: SymbolPartition, L: int) -> np.ndarray:
     """bit_of[j] for grid states j/L, j = 0..L (left-cell ties)."""
-    grid = np.arange(L + 1) / L
     bits = np.ones(L + 1, dtype=np.uint8)
+
+    def first_above(t: float) -> int:
+        # j/L is monotone in j and rounds exactly like numpy's float64 division
+        return bisect.bisect_right(range(L + 1), t, key=lambda j: j / L)
+
     for a, b in s.s0:
-        bits[(grid > a) & (grid <= b)] = 0
+        bits[first_above(a) : first_above(b)] = 0  # grid points in (a, b]
     bits[0] = 0  # j = 0 only ever occurs as a start state
     return bits
 
@@ -111,8 +85,12 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
         else:
             j0 = int(rng.integers(1, L + 1))
         noise = rng.uniform(-1.0, 1.0, size=cfg.length)
-        kernel = _digitized_bits if _HAVE_NUMBA else _digitized_bits_py
-        kernel(table, bit_of, noise, j0, L, out)
+        # bit n is read from state j_n; the last noise value is drawn but unused
+        out[0] = bit_of[j0]
+        n = 1
+        for states in chain_states(table, noise[:-1], j0, L):
+            out[n : n + len(states)] = bit_of[states]
+            n += len(states)
         return out
     x = cfg.start if cfg.start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
     for n in range(cfg.length):

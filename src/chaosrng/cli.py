@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -166,7 +165,8 @@ class AnalysisConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def shards(self) -> int:
-        return self.workers if self.workers is not None else (os.cpu_count() or 1)
+        # a fixed default, so the Monte Carlo output never depends on the host
+        return self.workers if self.workers is not None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rate", type=float, dest="input_rate", help="raw bit rate R for the budget")
         p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--format", action="append", choices=FORMATS, dest="formats")
-        p.add_argument("--workers", type=int, help="shard count for Monte Carlo runs")
+        p.add_argument(
+            "--workers",
+            type=int,
+            help="Monte Carlo shard count (default 1); shards run one after another",
+        )
 
     for name in ("density", "analyze", "verify"):
         common(sub.add_parser(name))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,20 +21,6 @@ import numpy as np
 
 from . import maps as _maps
 from .maps import MapModel
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is optional (the "fast" extra)
-    _HAVE_NUMBA = False
-
-    def njit(*a, **k):
-        def wrap(f):
-            return f
-
-        return wrap if not (a and callable(a[0])) else a[0]
-
 
 RNG_ALGORITHM = "PCG64"
 
@@ -156,39 +142,52 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-@njit(cache=True)
-def _digitized_counts(table, noise, j0, burn_in, L, counts):  # pragma: no cover - jitted
-    j = j0
-    for n in range(noise.shape[0]):
-        v = int(np.floor(table[j] + noise[n]))
-        if v < 1:
-            v = 1
-        elif v > L:
-            v = L
-        j = v
-        if n >= burn_in:
-            counts[j - 1] += 1
-    return j
+#: states per array yielded by :func:`chain_states`
+_CHAIN_CHUNK = 1 << 16
+#: grid points per map evaluation in :func:`scaled_map_table`
+_TABLE_CHUNK = 1 << 20
 
 
-def _digitized_counts_py(table, noise, j0, burn_in, L, counts):
-    j = j0
-    floor = np.floor
-    for n in range(noise.shape[0]):
-        v = int(floor(table[j] + noise[n]))
-        j = 1 if v < 1 else (L if v > L else v)
-        if n >= burn_in:
-            counts[j - 1] += 1
-    return j
+def chain_states(table, noise, j0: int, L: int):
+    """Run the dithered grid chain j <- clip(floor(table[j] + u), 1, L).
+
+    Yields the visited states j_1..j_n (one per noise value, the start j0
+    excluded) as int64 arrays of at most ``_CHAIN_CHUNK`` states.  The loop
+    reads both arrays through memoryviews so each step is plain Python float
+    and int arithmetic: the same float64 add and floor as a numpy loop, at a
+    fraction of the per-element cost.
+    """
+    tab = memoryview(np.ascontiguousarray(table, dtype=np.float64))
+    nz = memoryview(np.ascontiguousarray(noise, dtype=np.float64))
+    floor = math.floor
+    j = int(j0)
+    for lo in range(0, len(nz), _CHAIN_CHUNK):
+        states = []
+        visit = states.append
+        for u in nz[lo : lo + _CHAIN_CHUNK]:
+            v = floor(tab[j] + u)
+            j = 1 if v < 1 else (L if v > L else v)
+            visit(j)
+        yield np.array(states, dtype=np.int64)
 
 
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
-    """table[j] = L * M(j/L) for grid states j = 0..L (0 only as a start)."""
-    grid = np.arange(L + 1) / L
-    grid[0] = _maps.EPS
-    grid[L] = 1.0 - _maps.EPS
-    vals = np.clip(np.asarray(m.raw_eval(grid), dtype=float), _maps.EPS, 1.0 - _maps.EPS)
-    return L * vals
+    """table[j] = L * M(j/L) for grid states j = 0..L (0 only as a start).
+
+    Filled in slices of ``_TABLE_CHUNK`` points so that no full-size grid
+    temporaries are built; the values are those of one vectorized pass.
+    """
+    table = np.empty(L + 1)
+    for lo in range(0, L + 1, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, L + 1)
+        grid = np.arange(lo, hi) / L
+        if lo == 0:
+            grid[0] = _maps.EPS
+        if hi == L + 1:
+            grid[-1] = 1.0 - _maps.EPS
+        vals = np.clip(np.asarray(m.raw_eval(grid), dtype=float), _maps.EPS, 1.0 - _maps.EPS)
+        table[lo:hi] = L * vals
+    return table
 
 
 def mc_density(m: MapModel, L: int, cfg: DitherConfig, shards: int = 1) -> DensityHistogram:
@@ -204,8 +203,7 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig, shards: int = 1) -> Densi
     cfg.validate(L)
     Lc = L * cfg.grid_factor
     table = scaled_map_table(m, Lc)
-    chain_counts = np.zeros(Lc, dtype=np.int64)
-    kernel = _digitized_counts if _HAVE_NUMBA else _digitized_counts_py
+    visits = np.zeros(Lc + 1, dtype=np.int64)  # by chain state; state 0 never recurs
 
     seeds = np.random.SeedSequence(cfg.seed).spawn(shards)
     per_shard = [cfg.K // shards] * shards
@@ -214,12 +212,15 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig, shards: int = 1) -> Densi
         rng = np.random.Generator(np.random.PCG64(seq))
         j0 = int(rng.integers(0, Lc))
         noise = rng.uniform(-1.0, 1.0, size=cfg.burn_in + k_shard)
-        kernel(table, noise, j0, cfg.burn_in, Lc, chain_counts)
+        seen = 0
+        for states in chain_states(table, noise, j0, Lc):
+            np.add.at(visits, states[max(cfg.burn_in - seen, 0) :], 1)
+            seen += len(states)
 
     # chain state j/Lc (j = 1..Lc) falls in output bin floor(j*L/Lc), last
     # state clamped into the top bin
     state_bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
-    counts = np.bincount(state_bins, weights=chain_counts, minlength=L)
+    counts = np.bincount(state_bins, weights=visits[1:], minlength=L)
     weights = counts * (L / cfg.K)
     hist = DensityHistogram(
         L=L,

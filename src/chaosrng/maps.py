@@ -51,10 +51,6 @@ class Branch:
     inverse: Callable[[np.ndarray | float], np.ndarray | float]
     image: tuple[float, float]
 
-    @property
-    def direction(self) -> str:
-        return "increasing" if self.increasing else "decreasing"
-
     def image_contains(self, y: float) -> bool:
         return self.image[0] <= y <= self.image[1]
 

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, config handling, exit codes."""
 import json
+import os
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ def test_density_idempotent(tmp_path, capsys):
     run(capsys, *args)
     after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert before == after
+
+
+def test_montecarlo_density_independent_of_cpu_count(tmp_path, capsys, monkeypatch):
+    # the default shard count is fixed, so the same config gives the same bytes on any host
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for n_cpu in (1, 4):
+        monkeypatch.setattr(os, "cpu_count", lambda n=n_cpu: n)
+        code, _, _ = run(
+            capsys, "density", "--map", "cubic_sample", "--method", "montecarlo",
+            "--L", "256", "--K", "100000", "--out-dir", "out",
+        )
+        assert code == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
+    assert set(outputs[0]) == {"density_montecarlo.csv", "density_montecarlo.json"}
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0]["density_montecarlo.json"])["shards"] == 1
 
 
 def test_analyze_writes_report(tmp_path, capsys):

@@ -1,15 +1,23 @@
 """Invariant densities: Monte Carlo route, operator route, and their agreement."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import chaosrng as cr
+from chaosrng import density
+from chaosrng import maps as _maps
+from chaosrng.bitstream import BitstreamConfig, _grid_bit_table, generate_bits
 from chaosrng.density import (
     DensityHistogram,
     DitherConfig,
     NonConvergenceError,
     ResolutionError,
+    chain_states,
     density_for,
     fp_fixed_point,
     fp_step,
@@ -19,6 +27,7 @@ from chaosrng.density import (
     uniform_density,
 )
 from chaosrng.intervals import IntervalSet
+from chaosrng.partition import SymbolPartition
 
 
 def arcsine_histogram(L):
@@ -126,6 +135,90 @@ def test_scaled_map_table(tent):
     # table[j] = L * M(j/L); tent peaks at j = 50
     assert table[50] == pytest.approx(100.0, abs=1e-6)
     assert table[25] == pytest.approx(50.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("L", [(1 << 21) + 3, 1 << 20])
+def test_grid_tables_match_one_shot_construction(cubic, branch_part, L):
+    # 2^21 + 3 spans three table chunks, the last 3 points long; on 2^20 the cut 1/2 is a grid point
+    grid = np.arange(L + 1) / L
+    grid[0], grid[L] = _maps.EPS, 1.0 - _maps.EPS
+    one_shot = L * np.clip(cubic.raw_eval(grid), _maps.EPS, 1.0 - _maps.EPS)
+    assert np.array_equal(scaled_map_table(cubic, L), one_shot)
+    grid = np.arange(L + 1) / L
+    for part in (branch_part, cr.symmetric_partition(), SymbolPartition.from_pairs([(0.1, 0.3), (0.5, 0.77)])):
+        bits = np.ones(L + 1, dtype=np.uint8)
+        for a, b in part.s0:
+            bits[(grid > a) & (grid <= b)] = 0
+        bits[0] = 0
+        assert np.array_equal(_grid_bit_table(part, L), bits)
+
+
+# ---------------------------------------------------------------------------
+# chain kernel against the per-step numpy loop it replaced
+
+
+def reference_chain(table, noise, j0, L):
+    j, states = j0, []
+    for u in noise:
+        v = int(np.floor(table[j] + u))
+        j = 1 if v < 1 else (L if v > L else v)
+        states.append(j)
+    return np.array(states, dtype=np.int64)
+
+
+def run_chain(table, noise, j0, L):
+    chunks = list(chain_states(table, noise, j0, L))
+    assert all(c.dtype == np.int64 and 0 < len(c) <= density._CHAIN_CHUNK for c in chunks)
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_chain_states_match_reference_loop(data):
+    L = data.draw(st.integers(1, 40))
+    # table values outside [1, L + 1) force the lower and the upper clip
+    table = data.draw(arrays(np.float64, L + 1, elements=st.floats(-3.0, L + 3.0)))
+    noise = data.draw(arrays(np.float64, data.draw(st.integers(0, 300)), elements=st.floats(-1.0, 1.0, exclude_max=True)))
+    j0 = data.draw(st.integers(0, L))
+    with mock.patch.object(density, "_CHAIN_CHUNK", data.draw(st.integers(1, 64))):
+        assert np.array_equal(run_chain(table, noise, j0, L), reference_chain(table, noise, j0, L))
+
+
+def test_chain_states_clip_and_start_at_zero():
+    table = np.array([2.5, 40.0, -7.0, 1.2])
+    assert run_chain(table, np.zeros(5), 0, 3).tolist() == [2, 1, 3, 1, 3]
+
+
+def test_chain_states_length_off_the_chunk_size(cubic):
+    L = 1000
+    table = scaled_map_table(cubic, L)
+    noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * density._CHAIN_CHUNK + 123)
+    chunks = list(chain_states(table, noise, 17, L))
+    assert [len(c) for c in chunks] == [density._CHAIN_CHUNK] * 2 + [123]
+    assert np.array_equal(np.concatenate(chunks), reference_chain(table, noise, 17, L))
+
+
+@pytest.mark.parametrize("chunk", [7, 333, 1000])
+def test_mc_burn_in_across_chunk_boundaries(cubic, chunk):
+    # burn_in = 1000 ends inside a chunk (7, 333) and on a chunk boundary (1000)
+    cfg = DitherConfig(seed=5, K=7_000, burn_in=1_000, grid_factor=2)
+    one_chunk = mc_density(cubic, 64, cfg, shards=2)
+    with mock.patch.object(density, "_CHAIN_CHUNK", chunk):
+        chunked = mc_density(cubic, 64, cfg, shards=2)
+    assert np.array_equal(chunked.weights, one_chunk.weights)
+
+
+@pytest.mark.parametrize("start", [0.3, 0.9])
+@pytest.mark.parametrize("length", [1, 2, 1_000])
+def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start):
+    L = 4096
+    with mock.patch.object(density, "_CHAIN_CHUNK", 64):
+        bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=3, length=length, L=L, start=start))
+    # with an explicit start the noise is the generator's only draw
+    noise = np.random.Generator(np.random.PCG64(3)).uniform(-1.0, 1.0, size=length)
+    j0 = round(start * L)
+    states = np.concatenate(([j0], reference_chain(scaled_map_table(cubic, L), noise[:-1], j0, L)))
+    assert np.array_equal(bits, _grid_bit_table(branch_part, L)[states])
 
 
 # ---------------------------------------------------------------------------
