@@ -99,17 +99,6 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
     return out
 
 
-def iterate_raw(m: MapModel, x0: float, steps: int) -> np.ndarray:
-    """Raw float trajectory (the periodicity-hazard demonstration)."""
-    xs = np.empty(steps + 1)
-    xs[0] = x0
-    x = x0
-    for n in range(steps):
-        x = eval_map(m, x)
-        xs[n + 1] = x
-    return xs
-
-
 def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
     """Sliding-window N-bit word frequencies; the brute-force P_N oracle."""
     bits = np.asarray(bits, dtype=np.int64)

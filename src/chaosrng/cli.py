@@ -134,8 +134,8 @@ class AnalysisConfig:
             raise ConfigError(f"length: must be positive, got {self.length!r}")
         if self.input_rate is not None and not self.input_rate > 0:
             raise ConfigError(f"input_rate: must be positive, got {self.input_rate!r}")
-        if self.workers is not None and (not isinstance(self.workers, int) or self.workers < 1):
-            raise ConfigError(f"workers: need a positive integer, got {self.workers!r}")
+        if self.workers is not None and (not isinstance(self.workers, int) or not 1 <= self.workers <= self.K):
+            raise ConfigError(f"workers: need an integer in [1, K = {self.K}], got {self.workers!r}")
         try:
             _maps.map_from_config(self.map)
         except _maps.MapConfigError as e:

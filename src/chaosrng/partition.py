@@ -86,7 +86,7 @@ class RefinedPartition:
         return {format(c, f"0{self.depth}b"): IntervalSet(ps) for c, ps in enumerate(pieces)}
 
     def nonempty_count(self) -> int:
-        return int(np.unique(self.codes).size)
+        return int(np.count_nonzero(np.bincount(self.codes, minlength=2**self.depth)))
 
     def min_cell_width(self) -> float:
         """Width of the narrowest cell component, i.e. of a run of equal codes."""
@@ -108,7 +108,8 @@ class RefinedPartition:
             return
         if parent.depth != self.depth - 1:
             raise PartitionInvariantError("parent must be one level shallower")
-        if not np.isin(parent.cuts, cuts).all():
+        at = np.minimum(np.searchsorted(cuts, parent.cuts), cuts.size - 1)
+        if np.any(cuts[at] != parent.cuts):
             raise PartitionInvariantError("parent cut points are missing from the refinement")
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         if np.any(parent.codes[np.searchsorted(parent.cuts, mids) - 1] != codes >> 1):
@@ -119,8 +120,17 @@ class RefinedPartition:
         Path(path).write_text(json.dumps(payload))
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-D float array.  numpy 2.4's np.unique (and a large
+    np.isin) imports numpy.ma on first use, ~20 ms of every command."""
+    a = np.sort(a)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def depth_one(s: SymbolPartition) -> RefinedPartition:
-    cuts = np.unique([0.0, 1.0, *(e for iv in (*s.s0, *s.s1) for e in iv)])
+    cuts = _sorted_distinct(np.array([0.0, 1.0, *(e for iv in (*s.s0, *s.s1) for e in iv)]))
     codes = [s.symbol_of(x) for x in 0.5 * (cuts[:-1] + cuts[1:])]
     return RefinedPartition(depth=1, cuts=cuts, codes=np.array(codes, dtype=np.int64))
 
@@ -145,7 +155,7 @@ def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> Refined
             x, par = x[::-1], par[::-1]
         x[0], x[-1] = br.lo, br.hi  # the image ends pull back to the branch ends
         pulled.append((br, x, par))
-    cuts = np.unique(np.concatenate([first.cuts, *(x for _, x, _ in pulled)]))
+    cuts = _sorted_distinct(np.concatenate([first.cuts, *(x for _, x, _ in pulled)]))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     codes = first.codes[np.searchsorted(first.cuts, mids) - 1] << p.depth
     for br, x, par in pulled:

@@ -10,7 +10,6 @@ from chaosrng.bitstream import (
     InsufficientDataError,
     empirical_pattern_probs,
     generate_bits,
-    iterate_raw,
     monobit_frequency,
     read_stream,
     read_stream_ascii,
@@ -63,13 +62,6 @@ def test_raw_float_iteration_is_degenerate(tent, sym_part):
     assert monobit_frequency(bits) < 0.2
     dithered = generate_bits(tent, sym_part, BitstreamConfig(seed=4, length=10_000))
     assert abs(monobit_frequency(dithered) - 0.5) < 0.02
-
-
-def test_iterate_raw_trajectory(cubic):
-    xs = iterate_raw(cubic, 0.2, 100)
-    assert xs.shape == (101,)
-    assert np.all((xs > 0) & (xs < 1))
-    assert xs[1] == pytest.approx(cubic(0.2))
 
 
 def test_empirical_pattern_probs_exact():

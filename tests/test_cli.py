@@ -1,6 +1,8 @@
 """Command-line behavior: subcommands, config handling, exit codes."""
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ def test_config_bounds():
         AnalysisConfig.from_dict({"density": {"method": "psychic"}})
     with pytest.raises(ConfigError, match="depth"):
         AnalysisConfig.from_dict({"depth": 99})
+    with pytest.raises(ConfigError, match="workers"):
+        AnalysisConfig.from_dict({"density": {"L": 64, "K": 6400}, "workers": 6401})
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,18 @@ def test_analyze_writes_report(tmp_path, capsys):
     assert len(report["H"]) == 6
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_lines[1] == "N,H_N,h_N"
+
+
+def test_analyze_leaves_numpy_ma_unimported(tmp_path):
+    # numpy 2.4's np.unique and large np.isin import numpy.ma (~20 ms) on first use
+    script = (
+        "import sys\n"
+        "from chaosrng.cli import main\n"
+        f"assert main(['analyze', '--map', 'cubic_sample', '--depth', '8', '--L', '512', '--out-dir', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
 
 
 def test_analyze_bernoulli_offset_partition(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import chaosrng as cr
 from chaosrng.density import DensityHistogram
@@ -15,6 +16,7 @@ from chaosrng.partition import (
     PartitionInvariantError,
     RefinementError,
     SymbolPartition,
+    _sorted_distinct,
     depth_one,
     partition_from_config,
     refine,
@@ -127,6 +129,11 @@ def test_word_of_matches_iteration(cubic, branch_part):
         # boundary-adjacent starts may legitimately disagree by tie rules
         if w is not None and min(abs(x0 - e) for c in p.cells.values() for a, b in c for e in (a, b)) > 1e-9:
             assert w == spelled
+
+
+@given(arrays(np.float64, st.integers(0, 50), elements=st.floats(-1e3, 1e3) | st.sampled_from([0.0, -0.0, 0.5, 1.0])))
+def test_sorted_distinct_matches_np_unique(a):
+    assert np.array_equal(_sorted_distinct(a), np.unique(a))
 
 
 def test_validate_catches_corruption(cubic, branch_part):
