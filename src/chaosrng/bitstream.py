@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import density as _density
 from .density import RNG_ALGORITHM, chain_states, scaled_map_table
 from .entropy import ProbabilityTable
 from .maps import MapModel, eval_map
@@ -52,24 +53,32 @@ class BitstreamConfig:
             raise ValueError(f"start must lie in (0,1), got {self.start}")
 
 
-def _grid_bit_table(s: SymbolPartition, L: int) -> np.ndarray:
-    """bit_of[j] for grid states j/L, j = 0..L (left-cell ties)."""
-    bits = np.ones(L + 1, dtype=np.uint8)
+def _grid_cuts(s: SymbolPartition, L: int) -> np.ndarray:
+    """S(0) on the grid j/L as integer cuts: state j has bit 0 iff an odd
+    number of cuts is <= j (left-cell ties: j/L on a cut b of (a, b] is in it).
+
+    Each S(0) interval (a, b] is the run of states first_above(a) <= j <
+    first_above(b).  Chain states are 1..L; state 0 never occurs.
+    """
 
     def first_above(t: float) -> int:
         # j/L is monotone in j and rounds exactly like numpy's float64 division
         return bisect.bisect_right(range(L + 1), t, key=lambda j: j / L)
 
-    for a, b in s.s0:
-        bits[first_above(a) : first_above(b)] = 0  # grid points in (a, b]
-    bits[0] = 0  # j = 0 only ever occurs as a start state
-    return bits
+    return np.array([first_above(t) for pair in s.s0 for t in pair], dtype=np.int64)
+
+
+def _grid_bits(cuts: np.ndarray, states):
+    """Bits of grid states (True for 1) from their :func:`_grid_cuts`."""
+    return (np.searchsorted(cuts, states, side="right") & 1) == 0
 
 
 def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.ndarray:
     """Binary sequence from iterating the map; uint8 array of 0/1.
 
-    Dither on: the digitized grid recurrence (state stays on j/L).
+    Dither on: the digitized grid recurrence (state stays on j/L).  Besides
+    the (L+1)-point map table and the output, it holds O(``_CHAIN_CHUNK``)
+    memory: the noise is drawn and the states classified one chunk at a time.
     Dither off: raw float iteration - deterministic, and demonstrably
     degenerate over long runs.
     """
@@ -79,18 +88,23 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
     if cfg.dither:
         L = cfg.L
         table = scaled_map_table(m, L)
-        bit_of = _grid_bit_table(s, L)
+        cuts = _grid_cuts(s, L)
         if cfg.start is not None:
-            j0 = max(1, min(L, round(cfg.start * L)))
+            j = max(1, min(L, round(cfg.start * L)))
         else:
-            j0 = int(rng.integers(1, L + 1))
-        noise = rng.uniform(-1.0, 1.0, size=cfg.length)
-        # bit n is read from state j_n; the last noise value is drawn but unused
-        out[0] = bit_of[j0]
+            j = int(rng.integers(1, L + 1))
+        out[0] = _grid_bits(cuts, j)
         n = 1
-        for states in chain_states(table, noise[:-1], j0, L):
-            out[n : n + len(states)] = bit_of[states]
-            n += len(states)
+        # the same doubles as one uniform(size=length) draw; bit n is read from
+        # state j_n, so the last value is drawn but unused
+        for lo in range(0, cfg.length, _density._CHAIN_CHUNK):
+            noise = rng.uniform(-1.0, 1.0, size=min(_density._CHAIN_CHUNK, cfg.length - lo))
+            if lo + len(noise) == cfg.length:
+                noise = noise[:-1]
+            for states in chain_states(table, noise, j, L):
+                out[n : n + len(states)] = _grid_bits(cuts, states)
+                n += len(states)
+                j = int(states[-1])
         return out
     x = cfg.start if cfg.start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
     for n in range(cfg.length):
@@ -100,16 +114,21 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
 
 
 def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
-    """Sliding-window N-bit word frequencies; the brute-force P_N oracle."""
-    bits = np.asarray(bits, dtype=np.int64)
+    """Sliding-window N-bit word frequencies; the brute-force P_N oracle.
+
+    Window codes are built in the narrowest unsigned type that holds N bits
+    (uint8 up to N = 8, uint16 up to 16).
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) < 100 * 2**N:
         raise InsufficientDataError(
             f"need at least {100 * 2 ** N} bits for depth {N}, got {len(bits)}"
         )
     n_windows = len(bits) - N + 1
-    acc = np.zeros(n_windows, dtype=np.int64)
-    for k in range(N):
-        acc = (acc << 1) | bits[k : k + n_windows]
+    acc = bits[:n_windows].astype(np.min_scalar_type(2**N - 1))
+    for k in range(1, N):
+        acc <<= 1
+        acc |= bits[k : k + n_windows]
     counts = np.bincount(acc, minlength=2**N)
     probs = {format(w, f"0{N}b"): counts[w] / n_windows for w in range(2**N)}
     table = ProbabilityTable(depth=N, probs=probs, meta={"n_bits": len(bits), "windows": n_windows})

@@ -146,16 +146,21 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-#: states per array yielded by :func:`chain_states`
-_CHAIN_CHUNK = 1 << 16
+#: states per array yielded by :func:`chain_states`, and noise values per draw
+#: in ``bitstream.generate_bits``.  A chunk's Python list and ints cost about
+#: 40 bytes a state, so 2^14 keeps the stream's working set near 1 MB; chunks
+#: of 2^12 to 2^16 stepped a 2e6-state chain equally fast, within noise
+_CHAIN_CHUNK = 1 << 14
 #: chains stepped in lockstep per Monte Carlo shard.  Every chain pays its own
 #: burn-in, so more lanes cost more steps; on a 2-core Xeon a verify-size run
 #: (K = 4e6, 65536 chain states) took 0.15 s at 192-384 lanes and 0.18 s at 768
 _LANES = 256
 #: lockstep steps per block of noise rows in :func:`mc_density`
 _LANE_BLOCK = 64
-#: grid points per map evaluation in :func:`scaled_map_table`
-_TABLE_CHUNK = 1 << 20
+#: grid points per map evaluation in :func:`scaled_map_table`; a slice's
+#: temporaries (512 KiB each) stay in cache, which halves the build time of a
+#: 2^24-point table against 2^20-point slices
+_TABLE_CHUNK = 1 << 16
 
 
 def chain_states(table, noise, j0: int, L: int):
@@ -184,8 +189,9 @@ def chain_states(table, noise, j0: int, L: int):
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
     """table[j] = L * M(j/L) for grid states j = 0..L (0 only as a start).
 
-    Filled in slices of ``_TABLE_CHUNK`` points so that no full-size grid
-    temporaries are built; the values are those of one vectorized pass.
+    Filled in slices of ``_TABLE_CHUNK`` points, clipped and scaled in place,
+    so that the table is the only full-size array; the values are those of
+    one vectorized pass.
     """
     table = np.empty(L + 1)
     for lo in range(0, L + 1, _TABLE_CHUNK):
@@ -195,8 +201,9 @@ def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
             grid[0] = _maps.EPS
         if hi == L + 1:
             grid[-1] = 1.0 - _maps.EPS
-        vals = np.clip(np.asarray(m.raw_eval(grid), dtype=float), _maps.EPS, 1.0 - _maps.EPS)
-        table[lo:hi] = L * vals
+        vals = table[lo:hi]
+        np.clip(np.asarray(m.raw_eval(grid), dtype=float), _maps.EPS, 1.0 - _maps.EPS, out=vals)
+        vals *= L
     return table
 
 

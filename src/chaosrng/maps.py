@@ -246,7 +246,9 @@ def bernoulli_map() -> MapModel:
     """Bernoulli shift 2x mod 1; discontinuous at 1/2, both branches slope 2."""
 
     def f(x):
-        return np.mod(2.0 * np.asarray(x, dtype=float), 1.0)
+        # for x in [0, 1): y - 1 is exact on [1, 2) (Sterbenz), so this is np.mod(y, 1.0)
+        y = 2.0 * np.asarray(x, dtype=float)
+        return y - (y >= 1.0)
 
     return MapModel(
         name="bernoulli",
@@ -358,8 +360,3 @@ def map_from_config(cfg: dict) -> MapModel:
 def load_map(path: str) -> MapModel:
     with open(path) as fh:
         return map_from_config(json.load(fh))
-
-
-def branch_boundary(name: str = "cubic_sample") -> float:
-    """Abscissa of the cubic sample map's maximum, 1/sqrt(3)."""
-    return _XB

@@ -2,7 +2,6 @@ import pytest
 
 import chaosrng as cr
 from chaosrng.intervals import IntervalSet
-from chaosrng.maps import branch_boundary
 from chaosrng.partition import SymbolPartition
 
 
@@ -29,7 +28,7 @@ def logistic():
 @pytest.fixture(scope="session")
 def branch_part():
     """Partition split at the cubic map's maximum abscissa."""
-    return SymbolPartition.from_s0(IntervalSet([(0.0, branch_boundary())]))
+    return SymbolPartition.from_s0(IntervalSet([(0.0, cr.cubic_sample_map().branches[0].hi)]))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,6 @@
 """Bit generation, pattern counting, extraction, and stream files."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -76,6 +78,41 @@ def test_empirical_pattern_probs_exact():
     assert t2.probs["00"] == 0.0
     assert t2.probs["11"] == 0.0
     assert t2.probs["01"] + t2.probs["10"] == pytest.approx(1.0)
+
+
+def int64_pattern_counts(bits, N):
+    """Window counts with the stream widened to int64: the reference route."""
+    bits = np.asarray(bits, dtype=np.int64)
+    n_windows = len(bits) - N + 1
+    acc = np.zeros(n_windows, dtype=np.int64)
+    for k in range(N):
+        acc = (acc << 1) | bits[k : k + n_windows]
+    return np.bincount(acc, minlength=2**N)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_empirical_pattern_probs_match_int64_route(N):
+    rng = np.random.default_rng(N)
+    # a biased stream at exactly the 100 * 2^N floor, and a longer one
+    for n_bits in (100 * 2**N, 100 * 2**N + 777):
+        bits = (rng.random(n_bits) < 0.3).astype(np.uint8)
+        t = empirical_pattern_probs(bits, N)
+        counts = int64_pattern_counts(bits, N)
+        assert t.meta == {"n_bits": n_bits, "windows": n_bits - N + 1}
+        assert [t.probs[format(w, f"0{N}b")] for w in range(2**N)] == (counts / (n_bits - N + 1)).tolist()
+
+
+def test_generate_bits_memory_beside_its_table(cubic, sym_part):
+    # the map table is the only L-sized array; noise, states and bits go by chunk
+    L = 2**20
+    generate_bits(cubic, sym_part, BitstreamConfig(seed=0, length=1_000, L=64))  # warm imports
+    tracemalloc.start()
+    try:
+        generate_bits(cubic, sym_part, BitstreamConfig(seed=0, length=300_000, L=L))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (L + 1) + 4 * 2**20
 
 
 def test_bernoulli_stream_is_fair(bernoulli, sym_part):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 import chaosrng as cr
 from chaosrng import density
 from chaosrng import maps as _maps
-from chaosrng.bitstream import BitstreamConfig, _grid_bit_table, generate_bits
+from chaosrng.bitstream import BitstreamConfig, _grid_bits, _grid_cuts, generate_bits
 from chaosrng.density import (
     DensityHistogram,
     DitherConfig,
@@ -146,20 +146,38 @@ def test_scaled_map_table(tent):
     assert table[25] == pytest.approx(50.0, abs=1e-6)
 
 
+def one_shot_bit_table(part, L):
+    """bits[j] of grid state j/L for j = 0..L: 0 on every S(0) interval (a, b]."""
+    grid = np.arange(L + 1) / L
+    bits = np.ones(L + 1, dtype=np.uint8)
+    for a, b in part.s0:
+        bits[(grid > a) & (grid <= b)] = 0
+    return bits
+
+
 @pytest.mark.parametrize("L", [(1 << 21) + 3, 1 << 20])
 def test_grid_tables_match_one_shot_construction(cubic, branch_part, L):
-    # 2^21 + 3 spans three table chunks, the last 3 points long; on 2^20 the cut 1/2 is a grid point
+    # the 2^21 + 4 grid points of 2^21 + 3 fill 32 table slices and a 4-point
+    # tail; on 2^20 the cut 1/2 is a grid point
     grid = np.arange(L + 1) / L
     grid[0], grid[L] = _maps.EPS, 1.0 - _maps.EPS
     one_shot = L * np.clip(cubic.raw_eval(grid), _maps.EPS, 1.0 - _maps.EPS)
     assert np.array_equal(scaled_map_table(cubic, L), one_shot)
-    grid = np.arange(L + 1) / L
+    states = np.arange(1, L + 1)
     for part in (branch_part, cr.symmetric_partition(), SymbolPartition.from_pairs([(0.1, 0.3), (0.5, 0.77)])):
-        bits = np.ones(L + 1, dtype=np.uint8)
-        for a, b in part.s0:
-            bits[(grid > a) & (grid <= b)] = 0
-        bits[0] = 0
-        assert np.array_equal(_grid_bit_table(part, L), bits)
+        assert np.array_equal(_grid_bits(_grid_cuts(part, L), states), one_shot_bit_table(part, L)[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_grid_bits_match_one_shot_table(data):
+    L = data.draw(st.integers(64, 3000))
+    # cuts drawn on and off grid points, so that ties with the left cell occur
+    ends = data.draw(st.lists(st.integers(1, 4 * L - 1), min_size=2, max_size=6, unique=True))
+    ends = sorted(e / (4 * L) if data.draw(st.booleans()) else (e // 4) / L for e in ends)
+    part = SymbolPartition.from_pairs(list(zip(ends[0::2], ends[1::2])))
+    states = np.arange(1, L + 1)
+    assert np.array_equal(_grid_bits(_grid_cuts(part, L), states), one_shot_bit_table(part, L)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +285,20 @@ def test_mc_burn_in_across_chunk_boundaries(cubic, rows):
         assert visit_counts(blocked).sum() == cfg.K
 
 
-@pytest.mark.parametrize("start", [0.3, 0.9])
-@pytest.mark.parametrize("length", [1, 2, 1_000])
+@pytest.mark.parametrize("start", [0.3, 0.9, None])
+@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 129, 1_000])
 def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start):
+    # chunked noise and states against one uniform(size=length) draw, the
+    # reference loop and the L-sized bit table; the lengths sit on and around
+    # multiples of the patched chunk
     L = 4096
     with mock.patch.object(density, "_CHAIN_CHUNK", 64):
         bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=3, length=length, L=L, start=start))
-    # with an explicit start the noise is the generator's only draw
-    noise = np.random.Generator(np.random.PCG64(3)).uniform(-1.0, 1.0, size=length)
-    j0 = round(start * L)
+    rng = np.random.Generator(np.random.PCG64(3))
+    j0 = round(start * L) if start is not None else int(rng.integers(1, L + 1))
+    noise = rng.uniform(-1.0, 1.0, size=length)
     states = np.concatenate(([j0], reference_chain(scaled_map_table(cubic, L), noise[:-1], j0, L)))
-    assert np.array_equal(bits, _grid_bit_table(branch_part, L)[states])
+    assert np.array_equal(bits, one_shot_bit_table(branch_part, L)[states])
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import chaosrng as cr
 from chaosrng.intervals import IntervalSet
-from chaosrng.maps import DomainError, MapConfigError, branch_boundary, slope
+from chaosrng.maps import DomainError, MapConfigError, slope
 
 XB = 1.0 / math.sqrt(3.0)
 
@@ -20,7 +20,15 @@ def test_cubic_known_values(cubic):
     assert abs(cubic(XB) - 1.0) < 1e-12
     # peak location and a fixed interior value of (3*sqrt(3)/2) x (1 - x^2)
     assert abs(cubic(0.5) - 0.9742785792574935) < 1e-12
-    assert abs(branch_boundary() - XB) < 1e-15
+    assert abs(cubic.branches[0].hi - XB) < 1e-15
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(0.5)
+@example(math.nextafter(0.5, 0.0))
+def test_bernoulli_matches_np_mod(bernoulli, x):
+    xs = np.array([x])
+    assert bernoulli.raw_eval(xs).tobytes() == np.mod(2.0 * xs, 1.0).tobytes()
 
 
 def test_eval_domain_and_clamp(cubic):
