@@ -2,9 +2,11 @@
 
 `run_analysis` is the one-call pipeline behind the CLI's `analyze` command.
 Every run passes through `check_invariants`, an always-on assertion suite
-over the structural guarantees (partition prefix consistency, marginal
-consistency, the telescoping entropy identity, entropy bounds).  Refined
-cells are disjoint and tile [0, 1] by construction, as runs of one cut array.
+over the structural guarantees (partition prefix consistency, M carrying
+each refined interval into the parent cell of its word's last N-1 bits,
+marginal consistency, the telescoping entropy identity, entropy bounds).
+Refined cells are disjoint and tile [0, 1] by construction, as runs of one
+cut array.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ class InvariantViolation(AssertionError):
 
 
 def check_invariants(
+    m: MapModel,
     ladder: list[RefinedPartition],
     tables: list[ProbabilityTable],
     report: EntropyReport,
@@ -32,7 +35,7 @@ def check_invariants(
     """Structural assertions run on every analysis, not only in tests."""
     for i, p in enumerate(ladder):
         try:
-            p.validate(parent=ladder[i - 1] if i > 0 else None)
+            p.validate(parent=ladder[i - 1] if i > 0 else None, m=m)
         except AssertionError as exc:
             raise InvariantViolation(f"partition invariant failed at depth {p.depth}: {exc}") from exc
     for shallow, deep in zip(tables, tables[1:]):
@@ -131,5 +134,5 @@ def run_analysis(
             "depth": depth,
         },
     )
-    check_invariants(ladder, tables, report)
+    check_invariants(m, ladder, tables, report)
     return AnalysisResult(density=density, ladder=ladder, tables=tables, report=report)

@@ -356,7 +356,7 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
                 bias=_entropy.bias(tables_fp[0]),
                 tables=tables_fp,
             )
-            _analysis.check_invariants(ladder, tables_fp, report)
+            _analysis.check_invariants(m, ladder, tables_fp, report)
             checks.append(("structural invariants", 0.0, 0.0, True))
         except AssertionError:
             checks.append(("structural invariants", 1.0, 0.0, False))

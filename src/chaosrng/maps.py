@@ -3,7 +3,8 @@
 A map model bundles the transformation function x -> M(x) with its
 decomposition into strictly monotone branches.  Each branch knows its own
 inverse, which is what makes exact interval preimages (and hence symbolic
-partition refinement) possible.
+partition refinement) possible: a closed form for the built-ins and for
+piecewise-linear maps, bisection for polynomial configs.
 
 Built-ins:
 
@@ -120,12 +121,6 @@ def preimage_of_set(m: MapModel, s: IntervalSet) -> IntervalSet:
         xs = np.asarray(br.inverse(ys))
         for x0, x1 in xs:
             lo, hi = (x0, x1) if br.increasing else (x1, x0)
-            # near a critical value the map is flat to float precision, so
-            # the inverse can stop ~1e-8 short of the branch edge; snap
-            if lo - br.lo < 2e-8:
-                lo = br.lo
-            if br.hi - hi < 2e-8:
-                hi = br.hi
             pieces.append((max(lo, br.lo), min(hi, br.hi)))
     return IntervalSet(pieces)
 
@@ -163,11 +158,27 @@ def _bisect_inverse(f, lo: float, hi: float, increasing: bool):
     return inverse
 
 
-def _smooth_branches(f, cut_points: Sequence[float]) -> tuple[Branch, ...]:
-    """Split (0,1) at the declared critical points into monotone branches."""
+def _closed_form_inverse(g, lo: float, hi: float):
+    """Branch inverse from an exact formula g, clipped into [lo, hi]."""
+
+    def inverse(y):
+        x = np.clip(g(np.asarray(y, dtype=float)), lo, hi)
+        if np.ndim(y) == 0:
+            return float(x)
+        return x
+
+    return inverse
+
+
+def _smooth_branches(f, cut_points: Sequence[float], inverses: Sequence | None = None) -> tuple[Branch, ...]:
+    """Split (0,1) at the declared critical points into monotone branches.
+
+    `inverses`, when given, holds one exact formula per branch, used in place
+    of bisection and clipped into the branch (`_closed_form_inverse`).
+    """
     edges = [0.0, *sorted(cut_points), 1.0]
     branches = []
-    for lo, hi in zip(edges, edges[1:]):
+    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
         probe_lo = lo + 1e-9 * (hi - lo)
         probe_hi = hi - 1e-9 * (hi - lo)
         increasing = f(probe_hi) > f(probe_lo)
@@ -176,12 +187,16 @@ def _smooth_branches(f, cut_points: Sequence[float]) -> tuple[Branch, ...]:
         # 0 or 1 by a few ulp, which bisection would turn into an O(1e-9)
         # endpoint gap; snap to the exact bound
         vals = [0.0 if v < 1e-12 else 1.0 if v > 1.0 - 1e-12 else v for v in vals]
+        if inverses is None:
+            inverse = _bisect_inverse(f, lo, hi, bool(increasing))
+        else:
+            inverse = _closed_form_inverse(inverses[i], lo, hi)
         branches.append(
             Branch(
                 lo=lo,
                 hi=hi,
                 increasing=bool(increasing),
-                inverse=_bisect_inverse(f, lo, hi, bool(increasing)),
+                inverse=inverse,
                 image=(vals[0], vals[1]),
             )
         )
@@ -216,8 +231,13 @@ _XB = 1.0 / math.sqrt(3.0)
 
 
 def cubic_sample_map() -> MapModel:
-    """The cubic map M(x) = (3*sqrt(3)/2) x (1 - x^2): two branches split at 1/sqrt(3)."""
+    """The cubic map M(x) = (3*sqrt(3)/2) x (1 - x^2): two branches split at 1/sqrt(3).
+
+    With x = (2/sqrt(3)) sin(t) the map is M = sin(3t) (Viete's trigonometric
+    cubic root), so the branches invert as t = arcsin(y)/3 and t = (pi - arcsin(y))/3.
+    """
     c = 1.5 * math.sqrt(3.0)
+    r = 2.0 * _XB
 
     def f(x):
         return c * x * (1.0 - x * x)
@@ -225,7 +245,14 @@ def cubic_sample_map() -> MapModel:
     return MapModel(
         name="cubic_sample",
         raw_eval=f,
-        branches=_smooth_branches(f, [_XB]),
+        branches=_smooth_branches(
+            f,
+            [_XB],
+            inverses=(
+                lambda y: r * np.sin(np.arcsin(y) / 3.0),
+                lambda y: r * np.sin((np.pi - np.arcsin(y)) / 3.0),
+            ),
+        ),
         config={"type": "builtin", "name": "cubic_sample"},
     )
 
@@ -259,6 +286,9 @@ def bernoulli_map() -> MapModel:
 
 
 def logistic_map() -> MapModel:
+    """M(x) = 4x(1 - x), inverted as x = (1 -+ sqrt(1 - y))/2.  The left root is
+    written y / (2(1 + sqrt(1 - y))) so that it does not cancel near y = 0."""
+
     def f(x):
         x = np.asarray(x, dtype=float)
         return 4.0 * x * (1.0 - x)
@@ -266,7 +296,14 @@ def logistic_map() -> MapModel:
     return MapModel(
         name="logistic",
         raw_eval=f,
-        branches=_smooth_branches(f, [0.5]),
+        branches=_smooth_branches(
+            f,
+            [0.5],
+            inverses=(
+                lambda y: y / (2.0 * (1.0 + np.sqrt(1.0 - y))),
+                lambda y: 0.5 * (1.0 + np.sqrt(1.0 - y)),
+            ),
+        ),
         config={"type": "builtin", "name": "logistic"},
     )
 

@@ -5,7 +5,9 @@ of the set containing the current state.  The depth-N refinement gives every
 N-bit word the initial states that generate exactly that word.  Since
 cell(i w) = S(i) n M^-1(cell(w)), its boundaries are C_N = C_1 u M^-1(C_{N-1}):
 a refinement is one sorted cut array plus an integer word code per interval,
-computed exactly (up to root tolerance) from the branch inverses.
+computed from the branch inverses.  Those are closed forms, good to a few
+ulp, except for custom polynomial maps, whose bisection can land ~1e-8 off
+near a critical value (see `maps`).
 """
 from __future__ import annotations
 
@@ -98,7 +100,10 @@ class RefinedPartition:
         i = int(np.searchsorted(self.cuts, x)) - 1
         return format(int(self.codes[i]), f"0{self.depth}b") if 0.0 < x <= 1.0 else None
 
-    def validate(self, parent: "RefinedPartition | None" = None) -> None:
+    def validate(self, parent: "RefinedPartition | None" = None, m: MapModel | None = None) -> None:
+        """Structural checks; with a `parent`, the children must reassemble its
+        cells, and with the map `m` as well, M must carry every interval's
+        midpoint into a parent interval coded with the interval's last N-1 bits."""
         cuts, codes = self.cuts, self.codes
         if codes.shape != (cuts.size - 1,) or cuts[0] != 0.0 or cuts[-1] != 1.0 or np.any(np.diff(cuts) <= 0):
             raise PartitionInvariantError("cuts must rise strictly from 0 to 1, with one code per interval")
@@ -114,6 +119,11 @@ class RefinedPartition:
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         if np.any(parent.codes[np.searchsorted(parent.cuts, mids) - 1] != codes >> 1):
             raise PartitionInvariantError("children do not reassemble their parent cells")
+        if m is None:
+            return
+        at = np.clip(np.searchsorted(parent.cuts, m.raw_eval(mids)) - 1, 0, parent.codes.size - 1)
+        if np.any(parent.codes[at] != codes & (2 ** (self.depth - 1) - 1)):
+            raise PartitionInvariantError("M carries an interval out of the parent cell of its word's last N-1 bits")
 
     def to_json(self, path: str | Path) -> None:
         payload = {w: [list(iv) for iv in c] for w, c in self.cells.items()}
@@ -148,9 +158,6 @@ def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> Refined
         y = np.concatenate(([ylo], p.cuts[(p.cuts > ylo) & (p.cuts < yhi)], [yhi]))
         par = np.searchsorted(p.cuts, y[:-1], side="right") - 1
         x = np.asarray(br.inverse(y), dtype=float)
-        # near a critical value the map is flat to float precision, so the
-        # inverse can stop ~1e-8 short of the branch edge; snap
-        x = np.where(x - br.lo < 2e-8, br.lo, np.where(br.hi - x < 2e-8, br.hi, x))
         if not br.increasing:
             x, par = x[::-1], par[::-1]
         x[0], x[-1] = br.lo, br.hi  # the image ends pull back to the branch ends

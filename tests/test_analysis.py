@@ -53,7 +53,7 @@ def test_invariant_suite_catches_bad_tables(tent, sym_part):
     bad.probs["000"] += 0.01
     bad.probs["111"] -= 0.01
     with pytest.raises(cr.InvariantViolation):
-        check_invariants(res.ladder, [res.tables[0], res.tables[1], bad], res.report)
+        check_invariants(tent, res.ladder, [res.tables[0], res.tables[1], bad], res.report)
 
 
 def test_invariant_suite_catches_broken_curve(tent, sym_part):
@@ -61,4 +61,14 @@ def test_invariant_suite_catches_broken_curve(tent, sym_part):
     report = res.report
     report.H = [0.5, 1.0, 1.5]  # no longer telescopes against report.h
     with pytest.raises(cr.InvariantViolation):
-        check_invariants(res.ladder, res.tables, report)
+        check_invariants(tent, res.ladder, res.tables, report)
+
+
+def test_invariant_suite_runs_the_forward_check(tent, sym_part):
+    res = run_analysis(tent, sym_part, depth=3, L=256)
+    p = res.ladder[-1]
+    codes = p.codes.copy()
+    codes[0] ^= 1  # a wrong last bit keeps every prefix intact
+    bad = cr.RefinedPartition(depth=p.depth, cuts=p.cuts, codes=codes)
+    with pytest.raises(cr.InvariantViolation, match="last N-1 bits"):
+        check_invariants(tent, res.ladder[:-1] + [bad], res.tables, res.report)

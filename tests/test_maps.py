@@ -158,3 +158,50 @@ def test_branch_inverse_consistency(cubic):
         xs = np.asarray(br.inverse(ys))
         assert np.all((xs >= br.lo - 1e-12) & (xs <= br.hi + 1e-12))
         assert np.allclose(np.clip(cubic.raw_eval(xs), 0, 1), ys, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# closed-form branch inverses against the bisection they replace
+
+image_point = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-6).map(lambda d: 1.0 - d),  # next to the critical value 1
+    st.sampled_from([0.0, 1.0, 1e-300, math.nextafter(1.0, 0.0), 0.75]),
+)
+
+
+@pytest.mark.parametrize("name", ["cubic_sample", "logistic"])
+@given(ys=st.lists(image_point, min_size=1, max_size=40))
+def test_closed_form_inverse_matches_bisection(name, ys):
+    m = cr.maps.BUILTIN_MAPS[name]()
+    y = np.sort(np.array(ys))
+    for br in m.branches:
+        assert br.image == (0.0, 1.0)
+        x = br.inverse(y)
+        assert np.all((x >= br.lo) & (x <= br.hi))
+        ref = cr.maps._bisect_inverse(m.raw_eval, br.lo, br.hi, br.increasing)(y)
+        err = np.abs(x - ref)
+        assert np.all(err <= 2e-8)
+        assert np.all(err[np.abs(y - 1.0) > 1e-6] <= 1e-12)
+        assert np.all(np.abs(m.raw_eval(x) - y) <= 1e-14)
+        step = np.diff(x) if br.increasing else -np.diff(x)
+        assert np.all(step >= 0.0)
+        assert isinstance(br.inverse(float(y[0])), float)
+        ends = (br.lo, br.hi) if br.increasing else (br.hi, br.lo)
+        assert abs(br.inverse(0.0) - ends[0]) <= 1e-15
+        assert abs(br.inverse(1.0) - ends[1]) <= 1e-15
+
+
+def test_smooth_builtins_never_bisect(monkeypatch):
+    """cubic_sample and logistic refine and solve their density without bisection."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bisection used")
+
+    monkeypatch.setattr(cr.maps, "_bisect_inverse", refuse)
+    with pytest.raises(AssertionError):
+        cr.polynomial_map([0.0, 4.0, -4.0], critical_points=[0.5])
+    for m in (cr.cubic_sample_map(), cr.logistic_map()):
+        s = cr.SymbolPartition.from_s0(IntervalSet([(0.0, m.branches[0].hi)]))
+        cr.fp_fixed_point(m, 256, tol=1e-9)
+        assert cr.refinement_ladder(m, s, 11)[-1].nonempty_count() == 2**11

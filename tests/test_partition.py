@@ -111,7 +111,21 @@ def test_refinement_ladder_consistency(cubic, branch_part):
     ladder = refinement_ladder(cubic, branch_part, 6)
     assert [p.depth for p in ladder] == [1, 2, 3, 4, 5, 6]
     for parent, child in zip(ladder, ladder[1:]):
-        child.validate(parent=parent)
+        child.validate(parent=parent, m=cubic)
+
+
+def test_logistic_ladder_matches_arcsine_measure(logistic, sym_part):
+    # conjugate to the tent map by x = sin^2(pi t / 2): under the invariant
+    # measure F(x) = (2/pi) arcsin(sqrt(x)) every N-bit word has mass 2^-N
+    for p in refinement_ladder(logistic, sym_part, 18):
+        F = 2.0 / np.pi * np.arcsin(np.sqrt(p.cuts))
+        mass = np.bincount(p.codes, weights=np.diff(F), minlength=2**p.depth)
+        assert np.max(np.abs(mass * 2**p.depth - 1.0)) < 1e-5, p.depth
+
+
+def test_cubic_ladder_keeps_every_word(cubic, branch_part):
+    for p in refinement_ladder(cubic, branch_part, 20):
+        assert p.nonempty_count() == 2**p.depth, p.depth
 
 
 def test_word_of_matches_iteration(cubic, branch_part):
@@ -138,7 +152,7 @@ def test_sorted_distinct_matches_np_unique(a):
 
 def test_validate_catches_corruption(cubic, branch_part):
     parent, p = refinement_ladder(cubic, branch_part, 3)[1:]
-    p.validate(parent=parent)
+    p.validate(parent=parent, m=cubic)
     codes = p.codes.copy()
     codes[0] = 2**3  # a code outside the depth-3 index space
     with pytest.raises(PartitionInvariantError):
@@ -154,6 +168,11 @@ def test_validate_catches_corruption(cubic, branch_part):
         cr.RefinedPartition(depth=3, cuts=np.delete(p.cuts, i), codes=np.delete(p.codes, i)).validate(parent=parent)
     with pytest.raises(PartitionInvariantError):  # cut points out of order
         cr.RefinedPartition(depth=3, cuts=p.cuts[::-1], codes=p.codes).validate()
+    codes = p.codes.copy()
+    codes[0] ^= 0b001  # flip the last bit: the prefix still matches, only M sees it
+    cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(parent=parent)
+    with pytest.raises(PartitionInvariantError, match="last N-1 bits"):
+        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(parent=parent, m=cubic)
 
 
 def test_to_json(tmp_path, tent, sym_part):
