@@ -35,7 +35,7 @@ def check_invariants(
     """Structural assertions run on every analysis, not only in tests."""
     for i, p in enumerate(ladder):
         try:
-            p.validate(parent=ladder[i - 1] if i > 0 else None, m=m)
+            p.validate(m, parent=ladder[i - 1] if i > 0 else None)
         except AssertionError as exc:
             raise InvariantViolation(f"partition invariant failed at depth {p.depth}: {exc}") from exc
     for shallow, deep in zip(tables, tables[1:]):

@@ -100,10 +100,10 @@ class RefinedPartition:
         i = int(np.searchsorted(self.cuts, x)) - 1
         return format(int(self.codes[i]), f"0{self.depth}b") if 0.0 < x <= 1.0 else None
 
-    def validate(self, parent: "RefinedPartition | None" = None, m: MapModel | None = None) -> None:
+    def validate(self, m: MapModel, parent: "RefinedPartition | None" = None) -> None:
         """Structural checks; with a `parent`, the children must reassemble its
-        cells, and with the map `m` as well, M must carry every interval's
-        midpoint into a parent interval coded with the interval's last N-1 bits."""
+        cells, and the map `m` must carry every interval's midpoint into a
+        parent interval coded with the interval's last N-1 bits."""
         cuts, codes = self.cuts, self.codes
         if codes.shape != (cuts.size - 1,) or cuts[0] != 0.0 or cuts[-1] != 1.0 or np.any(np.diff(cuts) <= 0):
             raise PartitionInvariantError("cuts must rise strictly from 0 to 1, with one code per interval")
@@ -119,8 +119,6 @@ class RefinedPartition:
         mids = 0.5 * (cuts[:-1] + cuts[1:])
         if np.any(parent.codes[np.searchsorted(parent.cuts, mids) - 1] != codes >> 1):
             raise PartitionInvariantError("children do not reassemble their parent cells")
-        if m is None:
-            return
         at = np.clip(np.searchsorted(parent.cuts, m.raw_eval(mids)) - 1, 0, parent.codes.size - 1)
         if np.any(parent.codes[at] != codes & (2 ** (self.depth - 1) - 1)):
             raise PartitionInvariantError("M carries an interval out of the parent cell of its word's last N-1 bits")

@@ -195,7 +195,7 @@ def test_acceptance_8_structural_properties(cubic, part):
     res = run_analysis(cubic, part, depth=10, method="fp_operator", L=2048, tol=1e-11, grid_factor=4)
     # the pipeline already ran check_invariants; re-verify each guarantee here
     for i, p in enumerate(res.ladder):
-        p.validate(parent=res.ladder[i - 1] if i else None, m=cubic)
+        p.validate(cubic, parent=res.ladder[i - 1] if i else None)
     worst_marg = max(
         abs(deep.marginalize().probs[w] - shallow.probs[w])
         for shallow, deep in zip(res.tables, res.tables[1:])

@@ -111,7 +111,7 @@ def test_refinement_ladder_consistency(cubic, branch_part):
     ladder = refinement_ladder(cubic, branch_part, 6)
     assert [p.depth for p in ladder] == [1, 2, 3, 4, 5, 6]
     for parent, child in zip(ladder, ladder[1:]):
-        child.validate(parent=parent, m=cubic)
+        child.validate(cubic, parent=parent)
 
 
 def test_logistic_ladder_matches_arcsine_measure(logistic, sym_part):
@@ -152,27 +152,26 @@ def test_sorted_distinct_matches_np_unique(a):
 
 def test_validate_catches_corruption(cubic, branch_part):
     parent, p = refinement_ladder(cubic, branch_part, 3)[1:]
-    p.validate(parent=parent, m=cubic)
+    p.validate(cubic, parent=parent)
     codes = p.codes.copy()
     codes[0] = 2**3  # a code outside the depth-3 index space
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate()
+        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic)
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=2, cuts=p.cuts, codes=p.codes).validate()
+        cr.RefinedPartition(depth=2, cuts=p.cuts, codes=p.codes).validate(cubic)
     codes = p.codes.copy()
     codes[0] ^= 0b100  # flip the first bit: the word no longer extends its parent's
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(parent=parent)
+        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
     i = int(np.searchsorted(p.cuts, XB))  # drop the parent cut point 1/sqrt(3)
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cuts=np.delete(p.cuts, i), codes=np.delete(p.codes, i)).validate(parent=parent)
+        cr.RefinedPartition(depth=3, cuts=np.delete(p.cuts, i), codes=np.delete(p.codes, i)).validate(cubic, parent=parent)
     with pytest.raises(PartitionInvariantError):  # cut points out of order
-        cr.RefinedPartition(depth=3, cuts=p.cuts[::-1], codes=p.codes).validate()
+        cr.RefinedPartition(depth=3, cuts=p.cuts[::-1], codes=p.codes).validate(cubic)
     codes = p.codes.copy()
-    codes[0] ^= 0b001  # flip the last bit: the prefix still matches, only M sees it
-    cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(parent=parent)
+    codes[0] ^= 0b001  # flip the last bit: the prefix still matches, so only the check through M fails
     with pytest.raises(PartitionInvariantError, match="last N-1 bits"):
-        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(parent=parent, m=cubic)
+        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
 
 
 def test_to_json(tmp_path, tent, sym_part):
