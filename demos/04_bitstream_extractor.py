@@ -33,11 +33,11 @@ print(f"generated {bits.size} bits, P(1) = {monobit_frequency(bits):.4f} (predic
 
 f = fp_fixed_point(m, 4096, tol=1e-11, max_iter=20000, grid_factor=16)
 p3 = refine(m, s, 3)
-predicted = block_probabilities(p3, f, warn_below_bin=False)
-measured = empirical_pattern_probs(bits, 3)
+predicted = block_probabilities(p3, f, warn_below_bin=False).probs
+measured = empirical_pattern_probs(bits, 3).probs
 print("\n3-bit words: predicted (density) vs measured (stream):")
-for w in predicted.words():
-    print(f"  {w}: {predicted[w]:.4f} vs {measured[w]:.4f}")
+for w, v in predicted.items():
+    print(f"  {w}: {v:.4f} vs {measured[w]:.4f}")
 
 # negative control: pure float iteration loses its randomness
 raw = generate_bits(cr.tent_map(), cr.symmetric_partition(),

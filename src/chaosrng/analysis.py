@@ -13,6 +13,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import entropy as _entropy
 from .density import DEFAULT_BURN_IN, DEFAULT_K, DEFAULT_L, DensityHistogram, density_for
 from .entropy import EntropyReport, ProbabilityTable
@@ -39,8 +41,7 @@ def check_invariants(
         except AssertionError as exc:
             raise InvariantViolation(f"partition invariant failed at depth {p.depth}: {exc}") from exc
     for shallow, deep in zip(tables, tables[1:]):
-        marg = deep.marginalize()
-        worst = max(abs(marg.probs[w] - shallow.probs[w]) for w in shallow.probs)
+        worst = np.abs(deep.marginalize().p - shallow.p).max()
         if worst > 1e-6:
             raise InvariantViolation(
                 f"marginal inconsistency {worst:.3e} between depths {deep.depth} and {shallow.depth}"

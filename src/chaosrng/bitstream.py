@@ -130,8 +130,7 @@ def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
         acc <<= 1
         acc |= bits[k : k + n_windows]
     counts = np.bincount(acc, minlength=2**N)
-    probs = {format(w, f"0{N}b"): counts[w] / n_windows for w in range(2**N)}
-    table = ProbabilityTable(depth=N, probs=probs, meta={"n_bits": len(bits), "windows": n_windows})
+    table = ProbabilityTable(depth=N, p=counts / n_windows, meta={"n_bits": len(bits), "windows": n_windows})
     table.validate()
     return table
 
@@ -139,7 +138,7 @@ def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
 def total_variation(a: ProbabilityTable, b: ProbabilityTable) -> float:
     if a.depth != b.depth:
         raise ValueError("tables have different depths")
-    return 0.5 * sum(abs(a.probs[w] - b.probs[w]) for w in a.probs)
+    return 0.5 * float(np.abs(a.p - b.p).sum())
 
 
 def monobit_frequency(bits: np.ndarray) -> float:

@@ -190,9 +190,7 @@ def _density_outputs(f, out: Path, stem: str, cfg: AnalysisConfig, cfg_hash: str
         f.to_csv(p)
         _stamp_csv(p, cfg_hash)
     if "json" in cfg.formats:
-        f.to_json(out / f"{stem}.json")
-        payload = json.loads((out / f"{stem}.json").read_text())
-        _write_json(out / f"{stem}.json", payload, cfg_hash)
+        _write_json(out / f"{stem}.json", f.to_dict(), cfg_hash)
 
 
 def _compute_density(cfg: AnalysisConfig, m: _maps.MapModel, method: str):
@@ -263,8 +261,7 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
         report.to_csv(p)
         _stamp_csv(p, h)
     if "json" in cfg.formats:
-        report.to_json(out / "report.json")
-        _write_json(out / "report.json", json.loads((out / "report.json").read_text()), h)
+        _write_json(out / "report.json", report.to_dict(), h)
     line = f"analyze map={m.name} depth={cfg.depth} bias={report.bias:.4f} h_estimate={report.h_estimate:.4f}"
     if report.recommended_rate is not None:
         line += f" R_d={report.recommended_rate:.4g} overhead={report.overhead:.4f}"
@@ -298,9 +295,9 @@ def cmd_bitgen(cfg: AnalysisConfig, von_neumann: bool, ascii_out: bool) -> int:
     }
     print(f"bitgen map={m.name} bits={bits.size} monobit(ones)={summary['monobit_frequency']:.4f}")
     for N in range(1, 5):
-        t = _bitstream.empirical_pattern_probs(bits, N)
-        summary["patterns"][str(N)] = {w: t[w] for w in t.words()}
-        row = "  ".join(f"P({w})={t[w]:.4f}" for w in t.words())
+        probs = _bitstream.empirical_pattern_probs(bits, N).probs
+        summary["patterns"][str(N)] = probs
+        row = "  ".join(f"P({w})={v:.4f}" for w, v in probs.items())
         print(f"N={N}: {row}")
     if von_neumann:
         vn = _bitstream.von_neumann_extract(bits)

@@ -125,14 +125,16 @@ class DensityHistogram:
             for i, val in enumerate(self.weights):
                 w.writerow([f"{(i + 1) / self.L:.12g}", f"{val:.12g}"])
 
-    def to_json(self, path: str | Path) -> None:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "L": self.L,
             "method": self.method,
             "weights": self.weights.tolist(),
             **{k: v for k, v in self.meta.items() if k in ("seed", "K", "burn_in", "rng", "iterations", "shards", "lanes")},
         }
-        Path(path).write_text(json.dumps(payload))
+
+    def to_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_dict()))
 
 
 def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
@@ -318,11 +320,11 @@ def fp_step(m: MapModel, f: DensityHistogram) -> DensityHistogram:
     new mass of bin i = density mass of the preimage M^{-1}([i/L, (i+1)/L)),
     accumulated branch by branch from the cumulative of f.
     """
+    f.validate()
     return _fp_apply(_fp_data(m, f.L), f)
 
 
 def _fp_apply(terms: list, f: DensityHistogram) -> DensityHistogram:
-    f.validate()
     masses = f.bin_masses
     cum = np.concatenate(([0.0], np.cumsum(masses)))
     phi = np.zeros(f.L + 1)

@@ -29,35 +29,33 @@ class AccuracyError(RuntimeError):
 
 @dataclass
 class ProbabilityTable:
-    """Probability of each N-bit word; keys are word strings like '010'."""
+    """Probability of each N-bit word, indexed by word code (first bit most significant)."""
 
     depth: int
-    probs: dict
+    p: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def __getitem__(self, word: str) -> float:
-        return self.probs[word]
+    def __post_init__(self) -> None:
+        self.p = np.asarray(self.p, dtype=np.float64)
 
-    def words(self) -> list[str]:
-        return sorted(self.probs)
+    @property
+    def probs(self) -> dict[str, float]:
+        """Read-only view {word string: probability}, e.g. {'00': 0.25, ...}."""
+        return {format(c, f"0{self.depth}b"): v for c, v in enumerate(self.p.tolist())}
 
     def validate(self) -> None:
-        if len(self.probs) != 2**self.depth:
+        if self.p.shape != (2**self.depth,):
             raise TableError("table must cover the full 2^N index space")
-        vals = np.array([self.probs[w] for w in self.words()])
-        if np.any(vals < 0):
+        if np.any(self.p < 0):
             raise TableError("negative probability")
-        if abs(vals.sum() - 1.0) > 1e-8:
-            raise TableError(f"probabilities sum to {vals.sum()!r}, not 1")
+        if abs(self.p.sum() - 1.0) > 1e-8:
+            raise TableError(f"probabilities sum to {self.p.sum()!r}, not 1")
 
     def marginalize(self) -> "ProbabilityTable":
         """Drop the last bit: P(w) = P(w0) + P(w1)."""
         if self.depth < 2:
             raise TableError("cannot marginalize a depth-1 table")
-        out = {}
-        for w in self.probs:
-            out[w[:-1]] = out.get(w[:-1], 0.0) + self.probs[w]
-        return ProbabilityTable(depth=self.depth - 1, probs=out)
+        return ProbabilityTable(depth=self.depth - 1, p=self.p[0::2] + self.p[1::2])
 
 
 def block_probabilities(
@@ -86,7 +84,7 @@ def block_probabilities(
         raise AccuracyError(f"cell masses sum to {total!r}; renormalization factor out of tolerance")
     table = ProbabilityTable(
         depth=p.depth,
-        probs={format(c, f"0{p.depth}b"): v for c, v in enumerate((raw / total).tolist())},
+        p=raw / total,
         meta={"renormalization": 1.0 / total, "density_method": f.method},
     )
     table.validate()
@@ -97,13 +95,12 @@ def bias(t: ProbabilityTable) -> float:
     """|P(0) - 1/2| of the single-bit marginal."""
     if t.depth != 1:
         raise TableError(f"bias needs a depth-1 table, got depth {t.depth}")
-    return abs(t.probs["0"] - 0.5)
+    return abs(float(t.p[0]) - 0.5)
 
 
 def block_entropy(t: ProbabilityTable) -> float:
     """Shannon entropy (bits) of the word distribution; 0*log(0) := 0."""
-    vals = np.array(list(t.probs.values()))
-    vals = vals[vals > 0]
+    vals = t.p[t.p > 0]
     return float(-(vals * np.log2(vals)).sum())
 
 
@@ -211,8 +208,8 @@ class EntropyReport:
         """Largest increase along the per-bit entropy curve (0 when monotone)."""
         return max(0.0, max((b - a for a, b in zip(self.h, self.h[1:])), default=0.0))
 
-    def to_json(self, path: str | Path) -> None:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "H": self.H,
             "h": self.h,
             "h_estimate": self.h_estimate,
@@ -223,7 +220,9 @@ class EntropyReport:
             "overhead": self.overhead,
             "provenance": self.provenance,
         }
-        Path(path).write_text(json.dumps(payload, indent=2))
+
+    def to_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:

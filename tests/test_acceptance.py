@@ -68,7 +68,7 @@ def ladder2(cubic, part):
 
 def test_acceptance_1_single_bit_probabilities(mc_run, ladder2):
     f, seconds = mc_run
-    t = block_probabilities(ladder2[0], f, warn_below_bin=False)
+    t = block_probabilities(ladder2[0], f, warn_below_bin=False).probs
     ok = abs(t["0"] - 0.57) < 0.02 and abs(t["1"] - 0.43) < 0.02 and seconds < 30.0
     report(
         "acceptance 1 (single-bit probabilities)",
@@ -79,7 +79,7 @@ def test_acceptance_1_single_bit_probabilities(mc_run, ladder2):
 
 def test_acceptance_2_two_bit_probabilities(mc_run, ladder2):
     f, _ = mc_run
-    t = block_probabilities(ladder2[1], f, warn_below_bin=False)
+    t = block_probabilities(ladder2[1], f, warn_below_bin=False).probs
     want = {"00": 0.35, "01": 0.22, "10": 0.23, "11": 0.20}
     errs = {w: abs(t[w] - want[w]) for w in want}
     ok = all(e < 0.02 for e in errs.values())
@@ -204,9 +204,8 @@ def test_acceptance_8_structural_properties(cubic, part):
     worst_chain = max(abs(H - sum(res.report.h[:n + 1])) for n, H in enumerate(res.report.H))
     bounds_ok = all(0.0 <= H <= n + 1e-9 for n, H in enumerate(res.report.H, start=1))
     # and the suite must actually be enforced, not advisory
-    broken = ProbabilityTable(depth=res.tables[-1].depth, probs=dict(res.tables[-1].probs))
-    first = next(iter(broken.probs))
-    broken.probs[first] += 0.01
+    broken = ProbabilityTable(depth=res.tables[-1].depth, p=res.tables[-1].p.copy())
+    broken.p[0] += 0.01
     with pytest.raises(cr.InvariantViolation):
         check_invariants(cubic, res.ladder, res.tables[:-1] + [broken], res.report)
     ok = worst_marg < 1e-6 and worst_chain < 1e-12 and bounds_ok

@@ -49,9 +49,9 @@ def test_montecarlo_route(tent, sym_part):
 def test_invariant_suite_catches_bad_tables(tent, sym_part):
     res = run_analysis(tent, sym_part, depth=3, L=256)
     # corrupt one deep table: marginal consistency must trip
-    bad = ProbabilityTable(depth=3, probs=dict(res.tables[2].probs))
-    bad.probs["000"] += 0.01
-    bad.probs["111"] -= 0.01
+    bad = ProbabilityTable(depth=3, p=res.tables[2].p.copy())
+    bad.p[0] += 0.01  # word 000
+    bad.p[7] -= 0.01  # word 111
     with pytest.raises(cr.InvariantViolation):
         check_invariants(tent, res.ladder, [res.tables[0], res.tables[1], bad], res.report)
 

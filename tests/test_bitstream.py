@@ -119,8 +119,8 @@ def test_bernoulli_stream_is_fair(bernoulli, sym_part):
     bits = generate_bits(bernoulli, sym_part, BitstreamConfig(seed=21, length=500_000))
     assert abs(monobit_frequency(bits) - 0.5) < 0.002
     t = empirical_pattern_probs(bits, 3)
-    for w in t.words():
-        assert t.probs[w] == pytest.approx(0.125, abs=0.005)
+    for w, v in t.probs.items():
+        assert v == pytest.approx(0.125, abs=0.005), w
 
 
 def test_total_variation():

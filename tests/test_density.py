@@ -332,6 +332,9 @@ def test_fp_step_mass_preserving(cubic):
     f = fp_step(cubic, uniform_density(512))
     f.validate()
     assert f.method == "fp_operator"
+    unnormalized = DensityHistogram(L=512, weights=np.full(512, 2.0), method="fp_operator")
+    with pytest.raises(ValueError, match="not normalized"):
+        fp_step(cubic, unnormalized)
 
 
 def test_fp_step_piles_mass_near_critical_value(cubic):

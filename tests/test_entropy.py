@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import chaosrng as cr
+from chaosrng.bitstream import total_variation
 from chaosrng.density import uniform_density
 from chaosrng.entropy import (
     AccuracyError,
@@ -29,7 +31,7 @@ H_057 = 0.9858150371789198
 
 def table_from(probs):
     n = int(math.log2(len(probs)))
-    return ProbabilityTable(depth=n, probs={format(i, f"0{n}b"): p for i, p in enumerate(probs)})
+    return ProbabilityTable(depth=n, p=np.array(probs))
 
 
 prob_vectors = st.lists(
@@ -43,7 +45,7 @@ def test_table_validation():
     with pytest.raises(TableError):
         table_from([0.5, 0.5, 0.5, 0.5]).validate()
     with pytest.raises(TableError):
-        ProbabilityTable(depth=2, probs={"00": 1.0}).validate()
+        ProbabilityTable(depth=2, p=np.array([1.0])).validate()
     with pytest.raises(TableError):
         table_from([1.5, -0.5, 0.0, 0.0]).validate()
 
@@ -60,13 +62,13 @@ def test_marginalize_drops_last_bit():
 
 def test_block_entropy_known_values():
     assert block_entropy(table_from([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
-    t = ProbabilityTable(depth=1, probs={"0": 0.57, "1": 0.43})
+    t = table_from([0.57, 0.43])
     assert block_entropy(t) == pytest.approx(H_057, abs=1e-12)
-    assert block_entropy(ProbabilityTable(depth=1, probs={"0": 1.0, "1": 0.0})) == 0.0
+    assert block_entropy(table_from([1.0, 0.0])) == 0.0
 
 
 def test_bias():
-    assert bias(ProbabilityTable(depth=1, probs={"0": 0.57, "1": 0.43})) == pytest.approx(0.07)
+    assert bias(table_from([0.57, 0.43])) == pytest.approx(0.07)
     with pytest.raises(TableError):
         bias(table_from([0.25] * 4))
 
@@ -87,6 +89,58 @@ def test_block_entropy_bounds(probs):
     t1 = t2.marginalize()
     H1, H2 = block_entropy(t1), block_entropy(t2)
     assert H1 - 1e-9 <= H2 <= H1 + 1.0 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array operations against the string-keyed {word: probability} route
+# they replaced
+
+
+def ref_marginalize(probs):
+    out = {}
+    for w in probs:
+        out[w[:-1]] = out.get(w[:-1], 0.0) + probs[w]
+    return out
+
+
+def ref_block_entropy(probs):
+    vals = np.array(list(probs.values()))
+    vals = vals[vals > 0]
+    return float(-(vals * np.log2(vals)).sum())
+
+
+def ref_bias(probs):
+    return abs(probs["0"] - 0.5)
+
+
+def ref_total_variation(a, b):
+    return 0.5 * sum(abs(a[w] - b[w]) for w in a)
+
+
+@st.composite
+def table_pairs(draw):
+    """Two tables of one depth in 1..8, with zero entries allowed."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pair = []
+    for _ in range(2):
+        w = draw(arrays(np.float64, 2**n, elements=st.floats(min_value=0.0, max_value=1.0)))
+        assume(w.sum() > 0)
+        pair.append(ProbabilityTable(depth=n, p=w / w.sum()))
+    return pair
+
+
+@given(table_pairs())
+def test_array_table_ops_match_string_keyed_reference(pair):
+    a, b = pair
+    assert abs(block_entropy(a) - ref_block_entropy(a.probs)) <= 1e-15
+    # the reference adds 2^N terms one by one and errs by up to ~2^N ulp of
+    # its sum (1.6e-15 on a depth-6 pair); numpy's pairwise sum errs less
+    tv_slack = 2**a.depth * np.finfo(float).eps
+    assert abs(total_variation(a, b) - ref_total_variation(a.probs, b.probs)) <= tv_slack
+    if a.depth == 1:
+        assert abs(bias(a) - ref_bias(a.probs)) <= 1e-15
+    else:
+        assert a.marginalize().probs == ref_marginalize(a.probs)
 
 
 def test_block_probabilities_uniform_oracle():
