@@ -132,6 +132,9 @@ def run_analysis(
             "seed": density.meta.get("seed"),
             "rng": density.meta.get("rng"),
             "burn_in": density.meta.get("burn_in"),
+            "density_grid": density.grid,
+            "density_iterations": density.meta.get("iterations"),
+            "density_l1_change": density.meta.get("l1_change"),
             "depth": depth,
         },
     )

@@ -4,10 +4,11 @@
    dither noise, count visits after a burn-in, and normalize the histogram.
 2. Transfer-operator fixed point: evolve a density histogram with the
    pull-back rule f'(y) = sum over preimages x of f(x)/|M'(x)| until it
-   stops changing in L1.
+   stops changing in L1.  It is solved on the map's own grid (see
+   :func:`solve_grid`) and read off onto the uniform bins.
 
-Both produce a :class:`DensityHistogram` on the same grid, so their L1
-distance is a built-in cross-check of either route.
+Both produce a :class:`DensityHistogram` with the same uniform bins, so their
+L1 distance is a built-in cross-check of either route.
 """
 from __future__ import annotations
 
@@ -71,44 +72,92 @@ class DitherConfig:
             raise ValueError(f"burn_in={self.burn_in} too small; need at least 1000 to pass the transient")
 
 
+#: bin edges of a density grid with n bins: uniform in x ("uniform"), or
+#: uniform in theta = (2/pi) arcsin(sqrt(x)), at x_i = sin^2(pi i / 2n) ("arcsine")
+GRIDS = ("uniform", "arcsine")
+
+
+def solve_grid(m: MapModel) -> str:
+    """The grid the transfer operator of m is solved on.
+
+    On a map whose branches are all linear, a density that is constant on
+    uniform bins stays so, and the uniform grid is exact.  A critical point
+    gives the density 1/sqrt singularities at the ends, where uniform bins
+    converge like 1/sqrt(L).  In theta the logistic density is exactly
+    uniform (the Ulam-von Neumann conjugacy to the tent map) and the others
+    are regular at the ends, so every other map is solved on the arcsine grid.
+    """
+    return "uniform" if all(br.linear for br in m.branches) else "arcsine"
+
+
+def _grid_edges(grid: str, n: int) -> np.ndarray:
+    i = np.arange(n + 1)
+    return i / n if grid == "uniform" else np.sin(i * (0.5 * np.pi / n)) ** 2
+
+
+def _grid_position(grid: str, x, n: int) -> np.ndarray:
+    """Bin index plus fraction inside the bin of each x on an n-bin grid."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+    if grid == "arcsine":
+        x = np.arcsin(np.sqrt(x)) * (2.0 / np.pi)
+    return x * n
+
+
 @dataclass
 class DensityHistogram:
     """Grid density: weights[i] approximates f on bin [i/L, (i+1)/L).
 
-    Treated as immutable once built (the cumulative table is cached).
+    An operator density keeps the grid it was solved on: ``grid_weights``
+    holds n times the mass of each of the n bins of ``grid``, and ``weights``
+    are read off its cumulative at the uniform edges j/L (pass
+    ``weights=None``).  Without ``grid_weights`` the L uniform bins are the
+    grid.  Treated as immutable once built (the cumulative table is cached).
     """
 
     L: int
-    weights: np.ndarray
+    weights: np.ndarray | None
     method: str  # "montecarlo" | "fp_operator"
     meta: dict = field(default_factory=dict)
+    grid: str = "uniform"
+    grid_weights: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.weights is None:
+            self.weights = self.L * np.diff(self.cumulative(np.arange(self.L + 1) / self.L))
 
     def validate(self) -> None:
         if self.weights.shape != (self.L,):
             raise ValueError("weights length must equal L")
-        if np.any(self.weights < 0):
-            raise ValueError("negative density weight")
-        total = self.weights.sum() / self.L
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"density not normalized: integral = {total!r}")
+        if self.grid not in GRIDS:
+            raise ValueError(f"unknown density grid {self.grid!r}")
+        for w in (self.weights, self._solve_weights):
+            if np.any(w < 0):
+                raise ValueError("negative density weight")
+            total = w.sum() / w.size
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"density not normalized: integral = {total!r}")
 
     @property
-    def bin_masses(self) -> np.ndarray:
-        return self.weights / self.L
+    def _solve_weights(self) -> np.ndarray:
+        return self.weights if self.grid_weights is None else self.grid_weights
 
     def _cum_table(self) -> np.ndarray:
         cum = getattr(self, "_cum_cache", None)
         if cum is None:
-            cum = np.concatenate(([0.0], np.cumsum(self.bin_masses)))
+            w = self._solve_weights
+            cum = np.concatenate(([0.0], np.cumsum(w / w.size)))
             self._cum_cache = cum
         return cum
 
     def cumulative(self, x) -> np.ndarray:
-        """Integral of the density over (0, x), linear within bins."""
+        """Integral of the density over (0, x), linear within each bin of the
+        grid in that grid's coordinate (x, or theta on the arcsine grid)."""
         cum = self._cum_table()
-        pos = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * self.L
-        b = np.minimum(pos.astype(np.int64), self.L - 1)
-        return cum[b] + (pos - b) * self.bin_masses[b]
+        w = self._solve_weights
+        n = w.size
+        pos = _grid_position(self.grid, x, n)
+        b = np.minimum(pos.astype(np.int64), n - 1)
+        return cum[b] + (pos - b) * (w[b] / n)
 
     def set_mass(self, s) -> float:
         """Integral of the density over an IntervalSet."""
@@ -160,9 +209,10 @@ _LANES = 256
 #: lockstep steps per block of noise rows in :func:`mc_density`
 _LANE_BLOCK = 64
 #: grid points per map evaluation in :func:`scaled_map_table`; a slice's
-#: temporaries (512 KiB each) stay in cache, which halves the build time of a
-#: 2^24-point table against 2^20-point slices
-_TABLE_CHUNK = 1 << 16
+#: float64 temporaries (128 KiB each) stay in cache.  A 2^24-point cubic table
+#: took 0.25-0.38 s in a fresh process with 2^16-point slices, whose 512 KiB
+#: temporaries did not, and 0.15 s with 2^14
+_TABLE_CHUNK = 1 << 14
 
 
 def chain_states(table, noise, j0: int, L: int):
@@ -179,13 +229,10 @@ def chain_states(table, noise, j0: int, L: int):
     floor = math.floor
     j = int(j0)
     for lo in range(0, len(nz), _CHAIN_CHUNK):
-        states = []
-        visit = states.append
-        for u in nz[lo : lo + _CHAIN_CHUNK]:
-            v = floor(tab[j] + u)
-            j = 1 if v < 1 else (L if v > L else v)
-            visit(j)
-        yield np.array(states, dtype=np.int64)
+        yield np.array(
+            [j := (1 if (v := floor(tab[j] + u)) < 1 else (L if v > L else v)) for u in nz[lo : lo + _CHAIN_CHUNK]],
+            dtype=np.int64,
+        )
 
 
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
@@ -284,50 +331,58 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig, shards: int = 1) -> Densi
 # ---------------------------------------------------------------------------
 # Transfer-operator route
 
-def _fp_data(m: MapModel, L: int) -> list:
-    """Precompute, per monotone branch, where every bin edge pulls back to.
+def _fp_data(m: MapModel, grid: str, n: int) -> list:
+    """Precompute, per monotone branch, where every edge of the n-bin grid
+    pulls back to.
 
     For edge e the branch contributes +-(F(g(e)) - F(g(base))), with g the
     branch inverse and F the cumulative of the current density; the sign
     flips on decreasing branches.  Each preimage point is stored as a bin
     index and a fraction inside that bin so F can be read off a cumsum with
-    linear interpolation.  Integrating the pull-back rule f(g(e))/|M'(g(e))|
-    in closed form this way keeps every bin's new mass equal to the exact
-    measure of its preimage under the piecewise-linear density model, so no
-    slope stencil or quadrature error enters.
+    linear interpolation in the grid's coordinate.  Integrating the
+    pull-back rule f(g(e))/|M'(g(e))| in closed form this way keeps every
+    bin's new mass equal to the exact measure of its preimage under the
+    piecewise-linear cumulative, so no slope stencil or quadrature error
+    enters.
     """
-    edges = np.arange(L + 1) / L
+    edges = _grid_edges(grid, n)
     terms = []
     for br in m.branches:
         ylo, yhi = br.image
         e = np.clip(edges, ylo, yhi)
         x = np.clip(np.asarray(br.inverse(e), dtype=float), br.lo, br.hi)
-        pos = x * L
-        b = np.clip(np.floor(pos).astype(np.int64), 0, L - 1)
+        pos = _grid_position(grid, x, n)
+        b = np.clip(np.floor(pos).astype(np.int64), 0, n - 1)
         frac = pos - b
         sign = 1.0 if br.increasing else -1.0
         # preimage interval of (0, e) starts at the branch end mapping to y=0
         base = br.lo if br.increasing else br.hi
-        bpos = base * L
-        bb = min(int(np.floor(bpos)), L - 1)
+        bpos = float(_grid_position(grid, base, n))
+        bb = min(int(np.floor(bpos)), n - 1)
         terms.append((sign, b, frac, bb, bpos - bb))
     return terms
 
 
 def fp_step(m: MapModel, f: DensityHistogram) -> DensityHistogram:
-    """One application of the density transfer operator, renormalized.
+    """One application of the density transfer operator, renormalized, on
+    the grid f was solved on (its uniform bins if it has no other).
 
-    new mass of bin i = density mass of the preimage M^{-1}([i/L, (i+1)/L)),
+    new mass of grid bin i = density mass of its preimage under M,
     accumulated branch by branch from the cumulative of f.
     """
     f.validate()
-    return _fp_apply(_fp_data(m, f.L), f)
+    w = f._solve_weights
+    new = _fp_apply(_fp_data(m, f.grid, w.size), w)
+    meta = {"iterations": f.meta.get("iterations", 0) + 1}
+    return DensityHistogram(L=f.L, weights=None, method="fp_operator", meta=meta, grid=f.grid, grid_weights=new)
 
 
-def _fp_apply(terms: list, f: DensityHistogram) -> DensityHistogram:
-    masses = f.bin_masses
+def _fp_apply(terms: list, w: np.ndarray) -> np.ndarray:
+    """Grid weights (n times the bin masses) after one operator step."""
+    n = w.size
+    masses = w / n
     cum = np.concatenate(([0.0], np.cumsum(masses)))
-    phi = np.zeros(f.L + 1)
+    phi = np.zeros(n + 1)
     for sign, b, frac, bb, bfrac in terms:
         fx = cum[b] + frac * masses[b]
         fbase = cum[bb] + bfrac * masses[bb]
@@ -336,8 +391,8 @@ def _fp_apply(terms: list, f: DensityHistogram) -> DensityHistogram:
     total = new.sum()
     if total <= 0:
         raise RuntimeError("transfer step annihilated all mass")
-    new *= f.L / total
-    return DensityHistogram(L=f.L, weights=new, method="fp_operator", meta={"iterations": f.meta.get("iterations", 0) + 1})
+    new *= n / total
+    return new
 
 
 def uniform_density(L: int, method: str = "fp_operator") -> DensityHistogram:
@@ -351,33 +406,30 @@ def fp_fixed_point(
     max_iter: int = 2000,
     grid_factor: int = 1,
 ) -> DensityHistogram:
-    """Fixed point of the transfer operator, from the uniform start.
+    """Fixed point of the transfer operator, from equal mass in every bin.
 
-    Iterates until the L1 distance between successive histograms drops
-    below `tol`; raises :class:`NonConvergenceError` when max_iter runs out.
-
-    With ``grid_factor`` > 1 the fixed point is solved on a grid
-    `grid_factor * L` and bin masses are summed down to L.  Densities with
-    integrable singularities (1/sqrt ends) converge slowly in L; solving
-    fine and folding recovers most of the lost accuracy at small cost.
+    Solved on ``grid_factor * L`` bins of the map's :func:`solve_grid`.
+    Iterates until the L1 change between successive iterates, summed over
+    those bins, drops below `tol`; raises :class:`NonConvergenceError` when
+    max_iter runs out.  The histogram keeps the solve grid for its
+    cumulative and reads its L uniform-bin weights off it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if grid_factor < 1:
         raise ValueError("grid_factor must be a positive integer")
-    Lf = L * grid_factor
-    terms = _fp_data(m, Lf)
-    f = uniform_density(Lf)
+    grid = solve_grid(m)
+    n = L * grid_factor
+    terms = _fp_data(m, grid, n)
+    w = np.ones(n)
     dist = np.inf
     for it in range(1, max_iter + 1):
-        nxt = _fp_apply(terms, f)
-        dist = l1_distance(f, nxt)
-        f = nxt
+        nxt = _fp_apply(terms, w)
+        dist = float(np.abs(w - nxt).sum() / n)
+        w = nxt
         if dist < tol:
-            if grid_factor > 1:
-                folded = f.bin_masses.reshape(L, grid_factor).sum(axis=1) * L
-                f = DensityHistogram(L=L, weights=folded, method="fp_operator")
-            f.meta = {"iterations": it, "l1_change": dist, "tol": tol, "grid_factor": grid_factor}
+            meta = {"iterations": it, "l1_change": dist, "tol": tol, "grid_factor": grid_factor}
+            f = DensityHistogram(L=L, weights=None, method="fp_operator", meta=meta, grid=grid, grid_weights=w)
             f.validate()
             return f
     raise NonConvergenceError(dist, max_iter)

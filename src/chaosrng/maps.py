@@ -44,6 +44,8 @@ class Branch:
 
     ``inverse`` maps any point of the branch image back to its unique
     preimage inside (lo, hi); it accepts scalars or numpy arrays.
+    ``linear`` marks a branch of constant slope, on which the transfer
+    operator is exact on a uniform grid (see ``density.solve_grid``).
     """
 
     lo: float
@@ -51,6 +53,7 @@ class Branch:
     increasing: bool
     inverse: Callable[[np.ndarray | float], np.ndarray | float]
     image: tuple[float, float]
+    linear: bool = False
 
     def image_contains(self, y: float) -> bool:
         return self.image[0] <= y <= self.image[1]
@@ -221,6 +224,7 @@ def _linear_branch(x0: float, x1: float, y0: float, y1: float) -> Branch:
         increasing=slope_ > 0,
         inverse=inverse,
         image=(max(0.0, lo_img), min(1.0, hi_img)),
+        linear=True,
     )
 
 

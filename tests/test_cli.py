@@ -167,6 +167,13 @@ def test_verify_passes_on_tent(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_cubic_stream_check_passes_at_seed_11(tmp_path, capsys):
+    # the density solved on uniform bins read max TV = 0.0103 here, over its 0.01 bound
+    _, out, _ = run(capsys, "verify", "--map", "cubic_sample", "--seed", "11", "--out-dir", str(tmp_path))
+    line = next(row for row in out.splitlines() if row.startswith("max TV(blocks, stream)"))
+    assert line.endswith("PASS"), line
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

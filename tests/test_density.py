@@ -1,4 +1,5 @@
 """Invariant densities: Monte Carlo route, operator route, and their agreement."""
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import chaosrng as cr
 from chaosrng import density
+from chaosrng.analysis import run_analysis
 from chaosrng import maps as _maps
 from chaosrng.bitstream import BitstreamConfig, _grid_bits, _grid_cuts, generate_bits
 from chaosrng.density import (
@@ -25,6 +27,7 @@ from chaosrng.density import (
     l1_distance,
     mc_density,
     scaled_map_table,
+    solve_grid,
     uniform_density,
 )
 from chaosrng.intervals import IntervalSet
@@ -355,6 +358,59 @@ def test_fp_fixed_point_is_stationary(cubic):
     h = fp_fixed_point(cubic, 1024, tol=1e-11, max_iter=20000)
     again = fp_step(cubic, h)
     assert l1_distance(h, again) < 2e-11
+
+
+def test_solve_grid_follows_branch_linearity(cubic, tent, bernoulli, logistic):
+    pl = _maps.piecewise_linear_map([0.0, 0.3, 1.0], [0.0, 1.0, 0.0])
+    poly = _maps.polynomial_map([0.0, 4.0, -4.0], [0.5])
+    grids = {m.name: solve_grid(m) for m in (cubic, tent, bernoulli, logistic, pl, poly)}
+    assert grids == {"cubic_sample": "arcsine", "tent": "uniform", "bernoulli": "uniform",
+                     "logistic": "arcsine", "piecewise_linear": "uniform", "polynomial": "arcsine"}
+    # a map whose inverses are wrapped keeps its grid
+    for m in (cubic, tent):
+        wrapped = dataclasses.replace(
+            m, branches=tuple(dataclasses.replace(b, inverse=lambda y, g=b.inverse: g(y)) for b in m.branches)
+        )
+        assert solve_grid(wrapped) == solve_grid(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.sampled_from([64, 1000, 4096]), x=st.floats(0.0, 1.0))
+def test_fp_logistic_cumulative_is_arcsine_law(logistic, L, x):
+    # the logistic density is uniform in theta = (2/pi) arcsin(sqrt(x)), which
+    # the arcsine grid holds exactly: the first step is already the fixed point
+    f = fp_fixed_point(logistic, L, tol=1e-11)
+    assert f.grid == "arcsine" and f.meta["iterations"] == 1
+    assert abs(float(f.cumulative(x)) - (2.0 / np.pi) * np.arcsin(np.sqrt(x))) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def cubic_curves(cubic, branch_part):
+    """L -> (operator density, h_1..h_14) of the cubic map at L = 1024 and 16384."""
+    out = {}
+    for L in (1024, 16384):
+        f = fp_fixed_point(cubic, L, tol=1e-11)
+        out[L] = f, run_analysis(cubic, branch_part, depth=14, density=f).report.h
+    return out
+
+
+def test_fp_cubic_entropies_independent_of_L(cubic_curves):
+    # on uniform bins h_1 drifts from 0.98843 (L=1024) to 0.98597 (L=16384)
+    (_, coarse), (_, fine) = cubic_curves[1024], cubic_curves[16384]
+    assert np.abs(np.array(coarse) - np.array(fine)).max() < 1e-5
+
+
+def test_fp_cubic_lyapunov_matches_entropy_rate(cubic_curves):
+    # Rokhlin's formula: on a generating partition (the split at the critical
+    # point) lim h_N = integral of ln|M'| d(mu) / ln 2.  Midpoint rule on 2^18
+    # cells uniform in theta, their masses read off the cumulative.
+    f, h = cubic_curves[16384]
+    t = np.arange((1 << 18) + 1) / (1 << 18)
+    edges = np.sin(0.5 * np.pi * t) ** 2
+    mids = np.sin(0.25 * np.pi * (t[:-1] + t[1:])) ** 2
+    slope = 1.5 * math.sqrt(3.0) * (1.0 - 3.0 * mids**2)
+    lyapunov = np.dot(np.diff(f.cumulative(edges)), np.log(np.abs(slope))) / math.log(2.0)
+    assert abs(lyapunov - h[-1]) < 1e-4
 
 
 def test_fp_nonconvergence_reported(cubic):
