@@ -6,14 +6,13 @@ All JSON outputs embed the sha256 of the resolved config, and CSV outputs
 carry it in a leading comment line, so any report traces back to its exact
 inputs.  Exit codes: 0 success, 1 analysis failure, 2 config error.
 """
-from __future__ import annotations
-
 import argparse
 import hashlib
 import json
 import sys
+import typing
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,109 +31,144 @@ class ConfigError(ValueError):
 
 DENSITY_METHODS = ("montecarlo", "fp_operator", "both")
 FORMATS = ("csv", "json")
+COMMANDS = ("density", "analyze", "bitgen", "verify")
+_JSON_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    bool: "true or false",
+    dict: "an object",
+    list: "a list",
+    type(None): "null",
+}
+
+
+def _types(hint) -> tuple:
+    """The types an annotation admits: (int, NoneType) for `int | None`.
+
+    `hint` is a field's `Field.type`, a type object and not a string because
+    this module does not postpone the evaluation of its annotations.
+    """
+    return typing.get_args(hint) or (hint,)
+
+
+def _check_type(path: str, value, hint) -> None:
+    """Reject a value of a JSON type the field's annotation does not admit.
+
+    An integer is a number; a bool is neither, although Python counts it as both.
+    """
+    types = _types(hint)
+    accepted = types + (int,) if float in types else types
+    if not isinstance(value, accepted) or (isinstance(value, bool) and bool not in types):
+        raise ConfigError(f"{path}: need {' or '.join(_JSON_NAMES[t] for t in types)}, got {value!r}")
+
+
+def _field(
+    path: str, default=MISSING, flag: str | None = None, *, commands=COMMANDS, default_factory=MISSING, **argparse_kw
+):
+    """One row of the config field table.
+
+    `path` is where the field lives in the JSON config ("density.L").
+    `flag` is its command-line spelling, offered on `commands`; the flag's
+    dest is the field name and its type the field's annotation, and
+    `argparse_kw` adds choices and help.  A field without a flag is set
+    from the command line only by a flag with its own parsing, in
+    `_build_parser` and `_config_from_args`, or not at all.
+    """
+    meta = {"path": path, "flag": flag, "commands": commands, "argparse": argparse_kw}
+    return field(default=default, default_factory=default_factory, metadata=meta)
 
 
 @dataclass
 class AnalysisConfig:
-    """Resolved run description; serializes losslessly to/from JSON."""
+    """Resolved run description; serializes losslessly to/from JSON.
 
-    map: dict = field(default_factory=lambda: {"type": "builtin", "name": "cubic_sample"})
-    partition: dict | None = None  # None = split at the map's first branch end
-    method: str = "fp_operator"
-    L: int = _density.DEFAULT_L
-    K: int = _density.DEFAULT_K
-    burn_in: int = _density.DEFAULT_BURN_IN
-    tol: float = 1e-9
-    grid_factor: int | None = None
-    depth: int = _analysis.DEFAULT_DEPTH
-    seed: int = 0
-    length: int = 1_000_000
-    dither: bool = True
-    stream_grid: int = _bitstream.DEFAULT_STREAM_L
-    start: float | None = None
-    input_rate: float | None = None
-    out_dir: str = "."
-    formats: list = field(default_factory=lambda: ["csv", "json"])
-    workers: int | None = None
+    The fields are the config's one field table: each declares its JSON path,
+    its flag and, through its annotation, the JSON types it accepts.
+    """
+
+    map: dict = _field("map", default_factory=lambda: {"type": "builtin", "name": "cubic_sample"})
+    partition: dict | None = _field("partition", None)  # None = split at the map's first branch end
+    method: str = _field("density.method", "fp_operator", "--method", choices=DENSITY_METHODS)
+    L: int = _field("density.L", _density.DEFAULT_L, "--L", help="density grid size")
+    K: int = _field("density.K", _density.DEFAULT_K, "--K", help="Monte Carlo visit budget")
+    burn_in: int = _field("density.burn_in", _density.DEFAULT_BURN_IN, "--burn-in")
+    tol: float = _field("density.tol", 1e-9, "--tol", help="operator convergence tolerance")
+    grid_factor: int | None = _field("density.grid_factor", None, "--grid-factor")
+    depth: int = _field("depth", _analysis.DEFAULT_DEPTH, "--depth", help="refinement depth N")
+    seed: int = _field("seed", 0, "--seed")
+    length: int = _field("length", 1_000_000, "--length", commands=("bitgen",), help="number of bits to generate")
+    dither: bool = _field("dither", True)
+    stream_grid: int = _field(
+        "stream_grid", _bitstream.DEFAULT_STREAM_L, "--stream-grid", commands=("bitgen",), help="dither grid size"
+    )
+    start: float | None = _field("start", None, "--start", commands=("bitgen",), help="explicit x_0 in (0,1)")
+    input_rate: float | None = _field("input_rate", None, "--rate", help="raw bit rate R for the budget")
+    out_dir: str = _field("output.directory", ".", "--out-dir")
+    formats: list = _field("output.formats", default_factory=lambda: ["csv", "json"])
+    workers: int | None = _field(
+        "workers", None, "--workers", help="Monte Carlo shard count (default 1); shards run one after another"
+    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
-        cfg = cls()
-        density_section = raw.pop("density", None)
-        output_section = raw.pop("output", None)
-        if density_section is not None:
-            if not isinstance(density_section, dict):
-                raise ConfigError("density: must be an object")
-            for k, v in density_section.items():
-                if k == "method":
-                    cfg.method = v
-                elif k in ("L", "K", "burn_in", "tol", "grid_factor"):
-                    setattr(cfg, k, v)
-                else:
-                    raise ConfigError(f"density.{k}: unknown field")
-        if output_section is not None:
-            if not isinstance(output_section, dict):
-                raise ConfigError("output: must be an object")
-            for k, v in output_section.items():
-                if k == "directory":
-                    cfg.out_dir = v
-                elif k == "formats":
-                    cfg.formats = list(v)
-                else:
-                    raise ConfigError(f"output.{k}: unknown field")
-        for k, v in raw.items():
-            if not hasattr(cfg, k) or k in ("out_dir", "formats"):
-                raise ConfigError(f"{k}: unknown field")
-            setattr(cfg, k, v)
+        by_path = {tuple(f.metadata["path"].split(".")): f.name for f in fields(cls)}
+        sections = {path[0] for path in by_path if len(path) == 2}
+        values = {}
+        for key, value in raw.items():
+            if key in sections:
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{key}: must be an object")
+                items = [((key, k), v) for k, v in value.items()]
+            else:
+                items = [((key,), value)]
+            for path, v in items:
+                if path not in by_path:
+                    raise ConfigError(f"{'.'.join(path)}: unknown field")
+                values[by_path[path]] = v
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        return {
-            "map": self.map,
-            "partition": self.partition,
-            "density": {
-                "method": self.method,
-                "L": self.L,
-                "K": self.K,
-                "burn_in": self.burn_in,
-                "tol": self.tol,
-                "grid_factor": self.grid_factor,
-            },
-            "depth": self.depth,
-            "seed": self.seed,
-            "length": self.length,
-            "dither": self.dither,
-            "stream_grid": self.stream_grid,
-            "start": self.start,
-            "input_rate": self.input_rate,
-            "output": {"directory": self.out_dir, "formats": self.formats},
-            "workers": self.workers,
-        }
+        out: dict = {}
+        for f in fields(self):
+            section, _, key = f.metadata["path"].rpartition(".")
+            (out.setdefault(section, {}) if section else out)[key] = getattr(self, f.name)
+        return out
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f.metadata["path"], getattr(self, f.name), f.type)
         if self.method not in DENSITY_METHODS:
             raise ConfigError(f"density.method: {self.method!r} not one of {DENSITY_METHODS}")
-        for f in self.formats:
-            if f not in FORMATS:
-                raise ConfigError(f"output.formats: {f!r} not one of {FORMATS}")
-        if not isinstance(self.L, int) or self.L < 64:
+        for fmt in self.formats:
+            if fmt not in FORMATS:
+                raise ConfigError(f"output.formats: {fmt!r} not one of {FORMATS}")
+        if self.L < 64:
             raise ConfigError(f"density.L: need an integer >= 64, got {self.L!r}")
-        if not isinstance(self.K, int) or self.K < 100 * self.L:
+        if self.K < 100 * self.L:
             raise ConfigError(f"density.K: need an integer >= 100*L = {100 * self.L}, got {self.K!r}")
         if self.burn_in < 1_000:
             raise ConfigError(f"density.burn_in: need >= 1000, got {self.burn_in!r}")
         if not self.tol > 0:
             raise ConfigError(f"density.tol: must be positive, got {self.tol!r}")
-        if self.grid_factor is not None and (not isinstance(self.grid_factor, int) or self.grid_factor < 1):
+        if self.grid_factor is not None and self.grid_factor < 1:
             raise ConfigError(f"density.grid_factor: need a positive integer, got {self.grid_factor!r}")
         if not 1 <= self.depth <= _partition.DEFAULT_MAX_DEPTH:
             raise ConfigError(f"depth: need 1..{_partition.DEFAULT_MAX_DEPTH}, got {self.depth!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be non-negative, got {self.seed!r}")
         if self.length < 1:
             raise ConfigError(f"length: must be positive, got {self.length!r}")
+        # the bounds of BitstreamConfig.validate, checked before any work starts
+        if self.dither and self.stream_grid < 64:
+            raise ConfigError(f"stream_grid: need >= 64 for a dithered stream, got {self.stream_grid!r}")
+        if self.start is not None and not 0.0 < self.start < 1.0:
+            raise ConfigError(f"start: must lie in (0, 1), got {self.start!r}")
         if self.input_rate is not None and not self.input_rate > 0:
             raise ConfigError(f"input_rate: must be positive, got {self.input_rate!r}")
-        if self.workers is not None and (not isinstance(self.workers, int) or not 1 <= self.workers <= self.K):
+        if self.workers is not None and not 1 <= self.workers <= self.K:
             raise ConfigError(f"workers: need an integer in [1, K = {self.K}], got {self.workers!r}")
         try:
             _maps.map_from_config(self.map)
@@ -163,10 +197,6 @@ class AnalysisConfig:
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
-
-    def shards(self) -> int:
-        # a fixed default, so the Monte Carlo output never depends on the host
-        return self.workers if self.workers is not None else 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +232,8 @@ def _compute_density(cfg: AnalysisConfig, m: _maps.MapModel, method: str):
         K=cfg.K,
         burn_in=cfg.burn_in,
         tol=cfg.tol,
-        shards=cfg.shards() if method == "montecarlo" else 1,
+        # a fixed default shard count, so the Monte Carlo output never depends on the host
+        shards=cfg.workers or 1,
         grid_factor=cfg.grid_factor,
     )
 
@@ -238,24 +269,12 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
     method = "fp_operator" if cfg.method == "both" else cfg.method
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        res = _analysis.run_analysis(
-            m,
-            s,
-            cfg.depth,
-            method=method,
-            L=cfg.L,
-            seed=cfg.seed,
-            K=cfg.K,
-            burn_in=cfg.burn_in,
-            tol=cfg.tol,
-            input_rate=cfg.input_rate,
-            shards=cfg.shards() if method == "montecarlo" else 1,
-            grid_factor=cfg.grid_factor,
-        )
+        density = _compute_density(cfg, m, method)
+        res = _analysis.run_analysis(m, s, cfg.depth, density=density, input_rate=cfg.input_rate)
     report = res.report
     if cfg.method == "both":
         other = _compute_density(cfg, m, "montecarlo")
-        report.provenance["l1_cross_method"] = _density.l1_distance(other, res.density)
+        report.provenance["l1_cross_method"] = _density.l1_distance(other, density)
     if "csv" in cfg.formats:
         p = out / "report.csv"
         report.to_csv(p)
@@ -377,38 +396,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Entropy and invariant-density analyzer for chaos-based random bit generators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command in COMMANDS:
+        p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags below override its fields")
         p.add_argument("--map", help="builtin map name or path to a map JSON file")
         p.add_argument("--s0", help="S(0) intervals as 'lo:hi[,lo:hi...]', e.g. '0:0.5'")
-        p.add_argument("--method", choices=DENSITY_METHODS)
-        p.add_argument("--L", type=int, help="density grid size")
-        p.add_argument("--K", type=int, help="Monte Carlo visit budget")
-        p.add_argument("--burn-in", type=int, dest="burn_in")
-        p.add_argument("--tol", type=float, help="operator convergence tolerance")
-        p.add_argument("--grid-factor", type=int, dest="grid_factor")
-        p.add_argument("--depth", type=int, help="refinement depth N")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--rate", type=float, dest="input_rate", help="raw bit rate R for the budget")
-        p.add_argument("--out-dir", dest="out_dir")
         p.add_argument("--format", action="append", choices=FORMATS, dest="formats")
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="Monte Carlo shard count (default 1); shards run one after another",
-        )
-
-    for name in ("density", "analyze", "verify"):
-        common(sub.add_parser(name))
-    bg = sub.add_parser("bitgen")
-    common(bg)
-    bg.add_argument("--length", type=int, help="number of bits to generate")
-    bg.add_argument("--no-dither", action="store_true", help="raw float iteration (negative control)")
-    bg.add_argument("--stream-grid", type=int, dest="stream_grid", help="dither grid size")
-    bg.add_argument("--start", type=float, help="explicit x_0 in (0,1)")
-    bg.add_argument("--von-neumann", action="store_true", help="also write the extracted stream")
-    bg.add_argument("--ascii", action="store_true", help="also write the '01' text format")
+        for f in fields(AnalysisConfig):
+            if f.metadata["flag"] and command in f.metadata["commands"]:
+                p.add_argument(f.metadata["flag"], type=_types(f.type)[0], dest=f.name, **f.metadata["argparse"])
+        if command == "bitgen":
+            p.add_argument("--no-dither", action="store_true", help="raw float iteration (negative control)")
+            p.add_argument("--von-neumann", action="store_true", help="also write the extracted stream")
+            p.add_argument("--ascii", action="store_true", help="also write the '01' text format")
     return parser
 
 
@@ -450,20 +450,14 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
             )
     if args.s0:
         cfg.partition = _parse_s0(args.s0)
-    for name in ("method", "L", "K", "burn_in", "tol", "grid_factor", "depth", "seed", "input_rate", "out_dir", "workers"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, name, val)
-    if getattr(args, "formats", None):
+    if args.formats:
         cfg.formats = list(dict.fromkeys(args.formats))
-    if getattr(args, "length", None) is not None:
-        cfg.length = args.length
     if getattr(args, "no_dither", False):
         cfg.dither = False
-    if getattr(args, "stream_grid", None) is not None:
-        cfg.stream_grid = args.stream_grid
-    if getattr(args, "start", None) is not None:
-        cfg.start = args.start
+    for f in fields(cfg):
+        value = getattr(args, f.name, None) if f.metadata["flag"] else None
+        if value is not None:
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 

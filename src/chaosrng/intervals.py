@@ -77,9 +77,6 @@ class IntervalSet:
                 j += 1
         return IntervalSet(out)
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self._intervals + other._intervals)
-
     def complement(self, lo: float = 0.0, hi: float = 1.0) -> "IntervalSet":
         """Complement within (lo, hi)."""
         out = []

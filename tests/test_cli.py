@@ -1,14 +1,18 @@
 """Command-line behavior: subcommands, config handling, exit codes."""
+import copy
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chaosrng.bitstream import read_stream, read_stream_ascii
-from chaosrng.cli import AnalysisConfig, ConfigError, main
+from chaosrng.cli import AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
 
 
 def run(capsys, *argv):
@@ -21,11 +25,67 @@ def run(capsys, *argv):
 # config plumbing
 
 
+# every field set to a value other than its default; each value is also valid
+# on its own next to the defaults of the other fields
+ALL_SET = {
+    "map": {"type": "builtin", "name": "tent"},
+    "partition": {"s0": [[0.0, 0.3]]},
+    "density": {"method": "montecarlo", "L": 512, "K": 5_000_000, "burn_in": 2000, "tol": 1e-10, "grid_factor": 4},
+    "depth": 6,
+    "seed": 7,
+    "length": 5000,
+    "dither": False,
+    "stream_grid": 4096,
+    "start": 0.25,
+    "input_rate": 2e6,
+    "output": {"directory": "out", "formats": ["json"]},
+    "workers": 2,
+}
+
+
 def test_config_roundtrip():
-    cfg = AnalysisConfig.from_dict({"depth": 5, "density": {"method": "montecarlo", "L": 256, "K": 200000}})
+    cfg = AnalysisConfig.from_dict(ALL_SET)
+    assert cfg.to_dict() == ALL_SET
+    default = AnalysisConfig()
+    for f in fields(AnalysisConfig):
+        section, _, key = f.metadata["path"].rpartition(".")
+        assert getattr(cfg, f.name) == (ALL_SET[section] if section else ALL_SET)[key]
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
     again = AnalysisConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
     assert again == cfg
     assert again.sha256() == cfg.sha256()
+
+
+def test_config_hash_is_pinned():
+    # the hash stamps every output; a change here changes every output file
+    assert AnalysisConfig().sha256() == "87df28fba64072a30782e94ec8ad2fe958a7ce5f842dc2c269df26b409ed0fe3"
+    assert AnalysisConfig.from_dict(ALL_SET).sha256() == (
+        "eb0ccf90f9ea65501d7b6f3f95c432a20f18ca90ad53770fdbccaaa3cc26742b"
+    )
+
+
+def test_each_flag_overrides_only_its_field():
+    expected = AnalysisConfig.from_dict(ALL_SET)
+    cases = [(["--map", "tent"], "map"), (["--s0", "0:0.3"], "partition"),
+             (["--format", "json"], "formats"), (["--no-dither"], "dither")]
+    cases += [([f.metadata["flag"], str(getattr(expected, f.name))], f.name)
+              for f in fields(AnalysisConfig) if f.metadata["flag"]]
+    assert sorted(name for _, name in cases) == sorted(f.name for f in fields(AnalysisConfig))
+    default = AnalysisConfig()
+    parser = _build_parser()
+    for argv, name in cases:
+        cfg = _config_from_args(parser.parse_args(["bitgen", *argv]))
+        changed = [f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(default, f.name)]
+        assert changed == [name], argv
+        assert getattr(cfg, name) == getattr(expected, name), argv
+
+
+def test_readme_config_table_matches_fields():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)", readme, re.M)
+    assert [path for path, _ in rows] == [f.metadata["path"] for f in fields(AnalysisConfig)]
+    for (_, flag), f in zip(rows, fields(AnalysisConfig)):
+        assert f.metadata["flag"] in (None, flag)
 
 
 def test_config_rejects_unknown_fields():
@@ -33,6 +93,20 @@ def test_config_rejects_unknown_fields():
         AnalysisConfig.from_dict({"wat": 1})
     with pytest.raises(ConfigError, match="density.flavor"):
         AnalysisConfig.from_dict({"density": {"flavor": "mild"}})
+
+
+@pytest.mark.parametrize("key", ["sha256", "shards", "L", "density.L"])
+def test_config_rejects_attribute_names_and_flat_paths(key):
+    # method names and top-level spellings of nested fields are not config fields
+    with pytest.raises(ConfigError, match=f"^{key}: unknown field"):
+        AnalysisConfig.from_dict({key: 3})
+
+
+def test_from_dict_leaves_its_argument_untouched():
+    raw = {"depth": 5, "density": {"L": 256, "K": 200000}, "output": {"formats": ["json"]}}
+    before = copy.deepcopy(raw)
+    AnalysisConfig.from_dict(raw)
+    assert raw == before
 
 
 def test_config_bounds():
@@ -195,6 +269,30 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "analysis failure" in err
+
+
+@pytest.mark.parametrize(
+    "config, flags, path",
+    [
+        ({"map": "tent"}, [], "map"),
+        ({"depth": "5"}, [], "depth"),
+        ({"depth": True}, [], "depth"),
+        ({"density": {"tol": "x"}}, [], "density.tol"),
+        ({"density": {"burn_in": "x"}}, [], "density.burn_in"),
+        ({"seed": "abc"}, [], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"stream_grid": 10}, [], "stream_grid"),
+        ({"start": 2}, [], "start"),
+        ({}, ["--stream-grid", "10"], "stream_grid"),
+        ({}, ["--start", "2"], "start"),
+    ],
+)
+def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(config))
+    code, _, err = run(capsys, "bitgen", "--config", str(p), "--length", "1000", *flags, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert f"config error: {path}: " in err
 
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):
