@@ -4,19 +4,18 @@ The generator emits bit 0 when the state is left of the branch split and
 bit 1 to the right.  Refining the partition against map preimages yields,
 for every N-bit word, the exact set of initial states that produce it.  A
 refinement is stored as sorted cut points with one integer word code per
-interval between them; `cells` assembles each word's interval set.
+interval between them; `cells` lists each word's (lo, hi) pieces.
 
 Run:  python demos/02_partition_refinement.py
 """
 import math
 
 import chaosrng as cr
-from chaosrng.intervals import IntervalSet
 from chaosrng.partition import SymbolPartition, refinement_ladder
 
 xb = 1.0 / math.sqrt(3.0)
 m = cr.cubic_sample_map()
-s = SymbolPartition.from_s0(IntervalSet([(0.0, xb)]))
+s = SymbolPartition.from_pairs([(0.0, xb)])
 
 ladder = refinement_ladder(m, s, 4)
 
@@ -25,7 +24,8 @@ for p in ladder[:3]:
     print(f"depth {p.depth}:")
     for w, cell in p.cells.items():
         body = " u ".join(f"({a:.5f}, {b:.5f})" for a, b in cell)
-        print(f"  {w}: measure {cell.measure:.5f}  {body}")
+        measure = sum(b - a for a, b in cell)
+        print(f"  {w}: measure {measure:.5f}  {body}")
     print()
 
 # the depth-2 boundaries are the two preimages of the split point

@@ -10,12 +10,11 @@ Run:  python demos/03_entropy_curve.py
 import math
 
 import chaosrng as cr
-from chaosrng.intervals import IntervalSet
 from chaosrng.partition import SymbolPartition
 
 xb = 1.0 / math.sqrt(3.0)
 m = cr.cubic_sample_map()
-s = SymbolPartition.from_s0(IntervalSet([(0.0, xb)]))
+s = SymbolPartition.from_pairs([(0.0, xb)])
 
 res = cr.run_analysis(m, s, depth=12, method="fp_operator", L=8192, tol=1e-11,
                       input_rate=1.0e6)

@@ -21,12 +21,11 @@ from chaosrng.bitstream import (
 )
 from chaosrng.density import fp_fixed_point
 from chaosrng.entropy import block_probabilities
-from chaosrng.intervals import IntervalSet
 from chaosrng.partition import SymbolPartition, refine
 
 xb = 1.0 / math.sqrt(3.0)
 m = cr.cubic_sample_map()
-s = SymbolPartition.from_s0(IntervalSet([(0.0, xb)]))
+s = SymbolPartition.from_pairs([(0.0, xb)])
 
 bits = generate_bits(m, s, BitstreamConfig(seed=99, length=2_000_000, L=1 << 22))
 print(f"generated {bits.size} bits, P(1) = {monobit_frequency(bits):.4f} (predicted 0.43)")

@@ -36,7 +36,6 @@ from .entropy import (
     per_bit_entropies,
     rate_budget,
 )
-from .intervals import IntervalSet
 from .maps import (
     Branch,
     MapModel,
@@ -48,7 +47,6 @@ from .maps import (
     map_from_config,
     piecewise_linear_map,
     polynomial_map,
-    preimage_of_set,
     preimages,
     tent_map,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "DensityHistogram",
     "DitherConfig",
     "EntropyReport",
-    "IntervalSet",
     "InvariantViolation",
     "MapModel",
     "NonConvergenceError",
@@ -99,7 +96,6 @@ __all__ = [
     "per_bit_entropies",
     "piecewise_linear_map",
     "polynomial_map",
-    "preimage_of_set",
     "preimages",
     "rate_budget",
     "refine",

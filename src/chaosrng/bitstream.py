@@ -57,15 +57,18 @@ def _grid_cuts(s: SymbolPartition, L: int) -> np.ndarray:
     """S(0) on the grid j/L as integer cuts: state j has bit 0 iff an odd
     number of cuts is <= j (left-cell ties: j/L on a cut b of (a, b] is in it).
 
-    Each S(0) interval (a, b] is the run of states first_above(a) <= j <
-    first_above(b).  Chain states are 1..L; state 0 never occurs.
+    The cuts are the ends of S(0)'s runs: the points of `s.cuts` where the
+    code changes, with bit 1 taken outside [0, 1].  Each run (a, b] is the
+    states first_above(a) <= j < first_above(b).  Chain states are 1..L;
+    state 0 never occurs.
     """
 
     def first_above(t: float) -> int:
         # j/L is monotone in j and rounds exactly like numpy's float64 division
         return bisect.bisect_right(range(L + 1), t, key=lambda j: j / L)
 
-    return np.array([first_above(t) for pair in s.s0 for t in pair], dtype=np.int64)
+    ends = s.cuts[np.flatnonzero(np.diff(s.codes, prepend=1, append=1))]
+    return np.array([first_above(t) for t in ends.tolist()], dtype=np.int64)
 
 
 def _grid_bits(cuts: np.ndarray, states):
@@ -107,9 +110,11 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
                 j = int(states[-1])
         return out
     x = cfg.start if cfg.start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
+    xs = np.empty(cfg.length)
     for n in range(cfg.length):
-        out[n] = s.symbol_of(x)
+        xs[n] = x
         x = eval_map(m, x)
+    out[:] = s.symbol_of(xs)
     return out
 
 

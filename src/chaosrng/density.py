@@ -159,14 +159,6 @@ class DensityHistogram:
         b = np.minimum(pos.astype(np.int64), n - 1)
         return cum[b] + (pos - b) * (w[b] / n)
 
-    def set_mass(self, s) -> float:
-        """Integral of the density over an IntervalSet."""
-        if s.is_empty:
-            return 0.0
-        pairs = np.asarray(s.intervals, dtype=float)
-        vals = self.cumulative(pairs)
-        return float((vals[:, 1] - vals[:, 0]).sum())
-
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

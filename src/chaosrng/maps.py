@@ -25,8 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .intervals import IntervalSet
-
 #: Map outputs are clamped to [EPS, 1-EPS] so the domain stays the open
 #: unit interval even at the maximum point where M(x) = 1.
 EPS = 1e-15
@@ -104,37 +102,6 @@ def preimages(m: MapModel, y: float) -> list[float]:
         if not out or r - out[-1] > 1e-9:
             out.append(r)
     return out
-
-
-def preimage_of_set(m: MapModel, s: IntervalSet) -> IntervalSet:
-    """{x : M(x) in s} as a normalized interval set.
-
-    Computed branch by branch: clip each target interval to the branch
-    image, pull the endpoints back through the branch inverse.
-    """
-    pieces: list[tuple[float, float]] = []
-    for br in m.branches:
-        ylo, yhi = br.image
-        clipped = [
-            (max(a, ylo), min(b, yhi)) for a, b in s if max(a, ylo) < min(b, yhi)
-        ]
-        if not clipped:
-            continue
-        ys = np.array(clipped, dtype=float)
-        xs = np.asarray(br.inverse(ys))
-        for x0, x1 in xs:
-            lo, hi = (x0, x1) if br.increasing else (x1, x0)
-            pieces.append((max(lo, br.lo), min(hi, br.hi)))
-    return IntervalSet(pieces)
-
-
-def slope(m: MapModel, x, h: float, lo_bound: float = 0.0, hi_bound: float = 1.0) -> np.ndarray:
-    """Centered finite-difference derivative with the stencil clipped to
-    [lo_bound, hi_bound] (one-sided at the edges)."""
-    x = np.asarray(x, dtype=float)
-    lo = np.maximum(x - h, max(lo_bound, EPS))
-    hi = np.minimum(x + h, min(hi_bound, 1.0 - EPS))
-    return (np.asarray(m.raw_eval(hi)) - np.asarray(m.raw_eval(lo))) / (hi - lo)
 
 
 # ---------------------------------------------------------------------------

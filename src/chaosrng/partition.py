@@ -3,11 +3,12 @@
 The unit interval is split into S(0) and S(1); the emitted bit is the index
 of the set containing the current state.  The depth-N refinement gives every
 N-bit word the initial states that generate exactly that word.  Since
-cell(i w) = S(i) n M^-1(cell(w)), its boundaries are C_N = C_1 u M^-1(C_{N-1}):
-a refinement is one sorted cut array plus an integer word code per interval,
-computed from the branch inverses.  Those are closed forms, good to a few
-ulp, except for custom polynomial maps, whose bisection can land ~1e-8 off
-near a critical value (see `maps`).
+cell(i w) = S(i) n M^-1(cell(w)), its boundaries are C_N = C_1 u M^-1(C_{N-1}).
+Every level, the partition itself included, is one sorted cut array plus an
+integer code per interval (the bit for the partition, the word for a
+refinement), computed from the branch inverses.  Those are closed forms, good
+to a few ulp, except for custom polynomial maps, whose bisection can land
+~1e-8 off near a critical value (see `maps`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .intervals import IntervalSet
 from .maps import MapModel
 
 DEFAULT_MAX_DEPTH = 20
@@ -31,41 +31,53 @@ class PartitionInvariantError(AssertionError):
     """A structural invariant of a partition failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymbolPartition:
-    """The two bit-generation sets S(0) and S(1)."""
+    """The bit-generation sets: the intervals (cuts[i], cuts[i+1]] tile [0, 1],
+    and codes[i] is the bit (0 or 1) they emit.  Neighbouring codes differ,
+    so every inner cut is a boundary between S(0) and S(1).
+    """
 
-    s0: IntervalSet
-    s1: IntervalSet
+    cuts: np.ndarray  # sorted floats from 0 to 1
+    codes: np.ndarray  # one int bit per interval
 
     @classmethod
-    def from_s0(cls, s0: IntervalSet) -> "SymbolPartition":
-        return cls(s0=s0, s1=s0.complement())
+    def from_pairs(cls, s0_pairs, s1_pairs=None) -> "SymbolPartition":
+        """S(0) as (lo, hi) pairs with 0 <= lo < hi <= 1 that may touch but not
+        overlap; S(1) is its complement, and an explicit `s1_pairs` must equal it."""
+        cuts, codes = _tiling("s0", s0_pairs)
+        if s1_pairs is not None:
+            cuts1, codes1 = _tiling("s1", s1_pairs)
+            if not (np.array_equal(cuts1, cuts) and np.array_equal(codes1, 1 - codes)):
+                raise ValueError("s1 must be the complement of s0 in [0, 1]")
+        return cls(cuts=cuts, codes=codes)
 
-    @classmethod
-    def from_pairs(cls, pairs, s1_pairs=None) -> "SymbolPartition":
-        s0 = IntervalSet(pairs)
-        if s1_pairs is None:
-            return cls.from_s0(s0)
-        return cls(s0=s0, s1=IntervalSet(s1_pairs))
+    def symbol_of(self, x):
+        """Bit of each x in (0, 1] (a float or an array), with the left-cell
+        tie convention (lo, hi] for boundary points."""
+        return self.codes[np.searchsorted(self.cuts, x) - 1]
 
-    def __getitem__(self, bit: int | str) -> IntervalSet:
-        return self.s0 if int(bit) == 0 else self.s1
 
-    def validate(self) -> None:
-        if not self.s0.intersect(self.s1).measure < 1e-12:
-            raise PartitionInvariantError("S(0) and S(1) overlap")
-        total = self.s0.measure + self.s1.measure
-        if abs(total - 1.0) > 1e-9:
-            raise PartitionInvariantError(f"partition measures sum to {total!r}, not 1")
-
-    def symbol_of(self, x: float) -> int:
-        """0 or 1 with the left-cell tie convention for boundary points."""
-        return 0 if self.s0.contains(x) else 1
+def _tiling(name: str, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts and codes of the partition whose S(0) is the union of `pairs`."""
+    edges: list[float] = []  # starts and ends of the merged pairs
+    for lo, hi in sorted((float(lo), float(hi)) for lo, hi in pairs):
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValueError(f"{name}: pair [{lo!r}, {hi!r}] needs 0 <= lo < hi <= 1")
+        if edges and lo < edges[-1]:
+            raise ValueError(f"{name}: pair [{lo!r}, {hi!r}] overlaps the one ending at {edges[-1]!r}")
+        if edges and lo == edges[-1]:
+            edges[-1] = hi
+        else:
+            edges += [lo, hi]
+    bounds = np.array([0.0, *edges, 1.0])
+    keep = bounds[1:] > bounds[:-1]  # only the first and last interval can be empty
+    codes = np.arange(1, bounds.size, dtype=np.int64) % 2
+    return np.append(bounds[:-1][keep], 1.0), codes[keep]
 
 
 def symmetric_partition() -> SymbolPartition:
-    return SymbolPartition.from_s0(IntervalSet([(0.0, 0.5)]))
+    return SymbolPartition.from_pairs([(0.0, 0.5)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,21 +91,26 @@ class RefinedPartition:
     cuts: np.ndarray  # sorted floats from 0 to 1
     codes: np.ndarray  # one int word code per interval
 
+    def _run_bounds(self) -> np.ndarray:
+        """Index of the first interval of each run of equal codes, then codes.size."""
+        return np.append(np.flatnonzero(np.diff(self.codes, prepend=-1)), self.codes.size)
+
     @property
     def cells(self) -> dict:
-        """Every N-bit word string mapped to its cell as an IntervalSet (built on each access)."""
+        """Every N-bit word string mapped to its cell: a tuple of (lo, hi)
+        pieces, one per run of its code, ascending (built on each access)."""
+        b = self._run_bounds()
         pieces = [[] for _ in range(2**self.depth)]
-        for c, a, b in zip(self.codes.tolist(), self.cuts[:-1].tolist(), self.cuts[1:].tolist()):
-            pieces[c].append((a, b))
-        return {format(c, f"0{self.depth}b"): IntervalSet(ps) for c, ps in enumerate(pieces)}
+        for c, lo, hi in zip(self.codes[b[:-1]].tolist(), self.cuts[b[:-1]].tolist(), self.cuts[b[1:]].tolist()):
+            pieces[c].append((lo, hi))
+        return {format(c, f"0{self.depth}b"): tuple(ps) for c, ps in enumerate(pieces)}
 
     def nonempty_count(self) -> int:
         return int(np.count_nonzero(np.bincount(self.codes, minlength=2**self.depth)))
 
     def min_cell_width(self) -> float:
         """Width of the narrowest cell component, i.e. of a run of equal codes."""
-        starts = np.flatnonzero(np.diff(self.codes, prepend=-1))
-        return float(np.min(np.diff(self.cuts[np.append(starts, self.codes.size)])))
+        return float(np.min(np.diff(self.cuts[self._run_bounds()])))
 
     def word_of(self, x: float) -> str | None:
         """Word of start x, with the left-cell tie convention (lo, hi]."""
@@ -137,19 +154,12 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def depth_one(s: SymbolPartition) -> RefinedPartition:
-    cuts = _sorted_distinct(np.array([0.0, 1.0, *(e for iv in (*s.s0, *s.s1) for e in iv)]))
-    codes = [s.symbol_of(x) for x in 0.5 * (cuts[:-1] + cuts[1:])]
-    return RefinedPartition(depth=1, cuts=cuts, codes=np.array(codes, dtype=np.int64))
-
-
 def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> RefinedPartition:
     """Depth N -> N+1: prepend each possible first bit to every word.
 
     Within a branch each new interval pulls back a piece of one parent
     interval, whose code follows the first bit; M is never evaluated forward.
     """
-    first = depth_one(s)
     pulled = []  # per branch: preimages ascending, parent interval of the piece after each
     for br in m.branches:
         ylo, yhi = br.image
@@ -160,9 +170,9 @@ def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> Refined
             x, par = x[::-1], par[::-1]
         x[0], x[-1] = br.lo, br.hi  # the image ends pull back to the branch ends
         pulled.append((br, x, par))
-    cuts = _sorted_distinct(np.concatenate([first.cuts, *(x for _, x, _ in pulled)]))
+    cuts = _sorted_distinct(np.concatenate([s.cuts, *(x for _, x, _ in pulled)]))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    codes = first.codes[np.searchsorted(first.cuts, mids) - 1] << p.depth
+    codes = s.codes[np.searchsorted(s.cuts, mids) - 1] << p.depth
     for br, x, par in pulled:
         inside = (mids > br.lo) & (mids < br.hi)
         codes[inside] |= p.codes[par[np.searchsorted(x, mids[inside]) - 1]]
@@ -185,8 +195,7 @@ def refinement_ladder(
             f"depth {N} exceeds the cap {max_depth}: cell widths shrink geometrically and "
             "drop below any usable grid resolution"
         )
-    s.validate()
-    ladder = [depth_one(s)]
+    ladder = [RefinedPartition(depth=1, cuts=s.cuts, codes=s.codes)]
     while ladder[-1].depth < N:
         ladder.append(refine_once(m, s, ladder[-1]))
         if min_cell_width is not None and ladder[-1].min_cell_width() < min_cell_width:
@@ -204,7 +213,9 @@ def refine(m: MapModel, s: SymbolPartition, N: int, **kw) -> RefinedPartition:
 
 def partition_from_config(cfg: dict) -> SymbolPartition:
     """Config: {"s0": [[lo,hi],...], optional "s1": [[lo,hi],...]}."""
+    for key in cfg:
+        if key not in ("s0", "s1"):
+            raise ValueError(f"unknown key {key!r}; want 's0' and optionally 's1'")
     if "s0" not in cfg:
         raise ValueError("partition config needs 's0' as a list of [lo, hi] pairs")
-    s1 = cfg.get("s1")
-    return SymbolPartition.from_pairs([tuple(p) for p in cfg["s0"]], None if s1 is None else [tuple(p) for p in s1])
+    return SymbolPartition.from_pairs(cfg["s0"], cfg.get("s1"))

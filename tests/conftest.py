@@ -1,7 +1,6 @@
 import pytest
 
 import chaosrng as cr
-from chaosrng.intervals import IntervalSet
 from chaosrng.partition import SymbolPartition
 
 
@@ -28,7 +27,7 @@ def logistic():
 @pytest.fixture(scope="session")
 def branch_part():
     """Partition split at the cubic map's maximum abscissa."""
-    return SymbolPartition.from_s0(IntervalSet([(0.0, cr.cubic_sample_map().branches[0].hi)]))
+    return SymbolPartition.from_pairs([(0.0, cr.cubic_sample_map().branches[0].hi)])
 
 
 @pytest.fixture(scope="session")

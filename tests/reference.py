@@ -1,15 +1,18 @@
-"""Disjoint unions of subintervals of the unit interval.
+"""Slow interval-set references for the property tests.
 
-An :class:`IntervalSet` represents the bit-generation sets S(0), S(1) and
-the user-facing view of a refined cell: a sorted list of pairwise-disjoint
-open intervals ``(lo, hi)`` inside ``[0, 1]``.  Touching intervals are merged on
-construction, so the representation is canonical and two sets describing the
-same region compare equal.
+:class:`IntervalSet` is a sorted list of pairwise-disjoint open intervals
+``(lo, hi)`` inside ``[0, 1]``; touching intervals merge on construction, so
+two sets describing the same region compare equal.  With
+:func:`preimage_of_set` and :func:`set_mass` it computes refined cells and
+their masses one word at a time, the route that the cut/code refinement in
+``chaosrng.partition`` replaces.
 """
 from __future__ import annotations
 
 import bisect
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class IntervalSet:
@@ -109,3 +112,34 @@ def _normalize(
             merged.append((a, b))
     return tuple(merged)
 
+
+
+def preimage_of_set(m, s: IntervalSet) -> IntervalSet:
+    """{x : M(x) in s} as a normalized interval set.
+
+    Computed branch by branch: clip each target interval to the branch
+    image, pull the endpoints back through the branch inverse.
+    """
+    pieces: list[tuple[float, float]] = []
+    for br in m.branches:
+        ylo, yhi = br.image
+        clipped = [
+            (max(a, ylo), min(b, yhi)) for a, b in s if max(a, ylo) < min(b, yhi)
+        ]
+        if not clipped:
+            continue
+        ys = np.array(clipped, dtype=float)
+        xs = np.asarray(br.inverse(ys))
+        for x0, x1 in xs:
+            lo, hi = (x0, x1) if br.increasing else (x1, x0)
+            pieces.append((max(lo, br.lo), min(hi, br.hi)))
+    return IntervalSet(pieces)
+
+
+def set_mass(f, s: IntervalSet) -> float:
+    """Integral of the density histogram `f` over an IntervalSet."""
+    if s.is_empty:
+        return 0.0
+    pairs = np.asarray(s.intervals, dtype=float)
+    vals = f.cumulative(pairs)
+    return float((vals[:, 1] - vals[:, 0]).sum())

@@ -27,7 +27,6 @@ from chaosrng.density import (
     mc_density,
 )
 from chaosrng.entropy import ProbabilityTable, block_probabilities
-from chaosrng.intervals import IntervalSet
 from chaosrng.partition import SymbolPartition, refinement_ladder
 
 XB = 1.0 / math.sqrt(3.0)
@@ -50,7 +49,7 @@ def cubic():
 
 @pytest.fixture(scope="module")
 def part(cubic):
-    return SymbolPartition.from_s0(IntervalSet([(0.0, XB)]))
+    return SymbolPartition.from_pairs([(0.0, XB)])
 
 
 @pytest.fixture(scope="module")

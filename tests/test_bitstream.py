@@ -66,6 +66,17 @@ def test_raw_float_iteration_is_degenerate(tent, sym_part):
     assert abs(monobit_frequency(dithered) - 0.5) < 0.02
 
 
+def test_raw_iteration_matches_step_loop(cubic):
+    # the raw path classifies all states at once; step by step is the reference
+    s = cr.SymbolPartition.from_pairs([(0.1, 0.3), (0.5, 0.77)])
+    bits = generate_bits(cubic, s, BitstreamConfig(seed=0, length=2_000, dither=False, start=0.3))
+    x, want = 0.3, []
+    for _ in range(2_000):
+        want.append(s.symbol_of(x))
+        x = cr.eval_map(cubic, x)
+    assert bits.tolist() == want
+
+
 def test_empirical_pattern_probs_exact():
     bits = np.tile([0, 1, 0, 1, 0], 50)  # 250 bits, 3/5 zeros
     t = empirical_pattern_probs(bits, 1)
@@ -99,7 +110,8 @@ def test_empirical_pattern_probs_match_int64_route(N):
         t = empirical_pattern_probs(bits, N)
         counts = int64_pattern_counts(bits, N)
         assert t.meta == {"n_bits": n_bits, "windows": n_bits - N + 1}
-        assert [t.probs[format(w, f"0{N}b")] for w in range(2**N)] == (counts / (n_bits - N + 1)).tolist()
+        # t.p is indexed by word code; t.probs would rebuild a 2^N dict per lookup
+        assert t.p.tolist() == (counts / (n_bits - N + 1)).tolist()
 
 
 def test_generate_bits_memory_beside_its_table(cubic, sym_part):

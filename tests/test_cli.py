@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, config handling, exit codes."""
 import copy
+import hashlib
 import json
 import os
 import re
@@ -231,6 +232,27 @@ def test_bitgen_stream_and_extractor(tmp_path, capsys):
     assert "P(01)" in out
 
 
+# sha256 of stream.bits and stream_vn.bits as written while S(0) was still
+# stored as an interval set; the second partition has three cuts inside (0, 1)
+STREAM_SHA256 = {
+    (): ("51abe626702142e69b06af89c3c923b3ffcfca2155a905eea1580c658046027c",
+         "e2bd3306052c2bf442186b2e32e28374bcb672d226ac13ef35f903cdde7d8436"),
+    ("--s0", "0:0.3,0.5:0.77"): ("d74a5b5b391f7216adbe193f6668c8a6ca298d293655b766a15af971ee3b1b0d",
+                                 "f3958bb9c5bd8a0680b33a90f100c62ff23452db64cc8abcb17fdb5ef5b7e0a3"),
+}
+
+
+@pytest.mark.parametrize("flags", list(STREAM_SHA256), ids=["default", "s0-three-cuts"])
+def test_bitgen_stream_bytes_are_pinned(tmp_path, capsys, flags):
+    code, _, _ = run(
+        capsys, "bitgen", "--map", "cubic_sample", "--length", "200000", "--stream-grid", "1048576",
+        "--seed", "0", "--von-neumann", *flags, "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("stream.bits", "stream_vn.bits"))
+    assert got == STREAM_SHA256[flags]
+
+
 def test_verify_passes_on_tent(tmp_path, capsys):
     code, out, _ = run(
         capsys, "verify", "--map", "tent", "--L", "256", "--K", "1000000",
@@ -285,6 +307,12 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         ({"start": 2}, [], "start"),
         ({}, ["--stream-grid", "10"], "stream_grid"),
         ({}, ["--start", "2"], "start"),
+        ({"partition": {"s0": [[0.5, 0.2]]}}, [], "partition"),
+        ({"partition": {"s0": [[0.2, 0.5]], "s1": [[0.5, 0.6]]}}, [], "partition"),
+        ({"partition": {"s0": [[0.0, 0.4], [0.3, 0.6]]}}, [], "partition"),
+        ({"partition": {"s0": [[0.5, 1.5]]}}, [], "partition"),
+        ({}, ["--s0", "0.3:0.3"], "partition"),
+        ({"partition": {"s0": [[0.0, 0.5]], "S1": [[0.5, 1.0]]}}, [], "partition"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

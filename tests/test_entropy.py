@@ -22,7 +22,6 @@ from chaosrng.entropy import (
     per_bit_entropies,
     rate_budget,
 )
-from chaosrng.intervals import IntervalSet
 from chaosrng.partition import SymbolPartition, refine
 
 # frozen: -(0.57 log2 0.57 + 0.43 log2 0.43)
@@ -144,7 +143,7 @@ def test_array_table_ops_match_string_keyed_reference(pair):
 
 
 def test_block_probabilities_uniform_oracle():
-    s = SymbolPartition.from_s0(IntervalSet([(0.0, 0.7)]))
+    s = SymbolPartition.from_pairs([(0.0, 0.7)])
     p = refine(cr.bernoulli_map(), s, 1)
     t = block_probabilities(p, uniform_density(256))
     assert t.probs["0"] == pytest.approx(0.7, abs=1e-9)

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaosrng.intervals import IntervalSet
+from reference import IntervalSet
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 pair = st.tuples(unit, unit)

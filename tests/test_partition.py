@@ -10,50 +10,74 @@ from hypothesis.extra.numpy import arrays
 import chaosrng as cr
 from chaosrng.density import DensityHistogram
 from chaosrng.entropy import ProbabilityTable, block_entropy, block_probabilities
-from chaosrng.intervals import IntervalSet
-from chaosrng.maps import piecewise_linear_map, preimage_of_set
+from chaosrng.maps import piecewise_linear_map
 from chaosrng.partition import (
     PartitionInvariantError,
     RefinementError,
     SymbolPartition,
     _sorted_distinct,
-    depth_one,
     partition_from_config,
     refine,
     refinement_ladder,
 )
+from reference import IntervalSet, preimage_of_set, set_mass
 
 XB = 1.0 / math.sqrt(3.0)
 
 
-def test_from_s0_complements():
-    s = SymbolPartition.from_s0(IntervalSet([(0.0, 0.3), (0.6, 0.8)]))
-    s.validate()
-    assert s.s1 == IntervalSet([(0.3, 0.6), (0.8, 1.0)])
-    assert s[0].measure + s[1].measure == pytest.approx(1.0)
+def test_from_pairs_complements():
+    s = SymbolPartition.from_pairs([(0.6, 0.8), (0.0, 0.3)])
+    assert s.cuts.tolist() == [0.0, 0.3, 0.6, 0.8, 1.0]
+    assert s.codes.tolist() == [0, 1, 0, 1]
+    # touching pairs merge, and an explicit S(1) may restate the complement
+    t = SymbolPartition.from_pairs([(0.0, 0.2), (0.2, 0.3), (0.6, 0.8)], [(0.3, 0.6), (0.8, 1.0)])
+    assert t.cuts.tolist() == s.cuts.tolist() and t.codes.tolist() == s.codes.tolist()
+    # S(0) may reach 1, or be empty
+    assert SymbolPartition.from_pairs([(0.4, 1.0)]).codes.tolist() == [1, 0]
+    assert SymbolPartition.from_pairs([]).codes.tolist() == [1]
 
 
 def test_symbol_of_ties():
-    s = SymbolPartition.from_s0(IntervalSet([(0.0, 0.5)]))
+    s = SymbolPartition.from_pairs([(0.0, 0.5)])
     assert s.symbol_of(0.5) == 0  # boundary belongs to the left cell
     assert s.symbol_of(0.50000001) == 1
     assert s.symbol_of(0.1) == 0
 
 
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0), min_size=0, max_size=8, unique=True),
+    st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=20),
+)
+def test_symbol_of_matches_interval_set(ends, xs):
+    ends = sorted(ends)
+    pairs = list(zip(ends[0::2], ends[1::2]))
+    s = SymbolPartition.from_pairs(pairs)
+    ref = IntervalSet(pairs)
+    want = [0 if ref.contains(x) else 1 for x in xs]
+    assert [s.symbol_of(x) for x in xs] == want
+    assert s.symbol_of(np.array(xs)).tolist() == want
+
+
 def test_validate_rejects_overlap_and_gap():
-    s = SymbolPartition(s0=IntervalSet([(0.0, 0.6)]), s1=IntervalSet([(0.4, 1.0)]))
-    with pytest.raises(PartitionInvariantError):
-        s.validate()
-    s = SymbolPartition(s0=IntervalSet([(0.0, 0.4)]), s1=IntervalSet([(0.5, 1.0)]))
-    with pytest.raises(PartitionInvariantError):
-        s.validate()
+    with pytest.raises(ValueError, match="complement"):
+        SymbolPartition.from_pairs([(0.0, 0.6)], [(0.4, 1.0)])
+    with pytest.raises(ValueError, match="complement"):
+        SymbolPartition.from_pairs([(0.0, 0.4)], [(0.5, 1.0)])
+    with pytest.raises(ValueError, match="overlaps"):
+        SymbolPartition.from_pairs([(0.0, 0.4), (0.3, 0.5)])
+    for pair in [(0.5, 0.2), (0.3, 0.3), (-0.1, 0.5), (0.5, 1.5)]:
+        with pytest.raises(ValueError, match="0 <= lo < hi <= 1"):
+            SymbolPartition.from_pairs([pair])
 
 
 def test_partition_from_config():
     s = partition_from_config({"s0": [[0.0, 0.25], [0.5, 0.75]]})
-    assert s.s0.measure == pytest.approx(0.5)
+    assert s.cuts.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert s.codes.tolist() == [0, 1, 0, 1]
     with pytest.raises(ValueError):
         partition_from_config({"s1": [[0.0, 0.5]]})
+    with pytest.raises(ValueError, match="unknown key 'S1'"):
+        partition_from_config({"s0": [[0.0, 0.5]], "S1": [[0.5, 1.0]]})
 
 
 def test_depth_limits(cubic, branch_part):
@@ -78,7 +102,7 @@ def test_bernoulli_cells_are_binary_expansions(bernoulli, sym_part):
         for w, cell in p.cells.items():
             lo = int(w, 2) / 2**N
             assert len(cell) == 1
-            a, b = cell.intervals[0]
+            a, b = cell[0]
             assert a == pytest.approx(lo, abs=1e-9)
             assert b == pytest.approx(lo + 2.0**-N, abs=1e-9)
 
@@ -88,7 +112,7 @@ def test_tent_cells_are_dyadic(tent, sym_part):
     assert p.nonempty_count() == 32
     for cell in p.cells.values():
         assert len(cell) == 1
-        a, b = cell.intervals[0]
+        a, b = cell[0]
         assert (b - a) == pytest.approx(2.0**-5, abs=1e-9)
         assert a * 32 == pytest.approx(round(a * 32), abs=1e-6)
 
@@ -181,11 +205,12 @@ def test_to_json(tmp_path, tent, sym_part):
     assert '"00"' in text and '"11"' in text
 
 
-def test_depth_one(sym_part):
-    p = depth_one(sym_part)
+def test_depth_one(tent, sym_part):
+    # level 1 of the ladder is the partition itself
+    p = refinement_ladder(tent, sym_part, 1)[0]
     assert p.depth == 1
-    assert p.cells["0"] == sym_part.s0
-    assert p.cells["1"] == sym_part.s1
+    assert p.cuts is sym_part.cuts and p.codes is sym_part.codes
+    assert p.cells == {"0": ((0.0, 0.5),), "1": ((0.5, 1.0),)}
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +219,12 @@ def test_depth_one(sym_part):
 
 def reference_ladder(m, s, N):
     """cell(i w) = S(i) n M^-1(cell(w)), one {word: IntervalSet} dict per depth."""
-    levels = [{"0": s.s0, "1": s.s1}]
+    tiles = list(zip(s.cuts[:-1].tolist(), s.cuts[1:].tolist(), s.codes.tolist()))
+    first = {str(i): IntervalSet((a, b) for a, b, c in tiles if c == i) for i in (0, 1)}
+    levels = [first]
     while len(levels) < N:
         pre = {w: preimage_of_set(m, c) for w, c in levels[-1].items()}
-        levels.append({i + w: s[i].intersect(pw) for i in "01" for w, pw in pre.items()})
+        levels.append({i + w: first[i].intersect(pw) for i in "01" for w, pw in pre.items()})
     return levels
 
 
@@ -208,7 +235,7 @@ def _bumpy_density(L=500):
 
 def assert_matches_reference(m, s, N, f):
     for p, cells in zip(refinement_ladder(m, s, N), reference_ladder(m, s, N), strict=True):
-        raw = {w: f.set_mass(c) for w, c in cells.items()}
+        raw = {w: set_mass(f, c) for w, c in cells.items()}
         total = sum(raw.values())
         want = ProbabilityTable(depth=p.depth, p=[raw[w] / total for w in sorted(raw)])
         got = block_probabilities(p, f, warn_below_bin=False)
@@ -216,13 +243,14 @@ def assert_matches_reference(m, s, N, f):
         assert abs(block_entropy(got) - block_entropy(want)) < 1e-12
         if p.depth <= 6:
             for w, c in p.cells.items():
+                c = IntervalSet(c)
                 assert c.measure + cells[w].measure - 2 * c.intersect(cells[w]).measure < 1e-12, w
 
 
 @pytest.mark.parametrize("name", sorted(cr.maps.BUILTIN_MAPS))
 def test_ladder_matches_interval_recurrence_on_builtins(name):
     m = cr.maps.BUILTIN_MAPS[name]()
-    s = SymbolPartition.from_s0(IntervalSet([(0.0, m.branches[0].hi)]))
+    s = SymbolPartition.from_pairs([(0.0, m.branches[0].hi)])
     assert_matches_reference(m, s, 10, _bumpy_density())
 
 
@@ -242,7 +270,7 @@ def maps_and_partitions(draw):
     first = draw(st.integers(0, 1))
     s0 = [(a, b) for i, (a, b) in enumerate(zip(edges, edges[1:])) if i % 2 == first]
     depth = draw(st.integers(1, {2: 10, 3: 6, 4: 5}[k]))
-    return piecewise_linear_map(xs, ys), SymbolPartition.from_s0(IntervalSet(s0)), depth
+    return piecewise_linear_map(xs, ys), SymbolPartition.from_pairs(s0), depth
 
 
 @settings(max_examples=30, deadline=None)
