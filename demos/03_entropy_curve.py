@@ -16,7 +16,7 @@ xb = 1.0 / math.sqrt(3.0)
 m = cr.cubic_sample_map()
 s = SymbolPartition.from_pairs([(0.0, xb)])
 
-res = cr.run_analysis(m, s, depth=12, method="fp_operator", L=8192, tol=1e-11,
+res = cr.run_analysis(m, s, depth=12, density=cr.fp_fixed_point(m, 8192, tol=1e-11),
                       input_rate=1.0e6)
 r = res.report
 
@@ -30,6 +30,7 @@ print(f"raw rate R = {r.input_rate:.3g} bit/s -> R_d = h*R = {r.recommended_rate
       f"(overhead factor {r.overhead:.4f})")
 
 # the ideal baseline: for the tent map every h_N is exactly 1
-ideal = cr.run_analysis(cr.tent_map(), cr.symmetric_partition(), depth=8, L=1024)
+tent = cr.tent_map()
+ideal = cr.run_analysis(tent, cr.symmetric_partition(), depth=8, density=cr.fp_fixed_point(tent, 1024))
 print(f"\ntent map baseline: bias = {ideal.report.bias:.1e}, "
       f"h = {ideal.report.h_estimate:.6f} (a perfect coin)")

@@ -1,8 +1,9 @@
 """End-to-end analysis: density -> refinement -> probabilities -> entropies.
 
-`run_analysis` is the one-call pipeline behind the CLI's `analyze` command.
-Every run passes through `check_invariants`, an always-on assertion suite
-over the structural guarantees (partition prefix consistency, M carrying
+`run_analysis` is the one-call pipeline behind the CLI's `analyze` and
+`verify` commands; it takes the density ready-made.  Every run passes
+through `check_invariants`, an always-on assertion suite over the
+structural guarantees (partition prefix consistency, M carrying
 each refined interval into the parent cell of its word's last N-1 bits,
 marginal consistency, the telescoping entropy identity, entropy bounds).
 Refined cells are disjoint and tile [0, 1] by construction, as runs of one
@@ -16,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy as _entropy
-from .density import DEFAULT_BURN_IN, DEFAULT_K, DEFAULT_L, DensityHistogram, density_for
+from .density import DensityHistogram
 from .entropy import EntropyReport, ProbabilityTable
 from .maps import MapModel
 from .partition import RefinedPartition, SymbolPartition, refinement_ladder
 
 DEFAULT_DEPTH = 14
+_RATE_WINDOW = 4  # tail length of the entropy-rate estimate
 
 
 class InvariantViolation(AssertionError):
@@ -77,35 +79,18 @@ def run_analysis(
     s: SymbolPartition,
     depth: int = DEFAULT_DEPTH,
     *,
-    density: DensityHistogram | None = None,
-    method: str = "fp_operator",
-    L: int = DEFAULT_L,
-    seed: int = 0,
-    K: int = DEFAULT_K,
-    burn_in: int = DEFAULT_BURN_IN,
-    tol: float = 1e-9,
+    density: DensityHistogram,
     input_rate: float | None = None,
-    rate_window: int = 4,
-    shards: int = 1,
-    grid_factor: int | None = None,
 ) -> AnalysisResult:
-    """Full pipeline for one map + partition.
-
-    A precomputed `density` short-circuits the density stage (useful for
-    comparing methods on identical refinements).
-    """
-    if density is None:
-        density = density_for(
-            m, method, L, seed=seed, K=K, burn_in=burn_in, tol=tol,
-            shards=shards, grid_factor=grid_factor,
-        )
+    """Full pipeline for one map + partition on a precomputed `density`
+    (build it with `density.density_for`, `fp_fixed_point` or `mc_density`)."""
     ladder = refinement_ladder(m, s, depth)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         tables = [_entropy.block_probabilities(p, density) for p in ladder]
     H = [_entropy.block_entropy(t) for t in tables]
     h = _entropy.per_bit_entropies(H)
-    est = _entropy.entropy_rate_estimate(h, window=min(rate_window, len(h))) if len(h) >= 2 else None
+    est = _entropy.entropy_rate_estimate(h, window=min(_RATE_WINDOW, len(h))) if len(h) >= 2 else None
     b = _entropy.bias(tables[0])
 
     budget = None

@@ -11,7 +11,6 @@ periodic orbits.
 """
 from __future__ import annotations
 
-import bisect
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,29 +52,6 @@ class BitstreamConfig:
             raise ValueError(f"start must lie in (0,1), got {self.start}")
 
 
-def _grid_cuts(s: SymbolPartition, L: int) -> np.ndarray:
-    """S(0) on the grid j/L as integer cuts: state j has bit 0 iff an odd
-    number of cuts is <= j (left-cell ties: j/L on a cut b of (a, b] is in it).
-
-    The cuts are the ends of S(0)'s runs: the points of `s.cuts` where the
-    code changes, with bit 1 taken outside [0, 1].  Each run (a, b] is the
-    states first_above(a) <= j < first_above(b).  Chain states are 1..L;
-    state 0 never occurs.
-    """
-
-    def first_above(t: float) -> int:
-        # j/L is monotone in j and rounds exactly like numpy's float64 division
-        return bisect.bisect_right(range(L + 1), t, key=lambda j: j / L)
-
-    ends = s.cuts[np.flatnonzero(np.diff(s.codes, prepend=1, append=1))]
-    return np.array([first_above(t) for t in ends.tolist()], dtype=np.int64)
-
-
-def _grid_bits(cuts: np.ndarray, states):
-    """Bits of grid states (True for 1) from their :func:`_grid_cuts`."""
-    return (np.searchsorted(cuts, states, side="right") & 1) == 0
-
-
 def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.ndarray:
     """Binary sequence from iterating the map; uint8 array of 0/1.
 
@@ -91,12 +67,11 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
     if cfg.dither:
         L = cfg.L
         table = scaled_map_table(m, L)
-        cuts = _grid_cuts(s, L)
         if cfg.start is not None:
             j = max(1, min(L, round(cfg.start * L)))
         else:
             j = int(rng.integers(1, L + 1))
-        out[0] = _grid_bits(cuts, j)
+        out[0] = s.symbol_of(j / L)
         n = 1
         # the same doubles as one uniform(size=length) draw; bit n is read from
         # state j_n, so the last value is drawn but unused
@@ -105,7 +80,7 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
             if lo + len(noise) == cfg.length:
                 noise = noise[:-1]
             for states in chain_states(table, noise, j, L):
-                out[n : n + len(states)] = _grid_bits(cuts, states)
+                out[n : n + len(states)] = s.symbol_of(states / L)
                 n += len(states)
                 j = int(states[-1])
         return out

@@ -335,6 +335,7 @@ def cmd_bitgen(cfg: AnalysisConfig, von_neumann: bool, ascii_out: bool) -> int:
 def cmd_verify(cfg: AnalysisConfig) -> int:
     m = cfg.build_map()
     s = cfg.build_partition(m)
+    depth = min(cfg.depth, 8)
     checks = []  # (name, value, tolerance, ok)
 
     with warnings.catch_warnings():
@@ -344,38 +345,25 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
         d = _density.l1_distance(mc, fp)
         checks.append(("L1(mc, fp)", d, 0.05, d < 0.05))
 
-        depth = min(cfg.depth, 8)
-        ladder = _partition.refinement_ladder(m, s, depth)
-        tables_fp = [_entropy.block_probabilities(p, fp) for p in ladder]
-        tables_mc = [_entropy.block_probabilities(p, mc) for p in ladder]
-        h_fp = _entropy.per_bit_entropies([_entropy.block_entropy(t) for t in tables_fp])
-        h_mc = _entropy.per_bit_entropies([_entropy.block_entropy(t) for t in tables_mc])
-        dh = max(abs(a - b) for a, b in zip(h_fp, h_mc))
-        checks.append(("max|h_N(mc) - h_N(fp)|", dh, 0.01, dh < 0.01))
-
-        bits = _bitstream.generate_bits(
-            m, s, _bitstream.BitstreamConfig(seed=cfg.seed, length=max(cfg.length, 1_000_000), L=1 << 24)
-        )
-        tv = max(
-            _bitstream.total_variation(tables_fp[N - 1], _bitstream.empirical_pattern_probs(bits, N))
-            for N in range(1, min(depth, 4) + 1)
-        )
-        checks.append(("max TV(blocks, stream)", tv, 0.01, tv < 0.01))
-
         try:
-            H = [_entropy.block_entropy(t) for t in tables_fp]
-            report = _entropy.EntropyReport(
-                H=H,
-                h=h_fp,
-                h_estimate=h_fp[-1],
-                spread=0.0,
-                bias=_entropy.bias(tables_fp[0]),
-                tables=tables_fp,
+            res_fp = _analysis.run_analysis(m, s, depth, density=fp)
+            res_mc = _analysis.run_analysis(m, s, depth, density=mc)
+        except _analysis.InvariantViolation:
+            res_fp = None
+        dh = tv = float("nan")  # nan < tolerance is False: both checks fail
+        if res_fp is not None:
+            dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
+            bits = _bitstream.generate_bits(
+                m, s, _bitstream.BitstreamConfig(seed=cfg.seed, length=max(cfg.length, 1_000_000), L=1 << 24)
             )
-            _analysis.check_invariants(m, ladder, tables_fp, report)
-            checks.append(("structural invariants", 0.0, 0.0, True))
-        except AssertionError:
-            checks.append(("structural invariants", 1.0, 0.0, False))
+            tv = max(
+                _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(bits, N))
+                for N in range(1, min(depth, 4) + 1)
+            )
+        checks.append(("max|h_N(mc) - h_N(fp)|", dh, 0.01, dh < 0.01))
+        checks.append(("max TV(blocks, stream)", tv, 0.01, tv < 0.01))
+        ok = res_fp is not None
+        checks.append(("structural invariants", 0.0 if ok else 1.0, 0.0, ok))
 
     width = max(len(n) for n, *_ in checks)
     failed = False

@@ -436,7 +436,6 @@ def density_for(
     K: int = DEFAULT_K,
     burn_in: int = DEFAULT_BURN_IN,
     tol: float = 1e-9,
-    max_iter: int = 2000,
     shards: int = 1,
     grid_factor: int | None = None,
 ) -> DensityHistogram:
@@ -445,5 +444,5 @@ def density_for(
         cfg = DitherConfig(seed=seed, burn_in=burn_in, K=K, grid_factor=grid_factor or 16)
         return mc_density(m, L, cfg, shards=shards)
     if method == "fp_operator":
-        return fp_fixed_point(m, L, tol=tol, max_iter=max_iter, grid_factor=grid_factor or 1)
+        return fp_fixed_point(m, L, tol=tol, grid_factor=grid_factor or 1)
     raise ValueError(f"unknown density method {method!r}")

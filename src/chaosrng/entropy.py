@@ -19,6 +19,9 @@ from .density import DensityHistogram
 from .partition import RefinedPartition
 
 
+MONOTONE_SLACK = 1e-6  # largest h_N increase EntropyReport.validate accepts silently
+
+
 class TableError(ValueError):
     """Probability table malformed or at the wrong depth."""
 
@@ -178,23 +181,20 @@ class EntropyReport:
     def depth(self) -> int:
         return len(self.H)
 
-    def validate(self, monotone_slack: float = 1e-6) -> None:
+    def validate(self) -> None:
         """Bounds and monotonicity checks.
 
         Monotone decrease of the per-bit entropies holds for the exact
         invariant measure; a numerically estimated density (Monte Carlo in
-        particular) violates it at its own noise scale, so the slack is a
-        parameter.  Violations beyond the slack warn rather than fail here;
-        strict enforcement belongs to the caller that controls the density
-        accuracy.
+        particular) violates it at its own noise scale.  An increase beyond
+        `MONOTONE_SLACK` warns rather than fails here; strict enforcement
+        belongs to the caller that controls the density accuracy.
         """
         for n, Hn in enumerate(self.H, start=1):
             if not -1e-9 <= Hn <= n + 1e-9:
                 raise TableError(f"H_{n} = {Hn} outside [0, {n}]")
-        worst = max(
-            (b - a for a, b in zip(self.h, self.h[1:])), default=0.0
-        )
-        if worst > monotone_slack:
+        worst = self.monotone_defect()
+        if worst > MONOTONE_SLACK:
             warnings.warn(
                 f"per-bit entropy increased by {worst:.2e} along the curve; the density is "
                 "not stationary enough at this depth (raise L or K)",

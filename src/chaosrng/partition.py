@@ -179,43 +179,39 @@ def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> Refined
     return RefinedPartition(depth=p.depth + 1, cuts=cuts, codes=codes)
 
 
-def refinement_ladder(
-    m: MapModel, s: SymbolPartition, N: int, *, max_depth: int = DEFAULT_MAX_DEPTH, min_cell_width: float | None = None
-) -> list[RefinedPartition]:
-    """All refinements up to depth N (reusing each level to build the next).
-
-    `min_cell_width`, when given, aborts once the narrowest nonempty cell
-    component falls below it (cells finer than the density grid make the
-    later integration meaningless).
-    """
+def refinement_ladder(m: MapModel, s: SymbolPartition, N: int) -> list[RefinedPartition]:
+    """All refinements up to depth N (reusing each level to build the next)."""
     if N < 1:
         raise RefinementError("depth must be at least 1")
-    if N > max_depth:
+    if N > DEFAULT_MAX_DEPTH:
         raise RefinementError(
-            f"depth {N} exceeds the cap {max_depth}: cell widths shrink geometrically and "
+            f"depth {N} exceeds the cap {DEFAULT_MAX_DEPTH}: cell widths shrink geometrically and "
             "drop below any usable grid resolution"
         )
     ladder = [RefinedPartition(depth=1, cuts=s.cuts, codes=s.codes)]
     while ladder[-1].depth < N:
         ladder.append(refine_once(m, s, ladder[-1]))
-        if min_cell_width is not None and ladder[-1].min_cell_width() < min_cell_width:
-            raise RefinementError(
-                f"narrowest cell at depth {ladder[-1].depth} is {ladder[-1].min_cell_width():.3e}, "
-                f"below the resolution floor {min_cell_width:.3e}"
-            )
     return ladder
 
 
-def refine(m: MapModel, s: SymbolPartition, N: int, **kw) -> RefinedPartition:
+def refine(m: MapModel, s: SymbolPartition, N: int) -> RefinedPartition:
     """Depth-N refinement of the bit-generation partition (see `refinement_ladder`)."""
-    return refinement_ladder(m, s, N, **kw)[-1]
+    return refinement_ladder(m, s, N)[-1]
 
 
 def partition_from_config(cfg: dict) -> SymbolPartition:
-    """Config: {"s0": [[lo,hi],...], optional "s1": [[lo,hi],...]}."""
+    """Config: {"s0": [[lo,hi],...], optional "s1": [[lo,hi],...]}; pair ends
+    are JSON numbers, and neither S(0) nor S(1) may be empty."""
     for key in cfg:
         if key not in ("s0", "s1"):
             raise ValueError(f"unknown key {key!r}; want 's0' and optionally 's1'")
     if "s0" not in cfg:
         raise ValueError("partition config needs 's0' as a list of [lo, hi] pairs")
-    return SymbolPartition.from_pairs(cfg["s0"], cfg.get("s1"))
+    for key in ("s0", "s1"):
+        for pair in cfg.get(key) or ():
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
+                raise ValueError(f"{key}: pair {pair!r} needs numbers for its ends")
+    s = SymbolPartition.from_pairs(cfg["s0"], cfg.get("s1"))
+    if s.codes.size < 2:
+        raise ValueError(f"every bit would be {s.codes[0]}: S(0) and S(1) must both be non-empty")
+    return s

@@ -153,7 +153,7 @@ def test_acceptance_6_analytic_baselines():
     fails = []
     detail = []
     for name, m in (("tent", cr.tent_map()), ("bernoulli", cr.bernoulli_map())):
-        res = run_analysis(m, cr.symmetric_partition(), depth=12, method="fp_operator", L=4096, tol=1e-11)
+        res = run_analysis(m, cr.symmetric_partition(), depth=12, density=fp_fixed_point(m, 4096, tol=1e-11))
         r = res.report
         dh = max(abs(h - 1.0) for h in r.h)
         detail.append(f"{name}: bias={r.bias:.1e}, max|h_N - 1|={dh:.1e}")
@@ -191,7 +191,7 @@ def test_acceptance_7_oracle_equivalence(part):
 
 
 def test_acceptance_8_structural_properties(cubic, part):
-    res = run_analysis(cubic, part, depth=10, method="fp_operator", L=2048, tol=1e-11, grid_factor=4)
+    res = run_analysis(cubic, part, depth=10, density=fp_fixed_point(cubic, 2048, tol=1e-11, grid_factor=4))
     # the pipeline already ran check_invariants; re-verify each guarantee here
     for i, p in enumerate(res.ladder):
         p.validate(cubic, parent=res.ladder[i - 1] if i else None)

@@ -7,7 +7,7 @@ from chaosrng.entropy import ProbabilityTable
 
 
 def test_tent_pipeline_is_ideal(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=8, method="fp_operator", L=512)
+    res = run_analysis(tent, sym_part, depth=8, density=cr.fp_fixed_point(tent, 512))
     r = res.report
     assert r.bias == pytest.approx(0.0, abs=1e-9)
     for h in r.h:
@@ -18,7 +18,7 @@ def test_tent_pipeline_is_ideal(tent, sym_part):
 
 
 def test_cubic_pipeline_provenance(cubic, branch_part):
-    res = run_analysis(cubic, branch_part, depth=6, method="fp_operator", L=1024, grid_factor=4)
+    res = run_analysis(cubic, branch_part, depth=6, density=cr.fp_fixed_point(cubic, 1024, grid_factor=4))
     r = res.report
     assert r.provenance["map"] == "cubic_sample"
     assert r.provenance["density_method"] == "fp_operator"
@@ -28,7 +28,7 @@ def test_cubic_pipeline_provenance(cubic, branch_part):
 
 
 def test_rate_budget_wiring(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=4, L=256, input_rate=2.0e6)
+    res = run_analysis(tent, sym_part, depth=4, density=cr.fp_fixed_point(tent, 256), input_rate=2.0e6)
     r = res.report
     assert r.recommended_rate == pytest.approx(2.0e6, rel=1e-6)
     assert r.overhead == pytest.approx(1.0, abs=1e-6)
@@ -41,13 +41,13 @@ def test_precomputed_density_short_circuit(tent, sym_part):
 
 
 def test_montecarlo_route(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=4, method="montecarlo", L=256, seed=3, K=1_000_000)
+    res = run_analysis(tent, sym_part, depth=4, density=cr.mc_density(tent, 256, cr.DitherConfig(seed=3, K=1_000_000)))
     assert res.report.bias < 0.005
     assert res.density.meta["rng"] == "PCG64"
 
 
 def test_invariant_suite_catches_bad_tables(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=3, L=256)
+    res = run_analysis(tent, sym_part, depth=3, density=cr.fp_fixed_point(tent, 256))
     # corrupt one deep table: marginal consistency must trip
     bad = ProbabilityTable(depth=3, p=res.tables[2].p.copy())
     bad.p[0] += 0.01  # word 000
@@ -57,7 +57,7 @@ def test_invariant_suite_catches_bad_tables(tent, sym_part):
 
 
 def test_invariant_suite_catches_broken_curve(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=3, L=256)
+    res = run_analysis(tent, sym_part, depth=3, density=cr.fp_fixed_point(tent, 256))
     report = res.report
     report.H = [0.5, 1.0, 1.5]  # no longer telescopes against report.h
     with pytest.raises(cr.InvariantViolation):
@@ -65,7 +65,7 @@ def test_invariant_suite_catches_broken_curve(tent, sym_part):
 
 
 def test_invariant_suite_runs_the_forward_check(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=3, L=256)
+    res = run_analysis(tent, sym_part, depth=3, density=cr.fp_fixed_point(tent, 256))
     p = res.ladder[-1]
     codes = p.codes.copy()
     codes[0] ^= 1  # a wrong last bit keeps every prefix intact

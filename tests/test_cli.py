@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chaosrng import analysis
+from chaosrng.analysis import InvariantViolation
 from chaosrng.bitstream import read_stream, read_stream_ascii
 from chaosrng.cli import AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
 
@@ -166,10 +168,12 @@ def test_montecarlo_density_independent_of_cpu_count(tmp_path, capsys, monkeypat
     assert json.loads(outputs[0]["density_montecarlo.json"])["shards"] == 1
 
 
-def test_analyze_writes_report(tmp_path, capsys):
+def test_analyze_writes_report(tmp_path, capsys, monkeypatch):
+    # a relative output directory keeps the config hash inside report.json fixed
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(
         capsys, "analyze", "--map", "cubic_sample", "--depth", "6",
-        "--L", "512", "--grid-factor", "4", "--rate", "1000000", "--out-dir", str(tmp_path),
+        "--L", "512", "--grid-factor", "4", "--rate", "1000000", "--out-dir", ".",
     )
     assert code == 0
     assert "h_estimate=" in out and "R_d=" in out
@@ -178,6 +182,8 @@ def test_analyze_writes_report(tmp_path, capsys):
     assert len(report["H"]) == 6
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_lines[1] == "N,H_N,h_N"
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == "212f863b48a5f8bc94c650bfa679ab7a7ce7827b6ecf1ea672a0081c74f7ed16"
 
 
 def test_analyze_leaves_numpy_ma_unimported(tmp_path):
@@ -253,14 +259,22 @@ def test_bitgen_stream_bytes_are_pinned(tmp_path, capsys, flags):
     assert got == STREAM_SHA256[flags]
 
 
+VERIFY_TENT_ARGS = (
+    "verify", "--map", "tent", "--L", "256", "--K", "1000000", "--grid-factor", "16", "--depth", "6",
+)
+
+
 def test_verify_passes_on_tent(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "verify", "--map", "tent", "--L", "256", "--K", "1000000",
-        "--grid-factor", "16", "--depth", "6", "--out-dir", str(tmp_path),
-    )
+    code, out, _ = run(capsys, *VERIFY_TENT_ARGS, "--out-dir", str(tmp_path))
     assert code == 0
     assert out.count("PASS") == 4
     assert "FAIL" not in out
+    assert out == (
+        "L1(mc, fp)              value=0.012901  tolerance=0.05  PASS\n"
+        "max|h_N(mc) - h_N(fp)|  value=0.000025  tolerance=0.01  PASS\n"
+        "max TV(blocks, stream)  value=0.001169  tolerance=0.01  PASS\n"
+        "structural invariants   value=0.000000  tolerance=0  PASS\n"
+    )
 
 
 def test_verify_cubic_stream_check_passes_at_seed_11(tmp_path, capsys):
@@ -268,6 +282,28 @@ def test_verify_cubic_stream_check_passes_at_seed_11(tmp_path, capsys):
     _, out, _ = run(capsys, "verify", "--map", "cubic_sample", "--seed", "11", "--out-dir", str(tmp_path))
     line = next(row for row in out.splitlines() if row.startswith("max TV(blocks, stream)"))
     assert line.endswith("PASS"), line
+    # the L1 check fails: the grid chain's known bias against the operator density
+    assert out == (
+        "L1(mc, fp)              value=0.129700  tolerance=0.05  FAIL\n"
+        "max|h_N(mc) - h_N(fp)|  value=0.001529  tolerance=0.01  PASS\n"
+        "max TV(blocks, stream)  value=0.001821  tolerance=0.01  PASS\n"
+        "structural invariants   value=0.000000  tolerance=0  PASS\n"
+    )
+
+
+def test_verify_reports_invariant_failure(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise InvariantViolation("forced")
+
+    monkeypatch.setattr(analysis, "check_invariants", broken)
+    code, out, _ = run(capsys, *VERIFY_TENT_ARGS, "--out-dir", str(tmp_path))
+    assert code == 1
+    assert out == (
+        "L1(mc, fp)              value=0.012901  tolerance=0.05  PASS\n"
+        "max|h_N(mc) - h_N(fp)|  value=nan  tolerance=0.01  FAIL\n"
+        "max TV(blocks, stream)  value=nan  tolerance=0.01  FAIL\n"
+        "structural invariants   value=1.000000  tolerance=0  FAIL\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +349,11 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         ({"partition": {"s0": [[0.5, 1.5]]}}, [], "partition"),
         ({}, ["--s0", "0.3:0.3"], "partition"),
         ({"partition": {"s0": [[0.0, 0.5]], "S1": [[0.5, 1.0]]}}, [], "partition"),
+        ({"partition": {"s0": [[False, True]]}}, [], "partition"),
+        ({"partition": {"s0": [["0", "0.5"]]}}, [], "partition"),
+        ({"partition": {"s0": []}}, [], "partition"),
+        ({"partition": {"s0": [[0, 1]]}}, [], "partition"),
+        ({}, ["--s0", "0:1"], "partition"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

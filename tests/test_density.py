@@ -14,7 +14,7 @@ import chaosrng as cr
 from chaosrng import density
 from chaosrng.analysis import run_analysis
 from chaosrng import maps as _maps
-from chaosrng.bitstream import BitstreamConfig, _grid_bits, _grid_cuts, generate_bits
+from chaosrng.bitstream import BitstreamConfig, generate_bits
 from chaosrng.density import (
     DensityHistogram,
     DitherConfig,
@@ -169,7 +169,7 @@ def test_grid_tables_match_one_shot_construction(cubic, branch_part, L):
     states = np.arange(1, L + 1)
     parts = [(0.1, 0.3), (0.5, 0.77)], [(0.2, 0.6), (0.8, 1.0)]
     for part in (branch_part, cr.symmetric_partition(), *map(SymbolPartition.from_pairs, parts)):
-        assert np.array_equal(_grid_bits(_grid_cuts(part, L), states), one_shot_bit_table(part, L)[1:])
+        assert np.array_equal(part.symbol_of(states / L), one_shot_bit_table(part, L)[1:])
 
 
 @settings(max_examples=60, deadline=None)
@@ -181,7 +181,7 @@ def test_grid_bits_match_one_shot_table(data):
     ends = sorted({e / (4 * L) if data.draw(st.booleans()) else (e // 4) / L for e in ends})
     part = SymbolPartition.from_pairs(list(zip(ends[0::2], ends[1::2])))
     states = np.arange(1, L + 1)
-    assert np.array_equal(_grid_bits(_grid_cuts(part, L), states), one_shot_bit_table(part, L)[1:])
+    assert np.array_equal(part.symbol_of(states / L), one_shot_bit_table(part, L)[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from chaosrng.density import DensityHistogram
 from chaosrng.entropy import ProbabilityTable, block_entropy, block_probabilities
 from chaosrng.maps import piecewise_linear_map
 from chaosrng.partition import (
+    DEFAULT_MAX_DEPTH,
     PartitionInvariantError,
     RefinementError,
     SymbolPartition,
@@ -85,14 +86,8 @@ def test_depth_limits(cubic, branch_part):
         refine(cubic, branch_part, 0)
     with pytest.raises(RefinementError):
         refine(cubic, branch_part, 25)
-    with pytest.raises(RefinementError):
-        refine(cubic, branch_part, 10, min_cell_width=0.1)
-    # the ladder enforces both limits too, not only at depth 1
     with pytest.raises(RefinementError, match="exceeds the cap"):
-        refinement_ladder(cubic, branch_part, 6, max_depth=5)
-    with pytest.raises(RefinementError, match="resolution floor"):
-        refinement_ladder(cubic, branch_part, 8, min_cell_width=0.1)
-    assert len(refinement_ladder(cubic, branch_part, 3, min_cell_width=1e-3)) == 3
+        refinement_ladder(cubic, branch_part, DEFAULT_MAX_DEPTH + 1)
 
 
 def test_bernoulli_cells_are_binary_expansions(bernoulli, sym_part):
