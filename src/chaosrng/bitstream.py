@@ -18,12 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import density as _density
-from .density import RNG_ALGORITHM, chain_states, scaled_map_table
+from .density import RNG_ALGORITHM, chain_states
 from .entropy import ProbabilityTable
-from .maps import MapModel, eval_map
+from .maps import EPS, MapModel
 from .partition import SymbolPartition
 
 DEFAULT_STREAM_L = 1 << 20
+
+#: windows per slice in :func:`empirical_pattern_probs`
+_COUNT_SLICE = 1 << 16
 
 STREAM_MAGIC = b"CRBS"
 STREAM_VERSION = 1
@@ -55,9 +58,10 @@ class BitstreamConfig:
 def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.ndarray:
     """Binary sequence from iterating the map; uint8 array of 0/1.
 
-    Dither on: the digitized grid recurrence (state stays on j/L).  Besides
-    the (L+1)-point map table and the output, it holds O(``_CHAIN_CHUNK``)
-    memory: the noise is drawn and the states classified one chunk at a time.
+    Dither on: the digitized grid recurrence (state stays on j/L), stepped
+    by :func:`density.chain_states` on the map itself.  Besides the output it
+    holds O(``_CHAIN_CHUNK``) memory at every grid L: the noise is drawn and
+    the states classified one chunk at a time.
     Dither off: raw float iteration - deterministic, and demonstrably
     degenerate over long runs.
     """
@@ -66,7 +70,6 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
     out = np.empty(cfg.length, dtype=np.uint8)
     if cfg.dither:
         L = cfg.L
-        table = scaled_map_table(m, L)
         if cfg.start is not None:
             j = max(1, min(L, round(cfg.start * L)))
         else:
@@ -79,16 +82,20 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
             noise = rng.uniform(-1.0, 1.0, size=min(_density._CHAIN_CHUNK, cfg.length - lo))
             if lo + len(noise) == cfg.length:
                 noise = noise[:-1]
-            for states in chain_states(table, noise, j, L):
+            for states in chain_states(m, noise, j, L):
                 out[n : n + len(states)] = s.symbol_of(states / L)
                 n += len(states)
                 j = int(states[-1])
         return out
+    # x stays in [EPS, 1 - EPS], so raw_eval's scalar path plus the clamp of
+    # eval_map is all a step needs
+    f, lo, hi = m.raw_eval, EPS, 1.0 - EPS
     x = cfg.start if cfg.start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
     xs = np.empty(cfg.length)
     for n in range(cfg.length):
         xs[n] = x
-        x = eval_map(m, x)
+        y = f(x)
+        x = lo if y < lo else hi if y > hi else y
     out[:] = s.symbol_of(xs)
     return out
 
@@ -97,7 +104,8 @@ def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
     """Sliding-window N-bit word frequencies; the brute-force P_N oracle.
 
     Window codes are built in the narrowest unsigned type that holds N bits
-    (uint8 up to N = 8, uint16 up to 16).
+    (uint8 up to N = 8, uint16 up to 16) and counted ``_COUNT_SLICE`` windows
+    at a time, so that bincount's int64 copy of the codes stays small.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if len(bits) < 100 * 2**N:
@@ -105,11 +113,16 @@ def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
             f"need at least {100 * 2 ** N} bits for depth {N}, got {len(bits)}"
         )
     n_windows = len(bits) - N + 1
-    acc = bits[:n_windows].astype(np.min_scalar_type(2**N - 1))
-    for k in range(1, N):
-        acc <<= 1
-        acc |= bits[k : k + n_windows]
-    counts = np.bincount(acc, minlength=2**N)
+    code_type = np.min_scalar_type(2**N - 1)
+    counts = np.zeros(2**N, dtype=np.int64)
+    for lo in range(0, n_windows, _COUNT_SLICE):
+        # windows lo..hi-1 read bits lo..hi+N-2: slices overlap by N - 1 bits
+        hi = min(lo + _COUNT_SLICE, n_windows)
+        acc = bits[lo:hi].astype(code_type)
+        for k in range(1, N):
+            acc <<= 1
+            acc |= bits[lo + k : hi + k]
+        counts += np.bincount(acc, minlength=2**N)
     table = ProbabilityTable(depth=N, p=counts / n_windows, meta={"n_bits": len(bits), "windows": n_windows})
     table.validate()
     return table

@@ -190,9 +190,10 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 
 
 #: states per array yielded by :func:`chain_states`, and noise values per draw
-#: in ``bitstream.generate_bits``.  A chunk's Python list and ints cost about
-#: 40 bytes a state, so 2^14 keeps the stream's working set near 1 MB; chunks
-#: of 2^12 to 2^16 stepped a 2e6-state chain equally fast, within noise
+#: in ``bitstream.generate_bits``: a stream's working set besides its output
+#: bits, at any grid L.  A chunk's Python list and ints cost about 40 bytes a
+#: state, so 2^14 keeps it near 1 MB; chunks of 2^12 to 2^16 stepped a
+#: 2e6-state chain equally fast, within noise
 _CHAIN_CHUNK = 1 << 14
 #: chains stepped in lockstep per Monte Carlo shard.  Every chain pays its own
 #: burn-in, so more lanes cost more steps; on a 2-core Xeon a verify-size run
@@ -207,28 +208,41 @@ _LANE_BLOCK = 64
 _TABLE_CHUNK = 1 << 14
 
 
-def chain_states(table, noise, j0: int, L: int):
-    """Run the dithered grid chain j <- clip(floor(table[j] + u), 1, L).
+def chain_states(m: MapModel, noise, j0: int, L: int):
+    """Run the dithered grid chain j <- clip(floor(L * M(j/L) + u), 1, L).
 
-    Yields the visited states j_1..j_n (one per noise value, the start j0
-    excluded) as int64 arrays of at most ``_CHAIN_CHUNK`` states.  The loop
-    reads both arrays through memoryviews so each step is plain Python float
-    and int arithmetic: the same float64 add and floor as a numpy loop, at a
-    fraction of the per-element cost.
+    Starts at state j0 in 1..L and yields the visited states j_1..j_n (one
+    per noise value, j0 excluded) as int64 arrays of at most
+    ``_CHAIN_CHUNK`` states.  Each step evaluates the map once, on a Python
+    float (``MapModel.raw_eval``'s scalar path), with the float64 operations
+    that :func:`scaled_map_table` performs for entry j: x = j/L (1 - EPS at
+    j = L), M(x) clamped into [EPS, 1 - EPS], then scaled by L.  So the chain
+    equals one stepped through that table, and holds no L-sized array.
     """
-    tab = memoryview(np.ascontiguousarray(table, dtype=np.float64))
+    if not 1 <= j0 <= L:
+        raise ValueError(f"start state j0={j0} must lie in 1..{L}")
+    f = m.raw_eval
     nz = memoryview(np.ascontiguousarray(noise, dtype=np.float64))
     floor = math.floor
+    lo, hi = _maps.EPS, 1.0 - _maps.EPS
+    # int / int and float * float are CPython's fast paths for j/L and L*y;
+    # for L < 2^53 float(L) is exact, so the products are the table's
+    Lf = float(L)
     j = int(j0)
-    for lo in range(0, len(nz), _CHAIN_CHUNK):
-        yield np.array(
-            [j := (1 if (v := floor(tab[j] + u)) < 1 else (L if v > L else v)) for u in nz[lo : lo + _CHAIN_CHUNK]],
-            dtype=np.int64,
-        )
+    for start in range(0, len(nz), _CHAIN_CHUNK):
+        states = []
+        append = states.append
+        for u in nz[start : start + _CHAIN_CHUNK]:
+            y = f(j / L if j < L else hi)
+            v = floor(Lf * (lo if y < lo else hi if y > hi else y) + u)
+            j = 1 if v < 1 else (L if v > L else v)
+            append(j)
+        yield np.array(states, dtype=np.int64)
 
 
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
-    """table[j] = L * M(j/L) for grid states j = 0..L (0 only as a start).
+    """table[j] = L * M(j/L) for grid states j = 0..L, the table that the
+    Monte Carlo lanes gather from; x is EPS at j = 0 and 1 - EPS at j = L.
 
     Filled in slices of ``_TABLE_CHUNK`` points, clipped and scaled in place,
     so that the table is the only full-size array; the values are those of

@@ -18,6 +18,7 @@ critical points, or piecewise-linear breakpoint/value lists).
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,7 +60,14 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class MapModel:
-    """Immutable map on (0,1) with its monotone-branch decomposition."""
+    """Immutable map on (0,1) with its monotone-branch decomposition.
+
+    ``raw_eval`` is M itself, unclamped.  On a float array it returns the
+    array of values; on a Python float it returns a Python float, bit for
+    bit the element the array path gives for that x.  The scalar path is
+    what a serial chain steps (``density.chain_states``), so it stays free
+    of numpy calls.
+    """
 
     name: str
     raw_eval: Callable[[np.ndarray | float], np.ndarray | float]
@@ -230,7 +238,7 @@ def cubic_sample_map() -> MapModel:
 
 def tent_map() -> MapModel:
     def f(x):
-        return 1.0 - np.abs(1.0 - 2.0 * np.asarray(x, dtype=float))
+        return 1.0 - abs(1.0 - 2.0 * x)
 
     return MapModel(
         name="tent",
@@ -245,7 +253,7 @@ def bernoulli_map() -> MapModel:
 
     def f(x):
         # for x in [0, 1): y - 1 is exact on [1, 2) (Sterbenz), so this is np.mod(y, 1.0)
-        y = 2.0 * np.asarray(x, dtype=float)
+        y = 2.0 * x
         return y - (y >= 1.0)
 
     return MapModel(
@@ -261,7 +269,6 @@ def logistic_map() -> MapModel:
     written y / (2(1 + sqrt(1 - y))) so that it does not cancel near y = 0."""
 
     def f(x):
-        x = np.asarray(x, dtype=float)
         return 4.0 * x * (1.0 - x)
 
     return MapModel(
@@ -302,7 +309,12 @@ def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[floa
             raise MapConfigError(f"critical point outside (0,1): {cp}")
 
     def f(x):
-        return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), coeffs)
+        # the Horner steps of np.polynomial.polynomial.polyval, written out so
+        # that a float costs no numpy call
+        acc = coeffs[-1] + x * 0
+        for c in coeffs[-2::-1]:
+            acc = c + acc * x
+        return acc
 
     return MapModel(
         name=name,
@@ -325,9 +337,21 @@ def piecewise_linear_map(breakpoints: Sequence[float], values: Sequence[float], 
 
     xs_arr = np.array(xs)
     ys_arr = np.array(ys)
+    slopes = [(y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:])]
 
     def f(x):
-        return np.interp(np.asarray(x, dtype=float), xs_arr, ys_arr)
+        if not isinstance(x, float):
+            return np.interp(x, xs_arr, ys_arr)
+        # np.interp's own steps: the segment x_j <= x < x_{j+1}, y_j on a
+        # breakpoint, the end values outside
+        j = bisect.bisect_right(xs, x) - 1
+        if j < 0:
+            return ys[0]
+        if j >= len(slopes):
+            return ys[-1]
+        if x == xs[j]:
+            return ys[j]
+        return slopes[j] * (x - xs[j]) + ys[j]
 
     branches = tuple(
         _linear_branch(xs[i], xs[i + 1], ys[i], ys[i + 1]) for i in range(len(xs) - 1)

@@ -201,7 +201,7 @@ def refine(m: MapModel, s: SymbolPartition, N: int) -> RefinedPartition:
 
 def partition_from_config(cfg: dict) -> SymbolPartition:
     """Config: {"s0": [[lo,hi],...], optional "s1": [[lo,hi],...]}; pair ends
-    are JSON numbers, and neither S(0) nor S(1) may be empty."""
+    are JSON numbers in [0, 1], and neither S(0) nor S(1) may be empty."""
     for key in cfg:
         if key not in ("s0", "s1"):
             raise ValueError(f"unknown key {key!r}; want 's0' and optionally 's1'")
@@ -209,8 +209,9 @@ def partition_from_config(cfg: dict) -> SymbolPartition:
         raise ValueError("partition config needs 's0' as a list of [lo, hi] pairs")
     for key in ("s0", "s1"):
         for pair in cfg.get(key) or ():
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair):
-                raise ValueError(f"{key}: pair {pair!r} needs numbers for its ends")
+            # compared before any float conversion, which a huge JSON integer overflows
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and 0 <= v <= 1 for v in pair):
+                raise ValueError(f"{key}: pair {pair!r} needs numbers in [0, 1] for its ends")
     s = SymbolPartition.from_pairs(cfg["s0"], cfg.get("s1"))
     if s.codes.size < 2:
         raise ValueError(f"every bit would be {s.codes[0]}: S(0) and S(1) must both be non-empty")

@@ -1,4 +1,5 @@
 """Bit generation, pattern counting, extraction, and stream files."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chaosrng as cr
+from chaosrng import bitstream
 from chaosrng.bitstream import (
     BitstreamConfig,
     InsufficientDataError,
@@ -20,6 +22,8 @@ from chaosrng.bitstream import (
     write_stream,
     write_stream_ascii,
 )
+from chaosrng.density import scaled_map_table
+from chaosrng.maps import EPS
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8)
@@ -104,8 +108,11 @@ def int64_pattern_counts(bits, N):
 @pytest.mark.parametrize("N", range(1, 13))
 def test_empirical_pattern_probs_match_int64_route(N):
     rng = np.random.default_rng(N)
-    # a biased stream at exactly the 100 * 2^N floor, and a longer one
-    for n_bits in (100 * 2**N, 100 * 2**N + 777):
+    # a biased stream at exactly the 100 * 2^N floor, a longer one, and one
+    # whose windows fill two or more whole slices of _COUNT_SLICE; from N = 10
+    # on the first two also cross a slice boundary and end in a part slice
+    whole = bitstream._COUNT_SLICE * (100 * 2**N // bitstream._COUNT_SLICE + 2) + N - 1
+    for n_bits in (100 * 2**N, 100 * 2**N + 777, whole):
         bits = (rng.random(n_bits) < 0.3).astype(np.uint8)
         t = empirical_pattern_probs(bits, N)
         counts = int64_pattern_counts(bits, N)
@@ -114,9 +121,9 @@ def test_empirical_pattern_probs_match_int64_route(N):
         assert t.p.tolist() == (counts / (n_bits - N + 1)).tolist()
 
 
-def test_generate_bits_memory_beside_its_table(cubic, sym_part):
-    # the map table is the only L-sized array; noise, states and bits go by chunk
-    L = 2**20
+@pytest.mark.parametrize("L", [2**20, 2**40])
+def test_generate_bits_memory_independent_of_grid(cubic, sym_part, L):
+    # no L-sized array: noise, states and bits go by chunk beside the output
     generate_bits(cubic, sym_part, BitstreamConfig(seed=0, length=1_000, L=64))  # warm imports
     tracemalloc.start()
     try:
@@ -124,7 +131,29 @@ def test_generate_bits_memory_beside_its_table(cubic, sym_part):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (L + 1) + 4 * 2**20
+    assert peak <= 300_000 + 2 * 2**20
+
+
+def map_table_entry(m, j, L):
+    """L * M(j/L) by the array path, in the steps of scaled_map_table."""
+    x = np.array([j]) / L if j < L else np.array([1.0 - EPS])
+    return float(np.clip(m.raw_eval(x), EPS, 1.0 - EPS)[0] * L)
+
+
+def test_stream_on_a_grid_too_fine_for_a_table(cubic, branch_part):
+    # the 2^34 + 1 entries of the map table would take 137 GB
+    L, length = 2**34, 10_000
+    for small in (1000, 4096):  # the entries are the table's where it fits
+        assert [map_table_entry(cubic, j, small) for j in range(small + 1)][1:] == scaled_map_table(cubic, small)[1:].tolist()
+    bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=5, length=length, L=L))
+    rng = np.random.Generator(np.random.PCG64(5))
+    j = int(rng.integers(1, L + 1))
+    want = [branch_part.symbol_of(j / L)]
+    for u in rng.uniform(-1.0, 1.0, size=length)[:-1]:
+        v = math.floor(map_table_entry(cubic, j, L) + u)
+        j = 1 if v < 1 else (L if v > L else v)
+        want.append(branch_part.symbol_of(j / L))
+    assert bits.tolist() == want
 
 
 def test_bernoulli_stream_is_fair(bernoulli, sym_part):

@@ -354,6 +354,7 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         ({"partition": {"s0": []}}, [], "partition"),
         ({"partition": {"s0": [[0, 1]]}}, [], "partition"),
         ({}, ["--s0", "0:1"], "partition"),
+        ({"partition": {"s0": [[0, 10**400]]}}, [], "partition"),  # float() overflows
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

@@ -32,6 +32,7 @@ from chaosrng.density import (
 )
 from chaosrng.partition import SymbolPartition
 from reference import IntervalSet, set_mass
+from strategies import map_models
 
 
 def arcsine_histogram(L):
@@ -185,7 +186,7 @@ def test_grid_bits_match_one_shot_table(data):
 
 
 # ---------------------------------------------------------------------------
-# chain kernel against the per-step numpy loop it replaced
+# chain kernel against the per-step numpy loop over the map table it replaced
 
 
 def reference_chain(table, noise, j0, L):
@@ -197,8 +198,8 @@ def reference_chain(table, noise, j0, L):
     return np.array(states, dtype=np.int64)
 
 
-def run_chain(table, noise, j0, L):
-    chunks = list(chain_states(table, noise, j0, L))
+def run_chain(m, noise, j0, L):
+    chunks = list(chain_states(m, noise, j0, L))
     assert all(c.dtype == np.int64 and 0 < len(c) <= density._CHAIN_CHUNK for c in chunks)
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
@@ -206,27 +207,54 @@ def run_chain(table, noise, j0, L):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_chain_states_match_reference_loop(data):
-    L = data.draw(st.integers(1, 40))
-    # table values outside [1, L + 1) force the lower and the upper clip
-    table = data.draw(arrays(np.float64, L + 1, elements=st.floats(-3.0, L + 3.0)))
+    m = data.draw(map_models)
+    L = data.draw(st.integers(1, 3000))
     noise = data.draw(arrays(np.float64, data.draw(st.integers(0, 300)), elements=st.floats(-1.0, 1.0, exclude_max=True)))
-    j0 = data.draw(st.integers(0, L))
+    j0 = data.draw(st.integers(1, L))
     with mock.patch.object(density, "_CHAIN_CHUNK", data.draw(st.integers(1, 64))):
-        assert np.array_equal(run_chain(table, noise, j0, L), reference_chain(table, noise, j0, L))
+        assert np.array_equal(run_chain(m, noise, j0, L), reference_chain(scaled_map_table(m, L), noise, j0, L))
 
 
 def test_chain_states_clip_and_start_at_zero():
-    table = np.array([2.5, 40.0, -7.0, 1.2])
-    assert run_chain(table, np.zeros(5), 0, 3).tolist() == [2, 1, 3, 1, 3]
+    L = 4
+    noise = np.tile([-0.5, 3.5, -3.5, 0.3, 0.9], 8)
+    for name, make in _maps.BUILTIN_MAPS.items():
+        m = make()
+        # the Bernoulli shift maps x = 1/2, the others map the top state
+        # x = 1 - EPS next to 0, so u < 0 takes the chain below state 1; noise
+        # outside [-1, 1) also forces the upper clip
+        j0 = 2 if name == "bernoulli" else L
+        table = scaled_map_table(m, L)
+        states = reference_chain(table, noise, j0, L)
+        unclipped = np.floor(table[np.concatenate(([j0], states[:-1]))] + noise)
+        assert unclipped[0] < 1 and unclipped.max() > L, name
+        assert np.array_equal(run_chain(m, noise, j0, L), states), name
+        # state 0 is no grid point of the chain, and neither is L + 1
+        for bad in (0, L + 1):
+            with pytest.raises(ValueError, match="1..4"):
+                run_chain(m, noise, bad, L)
+    # the chain evaluates the map where the table does: x = 1 - EPS at j = L
+    seen = []
+    tent = _maps.tent_map()
+
+    def recording(x):
+        seen.append(x)
+        return tent.raw_eval(x)
+
+    run_chain(dataclasses.replace(tent, raw_eval=recording), [0.0, 0.0], L, L)
+    assert seen == [1.0 - _maps.EPS, 1 / L]
+    # the tent's peak M(1/2) = 1 is clamped to 1 - EPS, so u = 0 ends in
+    # state L - 1 and not L
+    assert run_chain(tent, [0.0], L // 2, L).tolist() == [L - 1]
+    assert reference_chain(scaled_map_table(tent, L), [0.0], L // 2, L).tolist() == [L - 1]
 
 
 def test_chain_states_length_off_the_chunk_size(cubic):
     L = 1000
-    table = scaled_map_table(cubic, L)
     noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * density._CHAIN_CHUNK + 123)
-    chunks = list(chain_states(table, noise, 17, L))
+    chunks = list(chain_states(cubic, noise, 17, L))
     assert [len(c) for c in chunks] == [density._CHAIN_CHUNK] * 2 + [123]
-    assert np.array_equal(np.concatenate(chunks), reference_chain(table, noise, 17, L))
+    assert np.array_equal(np.concatenate(chunks), reference_chain(scaled_map_table(cubic, L), noise, 17, L))
 
 
 def visit_counts(h):
@@ -238,7 +266,6 @@ def serial_lane_counts(m, L, cfg, shards, lanes):
     """Per-bin visits of mc_density's chains, each run alone by chain_states
     over its own column of the shard's noise."""
     Lc = L * cfg.grid_factor
-    table = scaled_map_table(m, Lc)
     visits = np.zeros(Lc + 1, dtype=np.int64)
     per_shard = [cfg.K // shards] * shards
     per_shard[0] += cfg.K % shards
@@ -249,7 +276,7 @@ def serial_lane_counts(m, L, cfg, shards, lanes):
         noise = rng.uniform(-1.0, 1.0, size=(cfg.burn_in + counted_steps, lanes))
         last = k - (counted_steps - 1) * lanes  # lanes that take the last counted step
         for b in range(lanes):
-            states = run_chain(table, noise[:, b], int(starts[b]), Lc)[cfg.burn_in :]
+            states = run_chain(m, noise[:, b], int(starts[b]), Lc)[cfg.burn_in :]
             np.add.at(visits, states[: counted_steps - (b >= last)], 1)
     bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
     return np.bincount(bins, weights=visits[1:], minlength=L).astype(np.int64)
@@ -271,6 +298,10 @@ def test_mc_lanes_match_serial_chains(data):
         h = mc_density(m, 64, cfg, shards=shards)
     assert h.meta["lanes"] == lanes
     assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, cfg, shards, lanes))
+    # the lanes gather from the table; the serial chains evaluate the map per step
+    Lc = 64 * cfg.grid_factor
+    scalar = [Lc * min(max(m.raw_eval(j / Lc if j < Lc else 1.0 - _maps.EPS), _maps.EPS), 1.0 - _maps.EPS) for j in range(1, Lc + 1)]
+    assert scaled_map_table(m, Lc)[1:].tolist() == scalar
 
 
 @pytest.mark.parametrize("rows", [7, 333, 1000])

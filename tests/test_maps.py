@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaosrng as cr
-from chaosrng.maps import DomainError, MapConfigError
+from chaosrng.maps import EPS, DomainError, MapConfigError
 from reference import IntervalSet, preimage_of_set
+from strategies import map_models
 
 XB = 1.0 / math.sqrt(3.0)
 
@@ -29,6 +30,26 @@ def test_cubic_known_values(cubic):
 def test_bernoulli_matches_np_mod(bernoulli, x):
     xs = np.array([x])
     assert bernoulli.raw_eval(xs).tobytes() == np.mod(2.0 * xs, 1.0).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=map_models,
+    xs=st.lists(st.floats(0.0, 1.0), max_size=20),
+    grid=st.tuples(st.integers(1, 2**40), st.integers(1, 2**40)),
+)
+def test_raw_eval_scalar_path_matches_array_path(m, xs, grid):
+    # random x, a grid point j/L, the clamp ends, and every breakpoint of a
+    # piecewise-linear map together with its neighbouring floats
+    j, L = min(grid), max(grid)
+    pts = [*xs, j / L, EPS, 1.0 - EPS, 0.0, 1.0]
+    for b in m.config.get("breakpoints", []):
+        pts += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
+    want = m.raw_eval(np.array(pts))
+    for x, w in zip(pts, want):
+        y = m.raw_eval(x)
+        assert type(y) is float, (x, type(y))
+        assert np.array([y]).tobytes() == np.array([w]).tobytes(), (x, y, w)
 
 
 def test_eval_domain_and_clamp(cubic):
