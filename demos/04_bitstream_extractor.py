@@ -32,7 +32,7 @@ print(f"generated {bits.size} bits, P(1) = {monobit_frequency(bits):.4f} (predic
 
 f = fp_fixed_point(m, 4096, tol=1e-11, max_iter=20000, grid_factor=16)
 p3 = refine(m, s, 3)
-predicted = block_probabilities(p3, f, warn_below_bin=False).probs
+predicted = block_probabilities(p3, f).probs
 measured = empirical_pattern_probs(bits, 3).probs
 print("\n3-bit words: predicted (density) vs measured (stream):")
 for w, v in predicted.items():

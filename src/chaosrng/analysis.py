@@ -11,8 +11,8 @@ cut array.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -48,22 +48,13 @@ def check_invariants(
             raise InvariantViolation(
                 f"marginal inconsistency {worst:.3e} between depths {deep.depth} and {shallow.depth}"
             )
-    for n, (Hn, hs) in enumerate(zip(report.H, _cumsums(report.h)), start=1):
+    for n, (Hn, hs) in enumerate(zip(report.H, accumulate(report.h)), start=1):
         if abs(Hn - hs) > 1e-12:
             raise InvariantViolation(f"telescoping identity broken at depth {n}: {Hn} vs {hs}")
-        if not -1e-9 <= Hn <= n + 1e-9:
-            raise InvariantViolation(f"H_{n} = {Hn} outside [0, {n}]")
     try:
         report.validate()
     except Exception as exc:
         raise InvariantViolation(str(exc)) from exc
-
-
-def _cumsums(xs):
-    total = 0.0
-    for x in xs:
-        total += x
-        yield total
 
 
 @dataclass
@@ -85,25 +76,24 @@ def run_analysis(
     """Full pipeline for one map + partition on a precomputed `density`
     (build it with `density.density_for`, `fp_fixed_point` or `mc_density`)."""
     ladder = refinement_ladder(m, s, depth)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        tables = [_entropy.block_probabilities(p, density) for p in ladder]
+    tables = [_entropy.block_probabilities(p, density) for p in ladder]
     H = [_entropy.block_entropy(t) for t in tables]
     h = _entropy.per_bit_entropies(H)
-    est = _entropy.entropy_rate_estimate(h, window=min(_RATE_WINDOW, len(h))) if len(h) >= 2 else None
+    # the rate estimate is h[-1]; the call measures (and warns about) the tail spread
+    spread = _entropy.entropy_rate_estimate(h, window=min(_RATE_WINDOW, len(h))).spread if len(h) >= 2 else 0.0
     b = _entropy.bias(tables[0])
 
     budget = None
     if input_rate is not None:
         # exact-entropy cases can land a few ulp above 1; clamp into range
-        h_for_budget = min(max(est.value if est else h[0], 0.0), 1.0)
+        h_for_budget = min(max(h[-1], 0.0), 1.0)
         budget = _entropy.rate_budget(input_rate, h_for_budget)
 
     report = EntropyReport(
         H=H,
         h=h,
-        h_estimate=est.value if est else h[-1],
-        spread=est.spread if est else 0.0,
+        h_estimate=h[-1],
+        spread=spread,
         bias=b,
         tables=tables,
         input_rate=input_rate,

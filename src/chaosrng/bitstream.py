@@ -17,13 +17,23 @@ from pathlib import Path
 
 import numpy as np
 
-from . import density as _density
 from .density import RNG_ALGORITHM, chain_states
 from .entropy import ProbabilityTable
 from .maps import EPS, MapModel
 from .partition import SymbolPartition
 
 DEFAULT_STREAM_L = 1 << 20
+#: largest dither grid: beyond 2^53 the grid states are no longer exact
+#: doubles and the +-1-cell dither falls below float resolution, so the
+#: stream would degenerate like raw float iteration
+MAX_STREAM_L = 1 << 53
+
+#: noise values per draw in :func:`generate_bits`, and so the states per
+#: :func:`density.chain_states` call: a stream's working set besides its
+#: output bits, at any grid L.  A chunk's Python list and ints cost about 40
+#: bytes a state, so 2^14 keeps it near 1 MB; chunks of 2^12 to 2^16 stepped
+#: a 2e6-state chain equally fast, within noise
+_CHAIN_CHUNK = 1 << 14
 
 #: windows per slice in :func:`empirical_pattern_probs`
 _COUNT_SLICE = 1 << 16
@@ -49,8 +59,8 @@ class BitstreamConfig:
     def validate(self) -> None:
         if self.length < 1:
             raise ValueError("length must be at least 1")
-        if self.dither and self.L < 64:
-            raise ValueError(f"dither grid L={self.L} too small; need at least 64")
+        if self.dither and not 64 <= self.L <= MAX_STREAM_L:
+            raise ValueError(f"dither grid L={self.L} out of range; need 64..2^53")
         if self.start is not None and not 0.0 < self.start < 1.0:
             raise ValueError(f"start must lie in (0,1), got {self.start}")
 
@@ -75,17 +85,13 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
         else:
             j = int(rng.integers(1, L + 1))
         out[0] = s.symbol_of(j / L)
-        n = 1
-        # the same doubles as one uniform(size=length) draw; bit n is read from
-        # state j_n, so the last value is drawn but unused
-        for lo in range(0, cfg.length, _density._CHAIN_CHUNK):
-            noise = rng.uniform(-1.0, 1.0, size=min(_density._CHAIN_CHUNK, cfg.length - lo))
-            if lo + len(noise) == cfg.length:
-                noise = noise[:-1]
-            for states in chain_states(m, noise, j, L):
-                out[n : n + len(states)] = s.symbol_of(states / L)
-                n += len(states)
-                j = int(states[-1])
+        # the same doubles as one uniform(size=length - 1) draw; bit n is read
+        # from state j_n
+        for lo in range(0, cfg.length - 1, _CHAIN_CHUNK):
+            noise = rng.uniform(-1.0, 1.0, size=min(_CHAIN_CHUNK, cfg.length - 1 - lo))
+            states = chain_states(m, noise, j, L)
+            out[lo + 1 : lo + 1 + len(states)] = s.symbol_of(states / L)
+            j = int(states[-1])
         return out
     # x stays in [EPS, 1 - EPS], so raw_eval's scalar path plus the clamp of
     # eval_map is all a step needs

@@ -11,7 +11,6 @@ import hashlib
 import json
 import sys
 import typing
-import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -162,8 +161,8 @@ class AnalysisConfig:
         if self.length < 1:
             raise ConfigError(f"length: must be positive, got {self.length!r}")
         # the bounds of BitstreamConfig.validate, checked before any work starts
-        if self.dither and self.stream_grid < 64:
-            raise ConfigError(f"stream_grid: need >= 64 for a dithered stream, got {self.stream_grid!r}")
+        if self.dither and not 64 <= self.stream_grid <= _bitstream.MAX_STREAM_L:
+            raise ConfigError(f"stream_grid: need 64..2^53 for a dithered stream, got {self.stream_grid!r}")
         if self.start is not None and not 0.0 < self.start < 1.0:
             raise ConfigError(f"start: must lie in (0, 1), got {self.start!r}")
         if self.input_rate is not None and not self.input_rate > 0:
@@ -267,10 +266,8 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
     method = "fp_operator" if cfg.method == "both" else cfg.method
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        density = _compute_density(cfg, m, method)
-        res = _analysis.run_analysis(m, s, cfg.depth, density=density, input_rate=cfg.input_rate)
+    density = _compute_density(cfg, m, method)
+    res = _analysis.run_analysis(m, s, cfg.depth, density=density, input_rate=cfg.input_rate)
     report = res.report
     if cfg.method == "both":
         other = _compute_density(cfg, m, "montecarlo")
@@ -338,32 +335,30 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
     depth = min(cfg.depth, 8)
     checks = []  # (name, value, tolerance, ok)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fp = _compute_density(cfg, m, "fp_operator")
-        mc = _compute_density(cfg, m, "montecarlo")
-        d = _density.l1_distance(mc, fp)
-        checks.append(("L1(mc, fp)", d, 0.05, d < 0.05))
+    fp = _compute_density(cfg, m, "fp_operator")
+    mc = _compute_density(cfg, m, "montecarlo")
+    d = _density.l1_distance(mc, fp)
+    checks.append(("L1(mc, fp)", d, 0.05, d < 0.05))
 
-        try:
-            res_fp = _analysis.run_analysis(m, s, depth, density=fp)
-            res_mc = _analysis.run_analysis(m, s, depth, density=mc)
-        except _analysis.InvariantViolation:
-            res_fp = None
-        dh = tv = float("nan")  # nan < tolerance is False: both checks fail
-        if res_fp is not None:
-            dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
-            bits = _bitstream.generate_bits(
-                m, s, _bitstream.BitstreamConfig(seed=cfg.seed, length=max(cfg.length, 1_000_000), L=1 << 24)
-            )
-            tv = max(
-                _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(bits, N))
-                for N in range(1, min(depth, 4) + 1)
-            )
-        checks.append(("max|h_N(mc) - h_N(fp)|", dh, 0.01, dh < 0.01))
-        checks.append(("max TV(blocks, stream)", tv, 0.01, tv < 0.01))
-        ok = res_fp is not None
-        checks.append(("structural invariants", 0.0 if ok else 1.0, 0.0, ok))
+    try:
+        res_fp = _analysis.run_analysis(m, s, depth, density=fp)
+        res_mc = _analysis.run_analysis(m, s, depth, density=mc)
+    except _analysis.InvariantViolation:
+        res_fp = None
+    dh = tv = float("nan")  # nan < tolerance is False: both checks fail
+    if res_fp is not None:
+        dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
+        bits = _bitstream.generate_bits(
+            m, s, _bitstream.BitstreamConfig(seed=cfg.seed, length=max(cfg.length, 1_000_000), L=1 << 24)
+        )
+        tv = max(
+            _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(bits, N))
+            for N in range(1, min(depth, 4) + 1)
+        )
+    checks.append(("max|h_N(mc) - h_N(fp)|", dh, 0.01, dh < 0.01))
+    checks.append(("max TV(blocks, stream)", tv, 0.01, tv < 0.01))
+    ok = res_fp is not None
+    checks.append(("structural invariants", 0.0 if ok else 1.0, 0.0, ok))
 
     width = max(len(n) for n, *_ in checks)
     failed = False

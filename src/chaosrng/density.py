@@ -189,12 +189,6 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-#: states per array yielded by :func:`chain_states`, and noise values per draw
-#: in ``bitstream.generate_bits``: a stream's working set besides its output
-#: bits, at any grid L.  A chunk's Python list and ints cost about 40 bytes a
-#: state, so 2^14 keeps it near 1 MB; chunks of 2^12 to 2^16 stepped a
-#: 2e6-state chain equally fast, within noise
-_CHAIN_CHUNK = 1 << 14
 #: chains stepped in lockstep per Monte Carlo shard.  Every chain pays its own
 #: burn-in, so more lanes cost more steps; on a 2-core Xeon a verify-size run
 #: (K = 4e6, 65536 chain states) took 0.15 s at 192-384 lanes and 0.18 s at 768
@@ -208,16 +202,16 @@ _LANE_BLOCK = 64
 _TABLE_CHUNK = 1 << 14
 
 
-def chain_states(m: MapModel, noise, j0: int, L: int):
+def chain_states(m: MapModel, noise, j0: int, L: int) -> np.ndarray:
     """Run the dithered grid chain j <- clip(floor(L * M(j/L) + u), 1, L).
 
-    Starts at state j0 in 1..L and yields the visited states j_1..j_n (one
-    per noise value, j0 excluded) as int64 arrays of at most
-    ``_CHAIN_CHUNK`` states.  Each step evaluates the map once, on a Python
-    float (``MapModel.raw_eval``'s scalar path), with the float64 operations
-    that :func:`scaled_map_table` performs for entry j: x = j/L (1 - EPS at
-    j = L), M(x) clamped into [EPS, 1 - EPS], then scaled by L.  So the chain
-    equals one stepped through that table, and holds no L-sized array.
+    Starts at state j0 in 1..L and returns the visited states j_1..j_n (one
+    per noise value, j0 excluded) as one int64 array.  Each step evaluates
+    the map once, on a Python float (``MapModel.raw_eval``'s scalar path),
+    with the float64 operations that :func:`scaled_map_table` performs for
+    entry j: x = j/L (1 - EPS at j = L), M(x) clamped into [EPS, 1 - EPS],
+    then scaled by L.  So the chain equals one stepped through that table,
+    and holds no L-sized array.
     """
     if not 1 <= j0 <= L:
         raise ValueError(f"start state j0={j0} must lie in 1..{L}")
@@ -229,15 +223,14 @@ def chain_states(m: MapModel, noise, j0: int, L: int):
     # for L < 2^53 float(L) is exact, so the products are the table's
     Lf = float(L)
     j = int(j0)
-    for start in range(0, len(nz), _CHAIN_CHUNK):
-        states = []
-        append = states.append
-        for u in nz[start : start + _CHAIN_CHUNK]:
-            y = f(j / L if j < L else hi)
-            v = floor(Lf * (lo if y < lo else hi if y > hi else y) + u)
-            j = 1 if v < 1 else (L if v > L else v)
-            append(j)
-        yield np.array(states, dtype=np.int64)
+    states = []
+    append = states.append
+    for u in nz:
+        y = f(j / L if j < L else hi)
+        v = floor(Lf * (lo if y < lo else hi if y > hi else y) + u)
+        j = 1 if v < 1 else (L if v > L else v)
+        append(j)
+    return np.array(states, dtype=np.int64)
 
 
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:

@@ -67,7 +67,7 @@ def ladder2(cubic, part):
 
 def test_acceptance_1_single_bit_probabilities(mc_run, ladder2):
     f, seconds = mc_run
-    t = block_probabilities(ladder2[0], f, warn_below_bin=False).probs
+    t = block_probabilities(ladder2[0], f).probs
     ok = abs(t["0"] - 0.57) < 0.02 and abs(t["1"] - 0.43) < 0.02 and seconds < 30.0
     report(
         "acceptance 1 (single-bit probabilities)",
@@ -78,7 +78,7 @@ def test_acceptance_1_single_bit_probabilities(mc_run, ladder2):
 
 def test_acceptance_2_two_bit_probabilities(mc_run, ladder2):
     f, _ = mc_run
-    t = block_probabilities(ladder2[1], f, warn_below_bin=False).probs
+    t = block_probabilities(ladder2[1], f).probs
     want = {"00": 0.35, "01": 0.22, "10": 0.23, "11": 0.20}
     errs = {w: abs(t[w] - want[w]) for w in want}
     ok = all(e < 0.02 for e in errs.values())
@@ -176,7 +176,7 @@ def test_acceptance_7_oracle_equivalence(part):
         ladder = refinement_ladder(m, s, 8)
         bits = generate_bits(m, s, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
         for N in range(1, 9):
-            tab = block_probabilities(ladder[N - 1], f, warn_below_bin=False)
+            tab = block_probabilities(ladder[N - 1], f)
             tv = total_variation(tab, empirical_pattern_probs(bits, N))
             if tv > worst[1]:
                 worst = (f"{name} N={N}", tv)

@@ -62,6 +62,10 @@ def test_invariant_suite_catches_broken_curve(tent, sym_part):
     report.H = [0.5, 1.0, 1.5]  # no longer telescopes against report.h
     with pytest.raises(cr.InvariantViolation):
         check_invariants(tent, res.ladder, res.tables, report)
+    report.h = [1.5, 0.5, 0.5]  # telescopes, but H_1 exceeds one bit
+    report.H = [1.5, 2.0, 2.5]
+    with pytest.raises(cr.InvariantViolation, match=r"H_1 = 1.5 outside \[0, 1\]"):
+        check_invariants(tent, res.ladder, res.tables, report)
 
 
 def test_invariant_suite_runs_the_forward_check(tent, sym_part):

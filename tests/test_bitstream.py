@@ -35,6 +35,9 @@ def test_config_validation():
         BitstreamConfig(seed=0, length=0).validate()
     with pytest.raises(ValueError):
         BitstreamConfig(seed=0, length=10, L=8).validate()
+    BitstreamConfig(seed=0, length=10, L=2**53).validate()
+    with pytest.raises(ValueError, match="2\\^53"):
+        BitstreamConfig(seed=0, length=10, L=2**53 + 1).validate()
     with pytest.raises(ValueError):
         BitstreamConfig(seed=0, length=10, start=1.5).validate()
 

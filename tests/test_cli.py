@@ -319,6 +319,16 @@ def test_bad_config_exits_2(capsys):
     assert "density.K" in err
 
 
+def test_monte_carlo_warnings_reach_the_caller(tmp_path, capsys):
+    # logistic cells near 0 shrink below a 1/64 bin from depth 4
+    with pytest.warns(RuntimeWarning, match="below one density bin"):
+        code, out, _ = run(
+            capsys, "analyze", "--map", "logistic", "--method", "montecarlo",
+            "--L", "64", "--K", "6400", "--depth", "6", "--out-dir", str(tmp_path),
+        )
+    assert code == 0 and out.startswith("analyze map=logistic")
+
+
 def test_analysis_failure_exits_1(tmp_path, capsys):
     # an unreachable operator tolerance cannot converge
     code, _, err = run(
@@ -355,6 +365,8 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         ({"partition": {"s0": [[0, 1]]}}, [], "partition"),
         ({}, ["--s0", "0:1"], "partition"),
         ({"partition": {"s0": [[0, 10**400]]}}, [], "partition"),  # float() overflows
+        ({}, ["--stream-grid", str(2**63)], "stream_grid"),  # past int64: rng.integers raised
+        ({"stream_grid": 2**53 + 1}, [], "stream_grid"),  # past float resolution
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

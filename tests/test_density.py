@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import chaosrng as cr
-from chaosrng import density
+from chaosrng import bitstream, density
 from chaosrng.analysis import run_analysis
 from chaosrng import maps as _maps
 from chaosrng.bitstream import BitstreamConfig, generate_bits
@@ -199,9 +199,9 @@ def reference_chain(table, noise, j0, L):
 
 
 def run_chain(m, noise, j0, L):
-    chunks = list(chain_states(m, noise, j0, L))
-    assert all(c.dtype == np.int64 and 0 < len(c) <= density._CHAIN_CHUNK for c in chunks)
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    states = chain_states(m, noise, j0, L)
+    assert states.dtype == np.int64 and states.shape == (len(noise),)
+    return states
 
 
 @settings(max_examples=80, deadline=None)
@@ -211,8 +211,7 @@ def test_chain_states_match_reference_loop(data):
     L = data.draw(st.integers(1, 3000))
     noise = data.draw(arrays(np.float64, data.draw(st.integers(0, 300)), elements=st.floats(-1.0, 1.0, exclude_max=True)))
     j0 = data.draw(st.integers(1, L))
-    with mock.patch.object(density, "_CHAIN_CHUNK", data.draw(st.integers(1, 64))):
-        assert np.array_equal(run_chain(m, noise, j0, L), reference_chain(scaled_map_table(m, L), noise, j0, L))
+    assert np.array_equal(run_chain(m, noise, j0, L), reference_chain(scaled_map_table(m, L), noise, j0, L))
 
 
 def test_chain_states_clip_and_start_at_zero():
@@ -250,11 +249,13 @@ def test_chain_states_clip_and_start_at_zero():
 
 
 def test_chain_states_length_off_the_chunk_size(cubic):
+    # the kernel does not split its noise: generate_bits passes it one chunk
+    # at a time, and any longer noise still gives one array of its length
     L = 1000
-    noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * density._CHAIN_CHUNK + 123)
-    chunks = list(chain_states(cubic, noise, 17, L))
-    assert [len(c) for c in chunks] == [density._CHAIN_CHUNK] * 2 + [123]
-    assert np.array_equal(np.concatenate(chunks), reference_chain(scaled_map_table(cubic, L), noise, 17, L))
+    noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * bitstream._CHAIN_CHUNK + 123)
+    states = run_chain(cubic, noise, 17, L)
+    assert np.array_equal(states, reference_chain(scaled_map_table(cubic, L), noise, 17, L))
+    assert run_chain(cubic, [], 17, L).size == 0
 
 
 def visit_counts(h):
@@ -321,13 +322,13 @@ def test_mc_burn_in_across_chunk_boundaries(cubic, rows):
 
 
 @pytest.mark.parametrize("start", [0.3, 0.9, None])
-@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 129, 1_000])
+@pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 66, 129, 1_000])
 def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start):
     # chunked noise and states against one uniform(size=length) draw, the
-    # reference loop and the L-sized bit table; the lengths sit on and around
-    # multiples of the patched chunk
+    # reference loop and the L-sized bit table; the length - 1 noise values
+    # sit on and around multiples of the patched chunk
     L = 4096
-    with mock.patch.object(density, "_CHAIN_CHUNK", 64):
+    with mock.patch.object(bitstream, "_CHAIN_CHUNK", 64):
         bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=3, length=length, L=L, start=start))
     rng = np.random.Generator(np.random.PCG64(3))
     j0 = round(start * L) if start is not None else int(rng.integers(1, L + 1))

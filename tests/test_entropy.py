@@ -1,5 +1,6 @@
 """Probability tables, entropy curves, and the rate budget."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from chaosrng.entropy import (
     per_bit_entropies,
     rate_budget,
 )
-from chaosrng.partition import SymbolPartition, refine
+from chaosrng.partition import SymbolPartition, refine, refinement_ladder
 
 # frozen: -(0.57 log2 0.57 + 0.43 log2 0.43)
 H_057 = 0.9858150371789198
@@ -151,15 +152,27 @@ def test_block_probabilities_uniform_oracle():
 
 
 def test_block_probabilities_warns_below_bin():
+    # only a Monte Carlo histogram's bins limit the resolution of a cell
     s = cr.symmetric_partition()
     p = refine(cr.bernoulli_map(), s, 9)  # cells 2^-9, bins 1/64
-    with pytest.warns(RuntimeWarning):
-        block_probabilities(p, uniform_density(64))
-    import warnings
-
+    with pytest.warns(RuntimeWarning, match="below one density bin"):
+        block_probabilities(p, uniform_density(64, method="montecarlo"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block_probabilities(p, uniform_density(64), warn_below_bin=False)
+        block_probabilities(refine(cr.bernoulli_map(), s, 6), uniform_density(64, method="montecarlo"))
+        block_probabilities(p, uniform_density(64))
+
+
+def test_operator_density_cells_below_bin_do_not_warn(cubic, branch_part):
+    # the cubic's depth-14 cells are far narrower than 1/1024, yet its
+    # operator-density h_N do not depend on L (see
+    # test_fp_cubic_entropies_independent_of_L)
+    p = refinement_ladder(cubic, branch_part, 14)[13]
+    f = cr.fp_fixed_point(cubic, 1024, tol=1e-11)
+    assert p.min_cell_width() < 1.0 / 1024
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block_probabilities(p, f)
 
 
 def test_block_probabilities_renormalization_guard():
@@ -168,7 +181,7 @@ def test_block_probabilities_renormalization_guard():
     # drop the last interval: the cut points stop at 3/4 and a quarter of the mass is lost
     broken = cr.RefinedPartition(depth=2, cuts=p.cuts[:-1], codes=p.codes[:-1])
     with pytest.raises(AccuracyError):
-        block_probabilities(broken, uniform_density(64), warn_below_bin=False)
+        block_probabilities(broken, uniform_density(64))
 
 
 def test_entropy_rate_estimate():

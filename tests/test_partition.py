@@ -233,7 +233,7 @@ def assert_matches_reference(m, s, N, f):
         raw = {w: set_mass(f, c) for w, c in cells.items()}
         total = sum(raw.values())
         want = ProbabilityTable(depth=p.depth, p=[raw[w] / total for w in sorted(raw)])
-        got = block_probabilities(p, f, warn_below_bin=False)
+        got = block_probabilities(p, f)
         assert np.abs(got.p - want.p).max() < 1e-12
         assert abs(block_entropy(got) - block_entropy(want)) < 1e-12
         if p.depth <= 6:
