@@ -105,9 +105,9 @@ class AnalysisConfig:
     input_rate: float | None = _field("input_rate", None, "--rate", help="raw bit rate R for the budget")
     out_dir: str = _field("output.directory", ".", "--out-dir")
     formats: list = _field("output.formats", default_factory=lambda: ["csv", "json"])
-    workers: int | None = _field(
-        "workers", None, "--workers", help="Monte Carlo shard count (default 1); shards run one after another"
-    )
+    # accepted only as null or 1, and without effect, so that command lines passing
+    # `--workers 1` still parse
+    workers: int | None = _field("workers", None, "--workers", help="accepted only as 1; has no effect")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
@@ -167,8 +167,8 @@ class AnalysisConfig:
             raise ConfigError(f"start: must lie in (0, 1), got {self.start!r}")
         if self.input_rate is not None and not self.input_rate > 0:
             raise ConfigError(f"input_rate: must be positive, got {self.input_rate!r}")
-        if self.workers is not None and not 1 <= self.workers <= self.K:
-            raise ConfigError(f"workers: need an integer in [1, K = {self.K}], got {self.workers!r}")
+        if self.workers not in (None, 1):
+            raise ConfigError(f"workers: only null or 1 is accepted, got {self.workers!r}")
         try:
             _maps.map_from_config(self.map)
         except _maps.MapConfigError as e:
@@ -231,8 +231,6 @@ def _compute_density(cfg: AnalysisConfig, m: _maps.MapModel, method: str):
         K=cfg.K,
         burn_in=cfg.burn_in,
         tol=cfg.tol,
-        # a fixed default shard count, so the Monte Carlo output never depends on the host
-        shards=cfg.workers or 1,
         grid_factor=cfg.grid_factor,
     )
 
@@ -311,6 +309,8 @@ def cmd_bitgen(cfg: AnalysisConfig, von_neumann: bool, ascii_out: bool) -> int:
     }
     print(f"bitgen map={m.name} bits={bits.size} monobit(ones)={summary['monobit_frequency']:.4f}")
     for N in range(1, 5):
+        if bits.size < 100 * 2**N:  # too short for this depth and every deeper one
+            break
         probs = _bitstream.empirical_pattern_probs(bits, N).probs
         summary["patterns"][str(N)] = probs
         row = "  ".join(f"P({w})={v:.4f}" for w, v in probs.items())

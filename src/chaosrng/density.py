@@ -53,9 +53,9 @@ class DitherConfig:
     leave unreachable states (a comb artifact in the histogram); a finer
     chain grid removes it while keeping the same recurrence.
 
-    The K counted visits come from many chains stepped in lockstep (see
-    :func:`mc_density`); every chain discards its own first ``burn_in``
-    states.  The result is deterministic for a given (seed, shards).
+    The K counted visits come from one seeded run of many chains stepped in
+    lockstep (see :func:`mc_density`); every chain discards its own first
+    ``burn_in`` states.  The result is deterministic for a given seed.
     """
 
     seed: int
@@ -70,6 +70,8 @@ class DitherConfig:
             )
         if self.burn_in < 1_000:
             raise ValueError(f"burn_in={self.burn_in} too small; need at least 1000 to pass the transient")
+        if self.grid_factor < 1:
+            raise ValueError(f"grid_factor={self.grid_factor} must be a positive integer")
 
 
 #: bin edges of a density grid with n bins: uniform in x ("uniform"), or
@@ -171,7 +173,7 @@ class DensityHistogram:
             "L": self.L,
             "method": self.method,
             "weights": self.weights.tolist(),
-            **{k: v for k, v in self.meta.items() if k in ("seed", "K", "burn_in", "rng", "iterations", "shards", "lanes")},
+            **{k: v for k, v in self.meta.items() if k in ("seed", "K", "burn_in", "rng", "iterations", "lanes")},
         }
 
     def to_json(self, path: str | Path) -> None:
@@ -189,7 +191,7 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-#: chains stepped in lockstep per Monte Carlo shard.  Every chain pays its own
+#: chains stepped in lockstep by a Monte Carlo run.  Every chain pays its own
 #: burn-in, so more lanes cost more steps; on a 2-core Xeon a verify-size run
 #: (K = 4e6, 65536 chain states) took 0.15 s at 192-384 lanes and 0.18 s at 768
 _LANES = 256
@@ -255,73 +257,57 @@ def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
     return table
 
 
-def mc_density(m: MapModel, L: int, cfg: DitherConfig, shards: int = 1) -> DensityHistogram:
-    """Invariant density by dithered grid iteration.
+def mc_density(m: MapModel, L: int, cfg: DitherConfig) -> DensityHistogram:
+    """Invariant density by dithered grid iteration, as one seeded run.
 
-    The visit budget K splits across ``shards`` independently seeded
-    sub-runs.  Each sub-run steps B = min(_LANES, K // shards) chains in
-    lockstep, one numpy update j <- clip(floor(table[j] + u), 1, Lc) over all
-    of them per step.  Every chain starts at its own uniform grid state and
-    discards its own first ``burn_in`` states; the k counted visits of a
-    sub-run are its next ceil(k / B) steps, of which the last counts only
-    the first k - (ceil(k / B) - 1) * B chains.  Deterministic for a given
-    (seed, shards); each chain equals a :func:`chain_states` run over its
-    own column of the noise.
+    ``_LANES`` chains step in lockstep, one numpy update
+    j <- clip(floor(table[j] + u), 1, Lc) over all of them per step, on the
+    chain grid Lc = grid_factor * L.  Every chain starts at its own uniform
+    grid state and discards its own first ``burn_in`` states; the K counted
+    visits are the next ceil(K / _LANES) steps, of which the last counts only
+    the first K - (ceil(K / _LANES) - 1) * _LANES chains.  Each counted state
+    j goes straight to output bin min(j // grid_factor, L - 1).
+    Deterministic for a given seed; each chain equals a :func:`chain_states`
+    run over its own column of the noise.
     """
     if L < 64:
         raise ValueError(f"L={L} too small; need at least 64 grid points")
     cfg.validate(L)
-    if not 1 <= shards <= cfg.K:
-        raise ValueError(f"shards={shards} must lie in [1, K={cfg.K}]")
-    Lc = L * cfg.grid_factor
+    gf = cfg.grid_factor
+    Lc = L * gf
     table = scaled_map_table(m, Lc)
     # scaled_map_table keeps every entry in (0, Lc), so table[j] + u lies in
     # (-1, Lc + 1) and its truncation to int is the clipped floor, except that
     # 0 stands for state 1.  Chains start at 1..Lc, so table[0] may alias 1.
     table[0] = table[1]
-    visits = np.zeros(Lc + 1, dtype=np.int64)  # by chain state; 0 = state 1
-    lanes = min(_LANES, cfg.K // shards)
+    counts = np.zeros(L, dtype=np.int64)
 
-    seeds = np.random.SeedSequence(cfg.seed).spawn(shards)
-    per_shard = [cfg.K // shards] * shards
-    per_shard[0] += cfg.K - sum(per_shard)
-    for seq, k_shard in zip(seeds, per_shard):
-        rng = np.random.Generator(np.random.PCG64(seq))
-        j = rng.integers(1, Lc + 1, size=lanes)
-        steps = cfg.burn_in + -(-k_shard // lanes)
-        left = k_shard
-        for lo in range(0, steps, _LANE_BLOCK):
-            # row r holds step lo + r of every chain: the first `left` counted
-            # states in row-major order are whole rows, then the last counted
-            # step of the first chains only
-            noise = rng.uniform(-1.0, 1.0, size=(min(_LANE_BLOCK, steps - lo), lanes))
-            states = np.empty(noise.shape, dtype=np.int64)
-            for u, row in zip(noise, states):
-                u += table[j]
-                row[:] = u
-                j = row
-            counted = states[max(cfg.burn_in - lo, 0) :].ravel()[:left]
-            np.add.at(visits, counted, 1)
-            left -= counted.size
-    visits[1] += visits[0]
+    # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    j = rng.integers(1, Lc + 1, size=_LANES)
+    steps = cfg.burn_in + -(-cfg.K // _LANES)
+    left = cfg.K
+    for lo in range(0, steps, _LANE_BLOCK):
+        # row r holds step lo + r of every chain: the first `left` counted
+        # states in row-major order are whole rows, then the last counted
+        # step of the first chains only
+        noise = rng.uniform(-1.0, 1.0, size=(min(_LANE_BLOCK, steps - lo), _LANES))
+        states = np.empty(noise.shape, dtype=np.int64)
+        for u, row in zip(noise, states):
+            u += table[j]
+            row[:] = u
+            j = row
+        counted = states[max(cfg.burn_in - lo, 0) :].ravel()[:left]
+        # state j (0 stands for 1) lies in output bin j // gf, state Lc in the top bin
+        counts += np.bincount(np.minimum(np.maximum(counted, 1) // gf, L - 1), minlength=L)
+        left -= counted.size
 
-    # chain state j/Lc (j = 1..Lc) falls in output bin floor(j*L/Lc), last
-    # state clamped into the top bin
-    state_bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
-    counts = np.bincount(state_bins, weights=visits[1:], minlength=L)
     weights = counts * (L / cfg.K)
     hist = DensityHistogram(
         L=L,
         weights=weights,
         method="montecarlo",
-        meta={
-            "K": cfg.K,
-            "burn_in": cfg.burn_in,
-            "seed": cfg.seed,
-            "rng": RNG_ALGORITHM,
-            "shards": shards,
-            "lanes": lanes,
-        },
+        meta={"K": cfg.K, "burn_in": cfg.burn_in, "seed": cfg.seed, "rng": RNG_ALGORITHM, "lanes": _LANES},
     )
     hist.validate()
     return hist
@@ -443,13 +429,12 @@ def density_for(
     K: int = DEFAULT_K,
     burn_in: int = DEFAULT_BURN_IN,
     tol: float = 1e-9,
-    shards: int = 1,
     grid_factor: int | None = None,
 ) -> DensityHistogram:
     """Dispatch on method name ("montecarlo" | "fp_operator")."""
     if method == "montecarlo":
         cfg = DitherConfig(seed=seed, burn_in=burn_in, K=K, grid_factor=grid_factor or 16)
-        return mc_density(m, L, cfg, shards=shards)
+        return mc_density(m, L, cfg)
     if method == "fp_operator":
         return fp_fixed_point(m, L, tol=tol, grid_factor=grid_factor or 1)
     raise ValueError(f"unknown density method {method!r}")

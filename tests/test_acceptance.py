@@ -61,6 +61,14 @@ def mc_run(cubic):
 
 
 @pytest.fixture(scope="module")
+def cubic_stream(cubic, part):
+    """The cubic 1e7-bit stream that acceptance 7 and 9 share, and its build time."""
+    t0 = time.perf_counter()
+    bits = generate_bits(cubic, part, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
+    return bits, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
 def ladder2(cubic, part):
     return refinement_ladder(cubic, part, 2)
 
@@ -129,7 +137,7 @@ def test_acceptance_5_cross_method_density():
     for name in ("cubic_sample", "tent", "bernoulli", "logistic"):
         m = BUILTIN_MAPS[name]()
         fp = fp_fixed_point(m, L, tol=1e-11, max_iter=20000, grid_factor=16)
-        mc = mc_density(m, L, DitherConfig(seed=7, K=40_000_000, grid_factor=4096), shards=8)
+        mc = mc_density(m, L, DitherConfig(seed=7, K=40_000_000, grid_factor=4096))
         d = l1_distance(mc, fp)
         if d > worst[1]:
             worst = (name, d)
@@ -162,10 +170,10 @@ def test_acceptance_6_analytic_baselines():
     report("acceptance 6 (analytic baselines)", not fails, "; ".join(detail) + " (want bias<0.005, |h_N-1|<0.01)")
 
 
-def test_acceptance_7_oracle_equivalence(part):
+def test_acceptance_7_oracle_equivalence(cubic, part, cubic_stream):
     t0 = time.perf_counter()
     cases = {
-        "cubic_sample": (cr.cubic_sample_map(), part),
+        "cubic_sample": (cubic, part),
         "tent": (cr.tent_map(), cr.symmetric_partition()),
         "bernoulli": (cr.bernoulli_map(), cr.symmetric_partition()),
         "logistic": (cr.logistic_map(), cr.symmetric_partition()),
@@ -174,14 +182,18 @@ def test_acceptance_7_oracle_equivalence(part):
     for name, (m, s) in cases.items():
         f = fp_fixed_point(m, 4096, tol=1e-11, max_iter=20000, grid_factor=16)
         ladder = refinement_ladder(m, s, 8)
-        bits = generate_bits(m, s, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
+        if name == "cubic_sample":
+            bits = cubic_stream[0]
+        else:
+            bits = generate_bits(m, s, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
         for N in range(1, 9):
             tab = block_probabilities(ladder[N - 1], f)
             tv = total_variation(tab, empirical_pattern_probs(bits, N))
             if tv > worst[1]:
                 worst = (f"{name} N={N}", tv)
             assert tv < 0.01, f"{name} N={N}: TV = {tv:.4f}"
-    seconds = time.perf_counter() - t0
+    # the shared cubic stream was built outside this test; its time counts here
+    seconds = time.perf_counter() - t0 + cubic_stream[1]
     ok = seconds < 120.0
     report(
         "acceptance 7 (oracle equivalence)",
@@ -214,9 +226,9 @@ def test_acceptance_8_structural_properties(cubic, part):
     )
 
 
-def test_acceptance_9_extractor_sanity(cubic, part):
+def test_acceptance_9_extractor_sanity(cubic_stream):
     # monobit on the generator's own stream
-    bits = generate_bits(cubic, part, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
+    bits = cubic_stream[0]
     out = von_neumann_extract(bits)
     mono = monobit_frequency(out)
     # throughput against the pair-acceptance formula, which models the bits

@@ -42,7 +42,7 @@ ALL_SET = {
     "start": 0.25,
     "input_rate": 2e6,
     "output": {"directory": "out", "formats": ["json"]},
-    "workers": 2,
+    "workers": 1,
 }
 
 
@@ -63,7 +63,7 @@ def test_config_hash_is_pinned():
     # the hash stamps every output; a change here changes every output file
     assert AnalysisConfig().sha256() == "87df28fba64072a30782e94ec8ad2fe958a7ce5f842dc2c269df26b409ed0fe3"
     assert AnalysisConfig.from_dict(ALL_SET).sha256() == (
-        "eb0ccf90f9ea65501d7b6f3f95c432a20f18ca90ad53770fdbccaaa3cc26742b"
+        "7d5bb9721f35afb4555547a21680726376e6e9a1fce0ed3d3196549e17c220ea"
     )
 
 
@@ -120,7 +120,7 @@ def test_config_bounds():
     with pytest.raises(ConfigError, match="depth"):
         AnalysisConfig.from_dict({"depth": 99})
     with pytest.raises(ConfigError, match="workers"):
-        AnalysisConfig.from_dict({"density": {"L": 64, "K": 6400}, "workers": 6401})
+        AnalysisConfig.from_dict({"density": {"L": 64, "K": 6400}, "workers": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,6 @@ def test_montecarlo_density_independent_of_cpu_count(tmp_path, capsys, monkeypat
         outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())})
     assert set(outputs[0]) == {"density_montecarlo.csv", "density_montecarlo.json"}
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0]["density_montecarlo.json"])["shards"] == 1
 
 
 def test_analyze_writes_report(tmp_path, capsys, monkeypatch):
@@ -236,6 +235,20 @@ def test_bitgen_stream_and_extractor(tmp_path, capsys):
     summary = json.loads((tmp_path / "bitgen_summary.json").read_text())
     assert summary["von_neumann"]["output_bits"] == vn.size
     assert "P(01)" in out
+
+
+@pytest.mark.parametrize("length, depths", [(1000, 3), (150, 0)])
+def test_bitgen_short_stream_reports_the_depths_it_can(tmp_path, capsys, length, depths):
+    # pattern counts need 100 * 2^N bits at depth N: 1000 bits reach N = 3, 150 bits none
+    code, out, _ = run(
+        capsys, "bitgen", "--map", "cubic_sample", "--length", str(length),
+        "--von-neumann", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    summary = json.loads((tmp_path / "bitgen_summary.json").read_text())
+    assert list(summary["patterns"]) == [str(N) for N in range(1, depths + 1)]
+    assert sum(row.startswith("N=") for row in out.splitlines()) == depths
+    assert read_stream(tmp_path / "stream_vn.bits").size == summary["von_neumann"]["output_bits"]
 
 
 # sha256 of stream.bits and stream_vn.bits as written while S(0) was still
@@ -367,6 +380,8 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         ({"partition": {"s0": [[0, 10**400]]}}, [], "partition"),  # float() overflows
         ({}, ["--stream-grid", str(2**63)], "stream_grid"),  # past int64: rng.integers raised
         ({"stream_grid": 2**53 + 1}, [], "stream_grid"),  # past float resolution
+        ({}, ["--workers", "2"], "workers"),  # a stub: only null or 1 parses
+        ({"workers": 0}, [], "workers"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

@@ -102,9 +102,8 @@ def test_mc_requires_enough_samples(tent):
         mc_density(tent, 1024, DitherConfig(seed=0, K=200_000, burn_in=10))
     with pytest.raises(ValueError):
         mc_density(tent, 32, DitherConfig(seed=0, K=200_000))
-    for shards in (0, 6_401):
-        with pytest.raises(ValueError):
-            mc_density(tent, 64, DitherConfig(seed=0, K=6_400, burn_in=1_000), shards=shards)
+    with pytest.raises(ValueError, match="grid_factor"):
+        mc_density(tent, 64, DitherConfig(seed=0, K=6_400, burn_in=1_000, grid_factor=0))
 
 
 def test_mc_deterministic_given_seed(tent):
@@ -117,30 +116,20 @@ def test_mc_deterministic_given_seed(tent):
 
 
 def test_mc_metadata_and_normalization(tent, tmp_path):
-    h = mc_density(tent, 256, DitherConfig(seed=1, K=200_000, burn_in=2_000), shards=4)
+    h = mc_density(tent, 256, DitherConfig(seed=1, K=200_000, burn_in=2_000))
     h.validate()
     assert h.method == "montecarlo"
     assert h.meta["rng"] == "PCG64"
-    assert h.meta["shards"] == 4
     assert h.meta["lanes"] == density._LANES
     assert h.meta["seed"] == 1
     assert h.weights.sum() / h.L == pytest.approx(1.0, abs=1e-12)
     h.to_json(tmp_path / "d.json")
     assert json.loads((tmp_path / "d.json").read_text())["lanes"] == density._LANES
-    # fewer visits per shard than _LANES: one lane per visit of the smallest shard
-    assert mc_density(tent, 64, DitherConfig(seed=1, K=6_400, burn_in=1_000), shards=32).meta["lanes"] == 200
 
 
 def test_mc_tent_near_uniform(tent):
     h = mc_density(tent, 256, DitherConfig(seed=3, K=2_000_000))
     assert l1_distance(h, uniform_density(256)) < 0.02
-
-
-def test_mc_sharded_close_but_not_identical(tent):
-    serial = mc_density(tent, 256, DitherConfig(seed=5, K=1_000_000))
-    sharded = mc_density(tent, 256, DitherConfig(seed=5, K=1_000_000), shards=4)
-    assert not np.array_equal(serial.weights, sharded.weights)
-    assert l1_distance(serial, sharded) < 0.05
 
 
 def test_scaled_map_table(tent):
@@ -263,22 +252,20 @@ def visit_counts(h):
     return np.rint(h.weights * h.meta["K"] / h.L).astype(np.int64)
 
 
-def serial_lane_counts(m, L, cfg, shards, lanes):
+def serial_lane_counts(m, L, cfg, lanes):
     """Per-bin visits of mc_density's chains, each run alone by chain_states
-    over its own column of the shard's noise."""
+    over its own column of the noise, counted by chain state and then folded
+    onto the output bins."""
     Lc = L * cfg.grid_factor
     visits = np.zeros(Lc + 1, dtype=np.int64)
-    per_shard = [cfg.K // shards] * shards
-    per_shard[0] += cfg.K % shards
-    for seq, k in zip(np.random.SeedSequence(cfg.seed).spawn(shards), per_shard):
-        rng = np.random.Generator(np.random.PCG64(seq))
-        starts = rng.integers(1, Lc + 1, size=lanes)
-        counted_steps = -(-k // lanes)
-        noise = rng.uniform(-1.0, 1.0, size=(cfg.burn_in + counted_steps, lanes))
-        last = k - (counted_steps - 1) * lanes  # lanes that take the last counted step
-        for b in range(lanes):
-            states = run_chain(m, noise[:, b], int(starts[b]), Lc)[cfg.burn_in :]
-            np.add.at(visits, states[: counted_steps - (b >= last)], 1)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    starts = rng.integers(1, Lc + 1, size=lanes)
+    counted_steps = -(-cfg.K // lanes)
+    noise = rng.uniform(-1.0, 1.0, size=(cfg.burn_in + counted_steps, lanes))
+    last = cfg.K - (counted_steps - 1) * lanes  # lanes that take the last counted step
+    for b in range(lanes):
+        states = run_chain(m, noise[:, b], int(starts[b]), Lc)[cfg.burn_in :]
+        np.add.at(visits, states[: counted_steps - (b >= last)], 1)
     bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
     return np.bincount(bins, weights=visits[1:], minlength=L).astype(np.int64)
 
@@ -293,12 +280,11 @@ def test_mc_lanes_match_serial_chains(data):
         K=data.draw(st.integers(6_400, 7_000)),
         grid_factor=data.draw(st.integers(1, 8)),
     )
-    shards = data.draw(st.integers(1, 3))
     lanes = data.draw(st.integers(1, 9))
     with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "_LANE_BLOCK", data.draw(st.integers(1, 40))):
-        h = mc_density(m, 64, cfg, shards=shards)
+        h = mc_density(m, 64, cfg)
     assert h.meta["lanes"] == lanes
-    assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, cfg, shards, lanes))
+    assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, cfg, lanes))
     # the lanes gather from the table; the serial chains evaluate the map per step
     Lc = 64 * cfg.grid_factor
     scalar = [Lc * min(max(m.raw_eval(j / Lc if j < Lc else 1.0 - _maps.EPS), _maps.EPS), 1.0 - _maps.EPS) for j in range(1, Lc + 1)]
@@ -309,14 +295,14 @@ def test_mc_lanes_match_serial_chains(data):
 def test_mc_burn_in_across_chunk_boundaries(cubic, rows):
     # burn_in = 1000 ends inside a block of noise rows (7, 333) and on a block
     # boundary (1000); K = 7001 is no multiple of the lane count, and with 10^4
-    # lanes each shard has fewer visits than _LANES
+    # lanes the run has fewer visits than lanes
     cfg = DitherConfig(seed=5, K=7_001, burn_in=1_000, grid_factor=2)
-    for lanes, shards in ((256, 1), (256, 2), (10_000, 1), (10_000, 2)):
+    for lanes in (256, 10_000):
         with mock.patch.object(density, "_LANES", lanes):
             with mock.patch.object(density, "_LANE_BLOCK", 1 << 20):
-                one_block = mc_density(cubic, 64, cfg, shards=shards)
+                one_block = mc_density(cubic, 64, cfg)
             with mock.patch.object(density, "_LANE_BLOCK", rows):
-                blocked = mc_density(cubic, 64, cfg, shards=shards)
+                blocked = mc_density(cubic, 64, cfg)
         assert np.array_equal(blocked.weights, one_block.weights)
         assert visit_counts(blocked).sum() == cfg.K
 

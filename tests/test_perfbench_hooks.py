@@ -1,18 +1,38 @@
-"""The benchmark's traced run wraps chaosrng functions by name; each must exist."""
+"""The benchmark drives chaosrng by name: its traced run wraps functions, and
+its workloads pass command lines.  Each name it relies on must exist."""
 import importlib.util
+import sys
 from pathlib import Path
 
 from chaosrng import maps
+from chaosrng.cli import _build_parser, _config_from_args
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
+def load_perfbench(monkeypatch, stem):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # the modules import their siblings (`spans`, `checks`)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{stem}", PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through the module's sys.modules entry
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_stages_resolve(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # traced.py imports its sibling `spans`
-    spec = importlib.util.spec_from_file_location("perfbench_traced", PERFBENCH / "traced.py")
-    traced = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(traced)
+    traced = load_perfbench(monkeypatch, "traced")
     hooks = [(owner, attr) for owner, attr, _, _ in traced.STAGES] + [(maps, "map_from_config")]
     missing = [f"{getattr(o, '__name__', o)}.{a}" for o, a in hooks if not callable(getattr(o, a, None))]
     assert traced.STAGES
     assert not missing, missing
+
+
+def test_workload_command_lines_parse(monkeypatch):
+    run = load_perfbench(monkeypatch, "run")
+    parser = _build_parser()
+    ops = [op for ops in run.WORKLOADS.values() for op in ops]
+    assert ops
+    for op in ops:
+        cfg = _config_from_args(parser.parse_args(op.argv(0)))
+        assert cfg.seed == 0, op.argv(0)
