@@ -10,7 +10,7 @@ Run:  python demos/01_invariant_density.py
 import numpy as np
 
 import chaosrng as cr
-from chaosrng.density import DitherConfig, fp_fixed_point, l1_distance, mc_density
+from chaosrng.density import fp_fixed_point, l1_distance, mc_density
 
 L = 1024
 
@@ -19,7 +19,7 @@ for name, make in (("cubic_sample", cr.cubic_sample_map),
                    ("logistic", cr.logistic_map)):
     m = make()
     fp = fp_fixed_point(m, L, tol=1e-11, max_iter=20000, grid_factor=16)
-    mc = mc_density(m, L, DitherConfig(seed=7, K=8_000_000, grid_factor=512))
+    mc = mc_density(m, L, seed=7, K=8_000_000, grid_factor=512)
     print(f"{name:>12}: operator fixed point in {fp.meta['iterations']} iterations, "
           f"L1(mc, fp) = {l1_distance(mc, fp):.4f}")
     if name == "logistic":

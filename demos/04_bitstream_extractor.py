@@ -13,7 +13,6 @@ import math
 
 import chaosrng as cr
 from chaosrng.bitstream import (
-    BitstreamConfig,
     empirical_pattern_probs,
     generate_bits,
     monobit_frequency,
@@ -21,17 +20,17 @@ from chaosrng.bitstream import (
 )
 from chaosrng.density import fp_fixed_point
 from chaosrng.entropy import block_probabilities
-from chaosrng.partition import SymbolPartition, refine
+from chaosrng.partition import SymbolPartition, refinement_ladder
 
 xb = 1.0 / math.sqrt(3.0)
 m = cr.cubic_sample_map()
 s = SymbolPartition.from_pairs([(0.0, xb)])
 
-bits = generate_bits(m, s, BitstreamConfig(seed=99, length=2_000_000, L=1 << 22))
+bits = generate_bits(m, s, 2_000_000, seed=99, L=1 << 22)
 print(f"generated {bits.size} bits, P(1) = {monobit_frequency(bits):.4f} (predicted 0.43)")
 
 f = fp_fixed_point(m, 4096, tol=1e-11, max_iter=20000, grid_factor=16)
-p3 = refine(m, s, 3)
+p3 = refinement_ladder(m, s, 3)[-1]
 predicted = block_probabilities(p3, f).probs
 measured = empirical_pattern_probs(bits, 3).probs
 print("\n3-bit words: predicted (density) vs measured (stream):")
@@ -39,10 +38,8 @@ for w, v in predicted.items():
     print(f"  {w}: {v:.4f} vs {measured[w]:.4f}")
 
 # negative control: pure float iteration loses its randomness
-raw = generate_bits(cr.tent_map(), cr.symmetric_partition(),
-                    BitstreamConfig(seed=4, length=20_000, dither=False))
-good = generate_bits(cr.tent_map(), cr.symmetric_partition(),
-                     BitstreamConfig(seed=4, length=20_000))
+raw = generate_bits(cr.tent_map(), cr.symmetric_partition(), 20_000, seed=4, dither=False)
+good = generate_bits(cr.tent_map(), cr.symmetric_partition(), 20_000, seed=4)
 print(f"\ntent map, raw float iteration:  P(1) = {monobit_frequency(raw):.3f}  (collapsed)")
 print(f"tent map, dithered iteration:   P(1) = {monobit_frequency(good):.3f}  (healthy)")
 

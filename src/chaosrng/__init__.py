@@ -8,7 +8,6 @@ the asymptotic entropy-rate metric, and the post-processing rate budget.
 
 from .analysis import AnalysisResult, InvariantViolation, run_analysis
 from .bitstream import (
-    BitstreamConfig,
     empirical_pattern_probs,
     generate_bits,
     monobit_frequency,
@@ -17,7 +16,6 @@ from .bitstream import (
 )
 from .density import (
     DensityHistogram,
-    DitherConfig,
     NonConvergenceError,
     ResolutionError,
     fp_fixed_point,
@@ -28,7 +26,6 @@ from .density import (
 from .entropy import (
     EntropyReport,
     ProbabilityTable,
-    RateBudget,
     bias,
     block_entropy,
     block_probabilities,
@@ -51,9 +48,7 @@ from .maps import (
     tent_map,
 )
 from .partition import (
-    RefinedPartition,
     SymbolPartition,
-    refine,
     refine_once,
     refinement_ladder,
     symmetric_partition,
@@ -63,17 +58,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisResult",
-    "BitstreamConfig",
     "Branch",
     "DensityHistogram",
-    "DitherConfig",
     "EntropyReport",
     "InvariantViolation",
     "MapModel",
     "NonConvergenceError",
     "ProbabilityTable",
-    "RateBudget",
-    "RefinedPartition",
     "ResolutionError",
     "SymbolPartition",
     "bernoulli_map",
@@ -98,7 +89,6 @@ __all__ = [
     "polynomial_map",
     "preimages",
     "rate_budget",
-    "refine",
     "refine_once",
     "refinement_ladder",
     "run_analysis",

@@ -20,7 +20,7 @@ from . import entropy as _entropy
 from .density import DensityHistogram
 from .entropy import EntropyReport, ProbabilityTable
 from .maps import MapModel
-from .partition import RefinedPartition, SymbolPartition, refinement_ladder
+from .partition import SymbolPartition, refinement_ladder
 
 DEFAULT_DEPTH = 14
 _RATE_WINDOW = 4  # tail length of the entropy-rate estimate
@@ -32,7 +32,7 @@ class InvariantViolation(AssertionError):
 
 def check_invariants(
     m: MapModel,
-    ladder: list[RefinedPartition],
+    ladder: list[SymbolPartition],
     tables: list[ProbabilityTable],
     report: EntropyReport,
 ) -> None:
@@ -60,7 +60,7 @@ def check_invariants(
 @dataclass
 class AnalysisResult:
     density: DensityHistogram
-    ladder: list[RefinedPartition]
+    ladder: list[SymbolPartition]
     tables: list[ProbabilityTable]
     report: EntropyReport
 
@@ -80,14 +80,13 @@ def run_analysis(
     H = [_entropy.block_entropy(t) for t in tables]
     h = _entropy.per_bit_entropies(H)
     # the rate estimate is h[-1]; the call measures (and warns about) the tail spread
-    spread = _entropy.entropy_rate_estimate(h, window=min(_RATE_WINDOW, len(h))).spread if len(h) >= 2 else 0.0
+    spread = _entropy.entropy_rate_estimate(h, window=min(_RATE_WINDOW, len(h))) if len(h) >= 2 else 0.0
     b = _entropy.bias(tables[0])
 
-    budget = None
+    recommended_rate = overhead = None
     if input_rate is not None:
         # exact-entropy cases can land a few ulp above 1; clamp into range
-        h_for_budget = min(max(h[-1], 0.0), 1.0)
-        budget = _entropy.rate_budget(input_rate, h_for_budget)
+        recommended_rate, overhead = _entropy.rate_budget(input_rate, min(max(h[-1], 0.0), 1.0))
 
     report = EntropyReport(
         H=H,
@@ -95,10 +94,9 @@ def run_analysis(
         h_estimate=h[-1],
         spread=spread,
         bias=b,
-        tables=tables,
         input_rate=input_rate,
-        recommended_rate=budget.output_rate if budget else None,
-        overhead=budget.overhead if budget else None,
+        recommended_rate=recommended_rate,
+        overhead=overhead,
         provenance={
             "map": m.name,
             "density_method": density.method,

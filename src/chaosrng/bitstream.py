@@ -12,7 +12,6 @@ periodic orbits.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,49 +45,44 @@ class InsufficientDataError(ValueError):
     """Stream too short for the requested pattern depth."""
 
 
-@dataclass(frozen=True)
-class BitstreamConfig:
-    """How to run the generator: seeding, length, dither grid, start point."""
-
-    seed: int
-    length: int
-    dither: bool = True
-    L: int = DEFAULT_STREAM_L
-    start: float | None = None  # explicit x_0; None = seeded-random
-
-    def validate(self) -> None:
-        if self.length < 1:
-            raise ValueError("length must be at least 1")
-        if self.dither and not 64 <= self.L <= MAX_STREAM_L:
-            raise ValueError(f"dither grid L={self.L} out of range; need 64..2^53")
-        if self.start is not None and not 0.0 < self.start < 1.0:
-            raise ValueError(f"start must lie in (0,1), got {self.start}")
-
-
-def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.ndarray:
-    """Binary sequence from iterating the map; uint8 array of 0/1.
+def generate_bits(
+    m: MapModel,
+    s: SymbolPartition,
+    length: int,
+    *,
+    seed: int,
+    L: int = DEFAULT_STREAM_L,
+    dither: bool = True,
+    start: float | None = None,
+) -> np.ndarray:
+    """Binary sequence of `length` bits from iterating the map; uint8 array of 0/1.
 
     Dither on: the digitized grid recurrence (state stays on j/L), stepped
     by :func:`density.chain_states` on the map itself.  Besides the output it
     holds O(``_CHAIN_CHUNK``) memory at every grid L: the noise is drawn and
     the states classified one chunk at a time.
     Dither off: raw float iteration - deterministic, and demonstrably
-    degenerate over long runs.
+    degenerate over long runs.  `start` is an explicit x_0 in (0, 1); None
+    draws it from the seeded generator.
     """
-    cfg.validate()
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    out = np.empty(cfg.length, dtype=np.uint8)
-    if cfg.dither:
-        L = cfg.L
-        if cfg.start is not None:
-            j = max(1, min(L, round(cfg.start * L)))
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if dither and not 64 <= L <= MAX_STREAM_L:
+        raise ValueError(f"dither grid L={L} out of range; need 64..2^53")
+    if start is not None and not 0.0 < start < 1.0:
+        raise ValueError(f"start must lie in (0,1), got {start}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = np.empty(length, dtype=np.uint8)
+    if dither:
+        if start is not None:
+            j = max(1, min(L, round(start * L)))
         else:
             j = int(rng.integers(1, L + 1))
         out[0] = s.symbol_of(j / L)
         # the same doubles as one uniform(size=length - 1) draw; bit n is read
         # from state j_n
-        for lo in range(0, cfg.length - 1, _CHAIN_CHUNK):
-            noise = rng.uniform(-1.0, 1.0, size=min(_CHAIN_CHUNK, cfg.length - 1 - lo))
+        for lo in range(0, length - 1, _CHAIN_CHUNK):
+            noise = rng.uniform(-1.0, 1.0, size=min(_CHAIN_CHUNK, length - 1 - lo))
             states = chain_states(m, noise, j, L)
             out[lo + 1 : lo + 1 + len(states)] = s.symbol_of(states / L)
             j = int(states[-1])
@@ -96,9 +90,9 @@ def generate_bits(m: MapModel, s: SymbolPartition, cfg: BitstreamConfig) -> np.n
     # x stays in [EPS, 1 - EPS], so raw_eval's scalar path plus the clamp of
     # eval_map is all a step needs
     f, lo, hi = m.raw_eval, EPS, 1.0 - EPS
-    x = cfg.start if cfg.start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
-    xs = np.empty(cfg.length)
-    for n in range(cfg.length):
+    x = start if start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
+    xs = np.empty(length)
+    for n in range(length):
         xs[n] = x
         y = f(x)
         x = lo if y < lo else hi if y > hi else y
@@ -176,7 +170,7 @@ def read_stream(path: str | Path) -> np.ndarray:
 
 
 def write_stream_ascii(path: str | Path, bits: np.ndarray) -> None:
-    body = "".join("1" if b else "0" for b in np.asarray(bits))
+    body = (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode()
     Path(path).write_text(f"# bitstream v{STREAM_VERSION} n={len(body)} rng={RNG_ALGORITHM}\n{body}\n")
 
 

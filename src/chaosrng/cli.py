@@ -14,8 +14,6 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis as _analysis
 from . import bitstream as _bitstream
 from . import density as _density
@@ -92,7 +90,7 @@ class AnalysisConfig:
     L: int = _field("density.L", _density.DEFAULT_L, "--L", help="density grid size")
     K: int = _field("density.K", _density.DEFAULT_K, "--K", help="Monte Carlo visit budget")
     burn_in: int = _field("density.burn_in", _density.DEFAULT_BURN_IN, "--burn-in")
-    tol: float = _field("density.tol", 1e-9, "--tol", help="operator convergence tolerance")
+    tol: float = _field("density.tol", _density.DEFAULT_TOL, "--tol", help="operator convergence tolerance")
     grid_factor: int | None = _field("density.grid_factor", None, "--grid-factor")
     depth: int = _field("depth", _analysis.DEFAULT_DEPTH, "--depth", help="refinement depth N")
     seed: int = _field("seed", 0, "--seed")
@@ -136,7 +134,9 @@ class AnalysisConfig:
             (out.setdefault(section, {}) if section else out)[key] = getattr(self, f.name)
         return out
 
-    def validate(self) -> None:
+    def validate(self, command: str | None = None) -> None:
+        """Check every field.  The floors on K and burn_in hold only where a Monte
+        Carlo density is built: in `verify`, and by method except in `bitgen`."""
         for f in fields(self):
             _check_type(f.metadata["path"], getattr(self, f.name), f.type)
         if self.method not in DENSITY_METHODS:
@@ -146,10 +146,11 @@ class AnalysisConfig:
                 raise ConfigError(f"output.formats: {fmt!r} not one of {FORMATS}")
         if self.L < 64:
             raise ConfigError(f"density.L: need an integer >= 64, got {self.L!r}")
-        if self.K < 100 * self.L:
-            raise ConfigError(f"density.K: need an integer >= 100*L = {100 * self.L}, got {self.K!r}")
-        if self.burn_in < 1_000:
-            raise ConfigError(f"density.burn_in: need >= 1000, got {self.burn_in!r}")
+        if command == "verify" or (command != "bitgen" and self.method != "fp_operator"):
+            if self.K < 100 * self.L:
+                raise ConfigError(f"density.K: need an integer >= 100*L = {100 * self.L}, got {self.K!r}")
+            if self.burn_in < 1_000:
+                raise ConfigError(f"density.burn_in: need >= 1000, got {self.burn_in!r}")
         if not self.tol > 0:
             raise ConfigError(f"density.tol: must be positive, got {self.tol!r}")
         if self.grid_factor is not None and self.grid_factor < 1:
@@ -160,7 +161,7 @@ class AnalysisConfig:
             raise ConfigError(f"seed: must be non-negative, got {self.seed!r}")
         if self.length < 1:
             raise ConfigError(f"length: must be positive, got {self.length!r}")
-        # the bounds of BitstreamConfig.validate, checked before any work starts
+        # the bounds generate_bits checks, checked before any work starts
         if self.dither and not 64 <= self.stream_grid <= _bitstream.MAX_STREAM_L:
             raise ConfigError(f"stream_grid: need 64..2^53 for a dithered stream, got {self.stream_grid!r}")
         if self.start is not None and not 0.0 < self.start < 1.0:
@@ -292,11 +293,7 @@ def cmd_bitgen(cfg: AnalysisConfig, von_neumann: bool, ascii_out: bool) -> int:
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
     bits = _bitstream.generate_bits(
-        m,
-        s,
-        _bitstream.BitstreamConfig(
-            seed=cfg.seed, length=cfg.length, dither=cfg.dither, L=cfg.stream_grid, start=cfg.start
-        ),
+        m, s, cfg.length, seed=cfg.seed, L=cfg.stream_grid, dither=cfg.dither, start=cfg.start
     )
     _bitstream.write_stream(out / "stream.bits", bits)
     if ascii_out:
@@ -348,9 +345,7 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
     dh = tv = float("nan")  # nan < tolerance is False: both checks fail
     if res_fp is not None:
         dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
-        bits = _bitstream.generate_bits(
-            m, s, _bitstream.BitstreamConfig(seed=cfg.seed, length=max(cfg.length, 1_000_000), L=1 << 24)
-        )
+        bits = _bitstream.generate_bits(m, s, max(cfg.length, 1_000_000), seed=cfg.seed, L=1 << 24)
         tv = max(
             _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(bits, N))
             for N in range(1, min(depth, 4) + 1)
@@ -441,7 +436,7 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         value = getattr(args, f.name, None) if f.metadata["flag"] else None
         if value is not None:
             setattr(cfg, f.name, value)
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 

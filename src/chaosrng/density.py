@@ -28,6 +28,9 @@ RNG_ALGORITHM = "PCG64"
 DEFAULT_L = 4096
 DEFAULT_K = 4_000_000
 DEFAULT_BURN_IN = 10_000
+DEFAULT_TOL = 1e-9
+#: the Monte Carlo chain grid is MC_GRID_FACTOR * L points (see :func:`mc_density`)
+MC_GRID_FACTOR = 16
 
 
 class ResolutionError(ValueError):
@@ -41,37 +44,6 @@ class NonConvergenceError(RuntimeError):
         )
         self.distance = distance
         self.iterations = iterations
-
-
-@dataclass(frozen=True)
-class DitherConfig:
-    """Seeding and sample-size parameters for the digitized iteration.
-
-    ``grid_factor`` runs the chain on a grid `grid_factor * L` and
-    aggregates visits down to the L output bins.  With the chain grid equal
-    to the histogram grid, map slopes above 2 outrun the +-1-cell dither and
-    leave unreachable states (a comb artifact in the histogram); a finer
-    chain grid removes it while keeping the same recurrence.
-
-    The K counted visits come from one seeded run of many chains stepped in
-    lockstep (see :func:`mc_density`); every chain discards its own first
-    ``burn_in`` states.  The result is deterministic for a given seed.
-    """
-
-    seed: int
-    burn_in: int = DEFAULT_BURN_IN
-    K: int = DEFAULT_K
-    grid_factor: int = 16
-
-    def validate(self, L: int) -> None:
-        if self.K < 100 * L:
-            raise ResolutionError(
-                f"K={self.K} is below the resolution floor 100*L={100 * L}; visit counts need K >> L"
-            )
-        if self.burn_in < 1_000:
-            raise ValueError(f"burn_in={self.burn_in} too small; need at least 1000 to pass the transient")
-        if self.grid_factor < 1:
-            raise ValueError(f"grid_factor={self.grid_factor} must be a positive integer")
 
 
 #: bin edges of a density grid with n bins: uniform in x ("uniform"), or
@@ -257,7 +229,15 @@ def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
     return table
 
 
-def mc_density(m: MapModel, L: int, cfg: DitherConfig) -> DensityHistogram:
+def mc_density(
+    m: MapModel,
+    L: int,
+    *,
+    seed: int,
+    K: int = DEFAULT_K,
+    burn_in: int = DEFAULT_BURN_IN,
+    grid_factor: int = MC_GRID_FACTOR,
+) -> DensityHistogram:
     """Invariant density by dithered grid iteration, as one seeded run.
 
     ``_LANES`` chains step in lockstep, one numpy update
@@ -269,12 +249,21 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig) -> DensityHistogram:
     j goes straight to output bin min(j // grid_factor, L - 1).
     Deterministic for a given seed; each chain equals a :func:`chain_states`
     run over its own column of the noise.
+
+    The chain grid is finer than the L output bins because, with the two
+    equal, map slopes above 2 outrun the +-1-cell dither and leave
+    unreachable states (a comb artifact in the histogram); a finer chain grid
+    removes it while keeping the same recurrence.
     """
     if L < 64:
         raise ValueError(f"L={L} too small; need at least 64 grid points")
-    cfg.validate(L)
-    gf = cfg.grid_factor
-    Lc = L * gf
+    if K < 100 * L:
+        raise ResolutionError(f"K={K} is below the resolution floor 100*L={100 * L}; visit counts need K >> L")
+    if burn_in < 1_000:
+        raise ValueError(f"burn_in={burn_in} too small; need at least 1000 to pass the transient")
+    if grid_factor < 1:
+        raise ValueError(f"grid_factor={grid_factor} must be a positive integer")
+    Lc = L * grid_factor
     table = scaled_map_table(m, Lc)
     # scaled_map_table keeps every entry in (0, Lc), so table[j] + u lies in
     # (-1, Lc + 1) and its truncation to int is the clipped floor, except that
@@ -283,10 +272,10 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig) -> DensityHistogram:
     counts = np.zeros(L, dtype=np.int64)
 
     # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     j = rng.integers(1, Lc + 1, size=_LANES)
-    steps = cfg.burn_in + -(-cfg.K // _LANES)
-    left = cfg.K
+    steps = burn_in + -(-K // _LANES)
+    left = K
     for lo in range(0, steps, _LANE_BLOCK):
         # row r holds step lo + r of every chain: the first `left` counted
         # states in row-major order are whole rows, then the last counted
@@ -297,17 +286,17 @@ def mc_density(m: MapModel, L: int, cfg: DitherConfig) -> DensityHistogram:
             u += table[j]
             row[:] = u
             j = row
-        counted = states[max(cfg.burn_in - lo, 0) :].ravel()[:left]
-        # state j (0 stands for 1) lies in output bin j // gf, state Lc in the top bin
-        counts += np.bincount(np.minimum(np.maximum(counted, 1) // gf, L - 1), minlength=L)
+        counted = states[max(burn_in - lo, 0) :].ravel()[:left]
+        # state j (0 stands for 1) lies in output bin j // grid_factor, state Lc in the top bin
+        counts += np.bincount(np.minimum(np.maximum(counted, 1) // grid_factor, L - 1), minlength=L)
         left -= counted.size
 
-    weights = counts * (L / cfg.K)
+    weights = counts * (L / K)
     hist = DensityHistogram(
         L=L,
         weights=weights,
         method="montecarlo",
-        meta={"K": cfg.K, "burn_in": cfg.burn_in, "seed": cfg.seed, "rng": RNG_ALGORITHM, "lanes": _LANES},
+        meta={"K": K, "burn_in": burn_in, "seed": seed, "rng": RNG_ALGORITHM, "lanes": _LANES},
     )
     hist.validate()
     return hist
@@ -387,7 +376,7 @@ def uniform_density(L: int, method: str = "fp_operator") -> DensityHistogram:
 def fp_fixed_point(
     m: MapModel,
     L: int,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     max_iter: int = 2000,
     grid_factor: int = 1,
 ) -> DensityHistogram:
@@ -428,13 +417,14 @@ def density_for(
     seed: int = 0,
     K: int = DEFAULT_K,
     burn_in: int = DEFAULT_BURN_IN,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     grid_factor: int | None = None,
 ) -> DensityHistogram:
-    """Dispatch on method name ("montecarlo" | "fp_operator")."""
+    """Dispatch on method name ("montecarlo" | "fp_operator"); a `grid_factor`
+    of None takes the method's own default."""
     if method == "montecarlo":
-        cfg = DitherConfig(seed=seed, burn_in=burn_in, K=K, grid_factor=grid_factor or 16)
-        return mc_density(m, L, cfg)
+        gf = MC_GRID_FACTOR if grid_factor is None else grid_factor
+        return mc_density(m, L, seed=seed, K=K, burn_in=burn_in, grid_factor=gf)
     if method == "fp_operator":
-        return fp_fixed_point(m, L, tol=tol, grid_factor=grid_factor or 1)
+        return fp_fixed_point(m, L, tol=tol, grid_factor=1 if grid_factor is None else grid_factor)
     raise ValueError(f"unknown density method {method!r}")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import DensityHistogram
-from .partition import RefinedPartition
+from .partition import SymbolPartition
 
 
 MONOTONE_SLACK = 1e-6  # largest h_N increase EntropyReport.validate accepts silently
@@ -61,7 +61,7 @@ class ProbabilityTable:
         return ProbabilityTable(depth=self.depth - 1, p=self.p[0::2] + self.p[1::2])
 
 
-def block_probabilities(p: RefinedPartition, f: DensityHistogram) -> ProbabilityTable:
+def block_probabilities(p: SymbolPartition, f: DensityHistogram) -> ProbabilityTable:
     """Integrate the density over every cell (the intervals with its code).
 
     The sum over all words must already be 1 to within 1e-6 (the cells tile
@@ -116,17 +116,11 @@ def per_bit_entropies(H) -> list[float]:
     return [H[0]] + [b - a for a, b in zip(H, H[1:])]
 
 
-@dataclass(frozen=True)
-class EntropyRateEstimate:
-    value: float
-    spread: float
-    window: int
+def entropy_rate_estimate(h, window: int = 4) -> float:
+    """Tail spread max - min of the last `window` per-bit entropies: the
+    convergence check of the rate estimate h[-1].
 
-
-def entropy_rate_estimate(h, window: int = 4) -> EntropyRateEstimate:
-    """Last h_N as the rate estimate, with a tail-spread convergence check.
-
-    Monotone decrease makes the estimate an upper bound on the true rate.
+    Monotone decrease makes h[-1] an upper bound on the true rate.
     Warns (does not fail) when the tail has not settled to 1e-3.
     """
     h = list(h)
@@ -141,26 +135,19 @@ def entropy_rate_estimate(h, window: int = 4) -> EntropyRateEstimate:
             RuntimeWarning,
             stacklevel=2,
         )
-    return EntropyRateEstimate(value=float(h[-1]), spread=float(spread), window=window)
+    return float(spread)
 
 
-@dataclass(frozen=True)
-class RateBudget:
-    input_rate: float
-    output_rate: float
-    overhead: float  # 1/h, the extraction cost factor
-    no_extractable_entropy: bool = False
-
-
-def rate_budget(R: float, h: float) -> RateBudget:
-    """Maximum truly-random output rate R_d = h * R for input rate R."""
+def rate_budget(R: float, h: float) -> tuple[float, float]:
+    """Maximum truly-random output rate R_d = h * R for input rate R, and the
+    extraction overhead 1/h (inf when h = 0: no extractable entropy)."""
     if R <= 0:
         raise ValueError("input rate must be positive")
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"entropy per bit must lie in [0, 1], got {h}")
     if h == 0.0:
-        return RateBudget(input_rate=R, output_rate=0.0, overhead=float("inf"), no_extractable_entropy=True)
-    return RateBudget(input_rate=R, output_rate=h * R, overhead=1.0 / h)
+        return 0.0, float("inf")
+    return h * R, 1.0 / h
 
 
 @dataclass
@@ -172,7 +159,6 @@ class EntropyReport:
     h_estimate: float
     spread: float
     bias: float
-    tables: list[ProbabilityTable] = field(default_factory=list, repr=False)
     input_rate: float | None = None
     recommended_rate: float | None = None
     overhead: float | None = None

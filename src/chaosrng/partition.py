@@ -4,11 +4,11 @@ The unit interval is split into S(0) and S(1); the emitted bit is the index
 of the set containing the current state.  The depth-N refinement gives every
 N-bit word the initial states that generate exactly that word.  Since
 cell(i w) = S(i) n M^-1(cell(w)), its boundaries are C_N = C_1 u M^-1(C_{N-1}).
-Every level, the partition itself included, is one sorted cut array plus an
-integer code per interval (the bit for the partition, the word for a
-refinement), computed from the branch inverses.  Those are closed forms, good
-to a few ulp, except for custom polynomial maps, whose bisection can land
-~1e-8 off near a critical value (see `maps`).
+Every level, the partition itself included, is a `SymbolPartition`: one
+sorted cut array plus an integer code per interval (the bit for the
+partition, the word for a refinement), computed from the branch inverses.
+Those are closed forms, good to a few ulp, except for custom polynomial
+maps, whose bisection can land ~1e-8 off near a critical value (see `maps`).
 """
 from __future__ import annotations
 
@@ -33,13 +33,20 @@ class PartitionInvariantError(AssertionError):
 
 @dataclass(frozen=True, eq=False)
 class SymbolPartition:
-    """The bit-generation sets: the intervals (cuts[i], cuts[i+1]] tile [0, 1],
-    and codes[i] is the bit (0 or 1) they emit.  Neighbouring codes differ,
-    so every inner cut is a boundary between S(0) and S(1).
+    """A partition of [0, 1] at depth N: the intervals (cuts[i], cuts[i+1]]
+    tile [0, 1], and codes[i] is the N-bit word their points emit, as an
+    integer with the first bit most significant.  A word's cell is the union
+    of its code's intervals.
+
+    Depth 1 is the bit-generation partition, S(0) and S(1), built by
+    :meth:`from_pairs`; there neighbouring codes differ, so every inner cut is
+    a boundary between S(0) and S(1).  Deeper levels come from
+    :func:`refinement_ladder`.
     """
 
     cuts: np.ndarray  # sorted floats from 0 to 1
-    codes: np.ndarray  # one int bit per interval
+    codes: np.ndarray  # one int word code per interval
+    depth: int = 1
 
     @classmethod
     def from_pairs(cls, s0_pairs, s1_pairs=None) -> "SymbolPartition":
@@ -53,43 +60,9 @@ class SymbolPartition:
         return cls(cuts=cuts, codes=codes)
 
     def symbol_of(self, x):
-        """Bit of each x in (0, 1] (a float or an array), with the left-cell
+        """Code of each x in (0, 1] (a float or an array), with the left-cell
         tie convention (lo, hi] for boundary points."""
         return self.codes[np.searchsorted(self.cuts, x) - 1]
-
-
-def _tiling(name: str, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """Cuts and codes of the partition whose S(0) is the union of `pairs`."""
-    edges: list[float] = []  # starts and ends of the merged pairs
-    for lo, hi in sorted((float(lo), float(hi)) for lo, hi in pairs):
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValueError(f"{name}: pair [{lo!r}, {hi!r}] needs 0 <= lo < hi <= 1")
-        if edges and lo < edges[-1]:
-            raise ValueError(f"{name}: pair [{lo!r}, {hi!r}] overlaps the one ending at {edges[-1]!r}")
-        if edges and lo == edges[-1]:
-            edges[-1] = hi
-        else:
-            edges += [lo, hi]
-    bounds = np.array([0.0, *edges, 1.0])
-    keep = bounds[1:] > bounds[:-1]  # only the first and last interval can be empty
-    codes = np.arange(1, bounds.size, dtype=np.int64) % 2
-    return np.append(bounds[:-1][keep], 1.0), codes[keep]
-
-
-def symmetric_partition() -> SymbolPartition:
-    return SymbolPartition.from_pairs([(0.0, 0.5)])
-
-
-@dataclass(frozen=True, eq=False)
-class RefinedPartition:
-    """Depth-N refinement: the intervals (cuts[i], cuts[i+1]) tile [0, 1], and
-    codes[i] is the N-bit word their starts emit, as an integer with the first
-    bit most significant.  A word's cell is the union of its code's intervals.
-    """
-
-    depth: int
-    cuts: np.ndarray  # sorted floats from 0 to 1
-    codes: np.ndarray  # one int word code per interval
 
     def _run_bounds(self) -> np.ndarray:
         """Index of the first interval of each run of equal codes, then codes.size."""
@@ -117,7 +90,7 @@ class RefinedPartition:
         i = int(np.searchsorted(self.cuts, x)) - 1
         return format(int(self.codes[i]), f"0{self.depth}b") if 0.0 < x <= 1.0 else None
 
-    def validate(self, m: MapModel, parent: "RefinedPartition | None" = None) -> None:
+    def validate(self, m: MapModel, parent: "SymbolPartition | None" = None) -> None:
         """Structural checks; with a `parent`, the children must reassemble its
         cells, and the map `m` must carry every interval's midpoint into a
         parent interval coded with the interval's last N-1 bits."""
@@ -145,6 +118,28 @@ class RefinedPartition:
         Path(path).write_text(json.dumps(payload))
 
 
+def _tiling(name: str, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Cuts and codes of the partition whose S(0) is the union of `pairs`."""
+    edges: list[float] = []  # starts and ends of the merged pairs
+    for lo, hi in sorted((float(lo), float(hi)) for lo, hi in pairs):
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValueError(f"{name}: pair [{lo!r}, {hi!r}] needs 0 <= lo < hi <= 1")
+        if edges and lo < edges[-1]:
+            raise ValueError(f"{name}: pair [{lo!r}, {hi!r}] overlaps the one ending at {edges[-1]!r}")
+        if edges and lo == edges[-1]:
+            edges[-1] = hi
+        else:
+            edges += [lo, hi]
+    bounds = np.array([0.0, *edges, 1.0])
+    keep = bounds[1:] > bounds[:-1]  # only the first and last interval can be empty
+    codes = np.arange(1, bounds.size, dtype=np.int64) % 2
+    return np.append(bounds[:-1][keep], 1.0), codes[keep]
+
+
+def symmetric_partition() -> SymbolPartition:
+    return SymbolPartition.from_pairs([(0.0, 0.5)])
+
+
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     """np.unique of a 1-D float array.  numpy 2.4's np.unique (and a large
     np.isin) imports numpy.ma on first use, ~20 ms of every command."""
@@ -154,7 +149,7 @@ def _sorted_distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> RefinedPartition:
+def refine_once(m: MapModel, s: SymbolPartition, p: SymbolPartition) -> SymbolPartition:
     """Depth N -> N+1: prepend each possible first bit to every word.
 
     Within a branch each new interval pulls back a piece of one parent
@@ -176,11 +171,14 @@ def refine_once(m: MapModel, s: SymbolPartition, p: RefinedPartition) -> Refined
     for br, x, par in pulled:
         inside = (mids > br.lo) & (mids < br.hi)
         codes[inside] |= p.codes[par[np.searchsorted(x, mids[inside]) - 1]]
-    return RefinedPartition(depth=p.depth + 1, cuts=cuts, codes=codes)
+    return SymbolPartition(cuts=cuts, codes=codes, depth=p.depth + 1)
 
 
-def refinement_ladder(m: MapModel, s: SymbolPartition, N: int) -> list[RefinedPartition]:
-    """All refinements up to depth N (reusing each level to build the next)."""
+def refinement_ladder(m: MapModel, s: SymbolPartition, N: int) -> list[SymbolPartition]:
+    """The partitions at depths 1..N: `s` itself, then each refinement built
+    from the one before."""
+    if s.depth != 1:
+        raise RefinementError(f"refinement starts from a depth-1 partition, got depth {s.depth}")
     if N < 1:
         raise RefinementError("depth must be at least 1")
     if N > DEFAULT_MAX_DEPTH:
@@ -188,15 +186,10 @@ def refinement_ladder(m: MapModel, s: SymbolPartition, N: int) -> list[RefinedPa
             f"depth {N} exceeds the cap {DEFAULT_MAX_DEPTH}: cell widths shrink geometrically and "
             "drop below any usable grid resolution"
         )
-    ladder = [RefinedPartition(depth=1, cuts=s.cuts, codes=s.codes)]
+    ladder = [s]
     while ladder[-1].depth < N:
         ladder.append(refine_once(m, s, ladder[-1]))
     return ladder
-
-
-def refine(m: MapModel, s: SymbolPartition, N: int) -> RefinedPartition:
-    """Depth-N refinement of the bit-generation partition (see `refinement_ladder`)."""
-    return refinement_ladder(m, s, N)[-1]
 
 
 def partition_from_config(cfg: dict) -> SymbolPartition:

@@ -12,7 +12,6 @@ import pytest
 import chaosrng as cr
 from chaosrng.analysis import check_invariants, run_analysis
 from chaosrng.bitstream import (
-    BitstreamConfig,
     empirical_pattern_probs,
     generate_bits,
     monobit_frequency,
@@ -21,7 +20,6 @@ from chaosrng.bitstream import (
 )
 from chaosrng.density import (
     DensityHistogram,
-    DitherConfig,
     fp_fixed_point,
     l1_distance,
     mc_density,
@@ -56,7 +54,7 @@ def part(cubic):
 def mc_run(cubic):
     """The shared single-run density: L = 4096, K = 4e6 dithered visits."""
     t0 = time.perf_counter()
-    f = mc_density(cubic, 4096, DitherConfig(seed=12345, K=4_000_000))
+    f = mc_density(cubic, 4096, seed=12345, K=4_000_000)
     return f, time.perf_counter() - t0
 
 
@@ -64,7 +62,7 @@ def mc_run(cubic):
 def cubic_stream(cubic, part):
     """The cubic 1e7-bit stream that acceptance 7 and 9 share, and its build time."""
     t0 = time.perf_counter()
-    bits = generate_bits(cubic, part, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
+    bits = generate_bits(cubic, part, 10_000_000, seed=99, L=1 << 24)
     return bits, time.perf_counter() - t0
 
 
@@ -137,7 +135,7 @@ def test_acceptance_5_cross_method_density():
     for name in ("cubic_sample", "tent", "bernoulli", "logistic"):
         m = BUILTIN_MAPS[name]()
         fp = fp_fixed_point(m, L, tol=1e-11, max_iter=20000, grid_factor=16)
-        mc = mc_density(m, L, DitherConfig(seed=7, K=40_000_000, grid_factor=4096))
+        mc = mc_density(m, L, seed=7, K=40_000_000, grid_factor=4096)
         d = l1_distance(mc, fp)
         if d > worst[1]:
             worst = (name, d)
@@ -185,7 +183,7 @@ def test_acceptance_7_oracle_equivalence(cubic, part, cubic_stream):
         if name == "cubic_sample":
             bits = cubic_stream[0]
         else:
-            bits = generate_bits(m, s, BitstreamConfig(seed=99, length=10_000_000, L=1 << 24))
+            bits = generate_bits(m, s, 10_000_000, seed=99, L=1 << 24)
         for N in range(1, 9):
             tab = block_probabilities(ladder[N - 1], f)
             tv = total_variation(tab, empirical_pattern_probs(bits, N))

@@ -41,7 +41,7 @@ def test_precomputed_density_short_circuit(tent, sym_part):
 
 
 def test_montecarlo_route(tent, sym_part):
-    res = run_analysis(tent, sym_part, depth=4, density=cr.mc_density(tent, 256, cr.DitherConfig(seed=3, K=1_000_000)))
+    res = run_analysis(tent, sym_part, depth=4, density=cr.mc_density(tent, 256, seed=3, K=1_000_000))
     assert res.report.bias < 0.005
     assert res.density.meta["rng"] == "PCG64"
 
@@ -73,6 +73,6 @@ def test_invariant_suite_runs_the_forward_check(tent, sym_part):
     p = res.ladder[-1]
     codes = p.codes.copy()
     codes[0] ^= 1  # a wrong last bit keeps every prefix intact
-    bad = cr.RefinedPartition(depth=p.depth, cuts=p.cuts, codes=codes)
+    bad = cr.SymbolPartition(depth=p.depth, cuts=p.cuts, codes=codes)
     with pytest.raises(cr.InvariantViolation, match="last N-1 bits"):
         check_invariants(tent, res.ladder[:-1] + [bad], res.tables, res.report)

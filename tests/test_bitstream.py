@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import chaosrng as cr
 from chaosrng import bitstream
 from chaosrng.bitstream import (
-    BitstreamConfig,
     InsufficientDataError,
     empirical_pattern_probs,
     generate_bits,
@@ -30,53 +29,51 @@ bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=200).map(
 )
 
 
-def test_config_validation():
+def test_config_validation(cubic, branch_part):
     with pytest.raises(ValueError):
-        BitstreamConfig(seed=0, length=0).validate()
+        generate_bits(cubic, branch_part, 0, seed=0)
     with pytest.raises(ValueError):
-        BitstreamConfig(seed=0, length=10, L=8).validate()
-    BitstreamConfig(seed=0, length=10, L=2**53).validate()
+        generate_bits(cubic, branch_part, 10, seed=0, L=8)
+    assert generate_bits(cubic, branch_part, 10, seed=0, L=2**53).size == 10
     with pytest.raises(ValueError, match="2\\^53"):
-        BitstreamConfig(seed=0, length=10, L=2**53 + 1).validate()
+        generate_bits(cubic, branch_part, 10, seed=0, L=2**53 + 1)
     with pytest.raises(ValueError):
-        BitstreamConfig(seed=0, length=10, start=1.5).validate()
+        generate_bits(cubic, branch_part, 10, seed=0, start=1.5)
 
 
 def test_generation_deterministic(cubic, branch_part):
-    cfg = BitstreamConfig(seed=9, length=5_000)
-    a = generate_bits(cubic, branch_part, cfg)
-    b = generate_bits(cubic, branch_part, cfg)
+    a = generate_bits(cubic, branch_part, 5_000, seed=9)
+    b = generate_bits(cubic, branch_part, 5_000, seed=9)
     assert np.array_equal(a, b)
-    c = generate_bits(cubic, branch_part, BitstreamConfig(seed=10, length=5_000))
+    c = generate_bits(cubic, branch_part, 5_000, seed=10)
     assert not np.array_equal(a, c)
     assert set(np.unique(a)) <= {0, 1}
 
 
 def test_fixed_start_reproducible(cubic, branch_part):
-    cfg = BitstreamConfig(seed=0, length=1_000, start=0.3)
-    a = generate_bits(cubic, branch_part, cfg)
+    a = generate_bits(cubic, branch_part, 1_000, seed=0, start=0.3)
     # a different seed changes the dither noise but not the start state
-    b = generate_bits(cubic, branch_part, BitstreamConfig(seed=99, length=1_000, start=0.3))
+    b = generate_bits(cubic, branch_part, 1_000, seed=99, start=0.3)
     assert a[0] == b[0] == branch_part.symbol_of(0.3)
     # dither off: the whole trajectory is fixed by the start point
-    c = generate_bits(cubic, branch_part, BitstreamConfig(seed=0, length=200, start=0.3, dither=False))
-    d = generate_bits(cubic, branch_part, BitstreamConfig(seed=99, length=200, start=0.3, dither=False))
+    c = generate_bits(cubic, branch_part, 200, seed=0, start=0.3, dither=False)
+    d = generate_bits(cubic, branch_part, 200, seed=99, start=0.3, dither=False)
     assert np.array_equal(c, d)
 
 
 def test_raw_float_iteration_is_degenerate(tent, sym_part):
     # finite precision drains one bit per tent step: the raw trajectory
     # collapses toward the fixed region and the stream goes heavily to zero
-    bits = generate_bits(tent, sym_part, BitstreamConfig(seed=4, length=10_000, dither=False))
+    bits = generate_bits(tent, sym_part, 10_000, seed=4, dither=False)
     assert monobit_frequency(bits) < 0.2
-    dithered = generate_bits(tent, sym_part, BitstreamConfig(seed=4, length=10_000))
+    dithered = generate_bits(tent, sym_part, 10_000, seed=4)
     assert abs(monobit_frequency(dithered) - 0.5) < 0.02
 
 
 def test_raw_iteration_matches_step_loop(cubic):
     # the raw path classifies all states at once; step by step is the reference
     s = cr.SymbolPartition.from_pairs([(0.1, 0.3), (0.5, 0.77)])
-    bits = generate_bits(cubic, s, BitstreamConfig(seed=0, length=2_000, dither=False, start=0.3))
+    bits = generate_bits(cubic, s, 2_000, seed=0, dither=False, start=0.3)
     x, want = 0.3, []
     for _ in range(2_000):
         want.append(s.symbol_of(x))
@@ -127,10 +124,10 @@ def test_empirical_pattern_probs_match_int64_route(N):
 @pytest.mark.parametrize("L", [2**20, 2**40])
 def test_generate_bits_memory_independent_of_grid(cubic, sym_part, L):
     # no L-sized array: noise, states and bits go by chunk beside the output
-    generate_bits(cubic, sym_part, BitstreamConfig(seed=0, length=1_000, L=64))  # warm imports
+    generate_bits(cubic, sym_part, 1_000, seed=0, L=64)  # warm imports
     tracemalloc.start()
     try:
-        generate_bits(cubic, sym_part, BitstreamConfig(seed=0, length=300_000, L=L))
+        generate_bits(cubic, sym_part, 300_000, seed=0, L=L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -148,7 +145,7 @@ def test_stream_on_a_grid_too_fine_for_a_table(cubic, branch_part):
     L, length = 2**34, 10_000
     for small in (1000, 4096):  # the entries are the table's where it fits
         assert [map_table_entry(cubic, j, small) for j in range(small + 1)][1:] == scaled_map_table(cubic, small)[1:].tolist()
-    bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=5, length=length, L=L))
+    bits = generate_bits(cubic, branch_part, length, seed=5, L=L)
     rng = np.random.Generator(np.random.PCG64(5))
     j = int(rng.integers(1, L + 1))
     want = [branch_part.symbol_of(j / L)]
@@ -160,7 +157,7 @@ def test_stream_on_a_grid_too_fine_for_a_table(cubic, branch_part):
 
 
 def test_bernoulli_stream_is_fair(bernoulli, sym_part):
-    bits = generate_bits(bernoulli, sym_part, BitstreamConfig(seed=21, length=500_000))
+    bits = generate_bits(bernoulli, sym_part, 500_000, seed=21)
     assert abs(monobit_frequency(bits) - 0.5) < 0.002
     t = empirical_pattern_probs(bits, 3)
     for w, v in t.probs.items():
@@ -191,7 +188,7 @@ def test_von_neumann_properties(bits):
 
 
 def test_von_neumann_debiases(cubic, branch_part):
-    bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=3, length=400_000))
+    bits = generate_bits(cubic, branch_part, 400_000, seed=3)
     assert abs(monobit_frequency(bits) - 0.43) < 0.01  # raw stream is biased
     out = von_neumann_extract(bits)
     assert abs(monobit_frequency(out) - 0.5) < 0.005

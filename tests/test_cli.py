@@ -114,7 +114,7 @@ def test_from_dict_leaves_its_argument_untouched():
 
 def test_config_bounds():
     with pytest.raises(ConfigError, match="density.K"):
-        AnalysisConfig.from_dict({"density": {"L": 1024, "K": 10240}})
+        AnalysisConfig.from_dict({"density": {"method": "montecarlo", "L": 1024, "K": 10240}})
     with pytest.raises(ConfigError, match="density.method"):
         AnalysisConfig.from_dict({"density": {"method": "psychic"}})
     with pytest.raises(ConfigError, match="depth"):
@@ -140,6 +140,29 @@ def test_density_both_prints_l1(tmp_path, capsys):
     assert "config_sha256" in payload
     first = (tmp_path / "density_fp_operator.csv").read_text().splitlines()[0]
     assert first.startswith("# config=")
+
+
+# sha256 of the four files of `density --map logistic --method both --L 333
+# --K 100000 --grid-factor 3 --out-dir .`, as written before mc_density took
+# keyword arguments
+DENSITY_BOTH_SHA256 = {
+    "density_fp_operator.csv": "96850f5399a29cb082f86542ab6da2fda69517b4b7adb5caa3e28788d6404e41",
+    "density_fp_operator.json": "5c8dfdf5893d1aa6adb7fe37f856916b662ee9966040516a7eb496eca96a26bc",
+    "density_montecarlo.csv": "44492d93d8f475658d4ccd618a2ca0fcc9ded4d06d8bec4d39b28c8606ea002d",
+    "density_montecarlo.json": "0aca7e2d2a99f4d53d1861fef0be86c7adfb669de74bd8c6c13fc9cd58a76949",
+}
+
+
+def test_density_both_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # a relative output directory keeps the config hash inside the files fixed
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(
+        capsys, "density", "--map", "logistic", "--method", "both",
+        "--L", "333", "--K", "100000", "--grid-factor", "3", "--out-dir", ".",
+    )
+    assert code == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert got == DENSITY_BOTH_SHA256
 
 
 def test_density_idempotent(tmp_path, capsys):
@@ -330,6 +353,23 @@ def test_bad_config_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--map", "tent", "--L", "1024", "--K", "10240")
     assert code == 2
     assert "density.K" in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["analyze", "--L", "65536", "--depth", "2"], 0),  # operator density: no visit budget
+        (["bitgen", "--L", "65536", "--length", "1000"], 0),  # no density at all
+        (["analyze", "--method", "montecarlo", "--L", "65536"], 2),
+        (["density", "--method", "both", "--L", "65536"], 2),
+        (["verify", "--L", "65536"], 2),  # verify always builds a Monte Carlo density
+    ],
+)
+def test_monte_carlo_floors_only_where_a_monte_carlo_density_is_built(tmp_path, capsys, argv, code):
+    # the default K = 4e6 is below 100 * L = 6553600
+    got, _, err = run(capsys, *argv, "--map", "tent", "--out-dir", str(tmp_path))
+    assert got == code, err
+    assert ("config error: density.K: " in err) == (code == 2)
 
 
 def test_monte_carlo_warnings_reach_the_caller(tmp_path, capsys):

@@ -14,10 +14,10 @@ import chaosrng as cr
 from chaosrng import bitstream, density
 from chaosrng.analysis import run_analysis
 from chaosrng import maps as _maps
-from chaosrng.bitstream import BitstreamConfig, generate_bits
+from chaosrng.bitstream import generate_bits
 from chaosrng.density import (
+    MC_GRID_FACTOR,
     DensityHistogram,
-    DitherConfig,
     NonConvergenceError,
     ResolutionError,
     chain_states,
@@ -97,26 +97,25 @@ def test_csv_and_json_output(tmp_path):
 
 def test_mc_requires_enough_samples(tent):
     with pytest.raises(ResolutionError):
-        mc_density(tent, 1024, DitherConfig(seed=0, K=1024 * 10))
+        mc_density(tent, 1024, seed=0, K=1024 * 10)
     with pytest.raises(ValueError):
-        mc_density(tent, 1024, DitherConfig(seed=0, K=200_000, burn_in=10))
+        mc_density(tent, 1024, seed=0, K=200_000, burn_in=10)
     with pytest.raises(ValueError):
-        mc_density(tent, 32, DitherConfig(seed=0, K=200_000))
+        mc_density(tent, 32, seed=0, K=200_000)
     with pytest.raises(ValueError, match="grid_factor"):
-        mc_density(tent, 64, DitherConfig(seed=0, K=6_400, burn_in=1_000, grid_factor=0))
+        mc_density(tent, 64, seed=0, K=6_400, burn_in=1_000, grid_factor=0)
 
 
 def test_mc_deterministic_given_seed(tent):
-    cfg = DitherConfig(seed=42, K=200_000, burn_in=2_000)
-    a = mc_density(tent, 256, cfg)
-    b = mc_density(tent, 256, cfg)
+    a = mc_density(tent, 256, seed=42, K=200_000, burn_in=2_000)
+    b = mc_density(tent, 256, seed=42, K=200_000, burn_in=2_000)
     assert np.array_equal(a.weights, b.weights)
-    c = mc_density(tent, 256, DitherConfig(seed=43, K=200_000, burn_in=2_000))
+    c = mc_density(tent, 256, seed=43, K=200_000, burn_in=2_000)
     assert not np.array_equal(a.weights, c.weights)
 
 
 def test_mc_metadata_and_normalization(tent, tmp_path):
-    h = mc_density(tent, 256, DitherConfig(seed=1, K=200_000, burn_in=2_000))
+    h = mc_density(tent, 256, seed=1, K=200_000, burn_in=2_000)
     h.validate()
     assert h.method == "montecarlo"
     assert h.meta["rng"] == "PCG64"
@@ -128,7 +127,7 @@ def test_mc_metadata_and_normalization(tent, tmp_path):
 
 
 def test_mc_tent_near_uniform(tent):
-    h = mc_density(tent, 256, DitherConfig(seed=3, K=2_000_000))
+    h = mc_density(tent, 256, seed=3, K=2_000_000)
     assert l1_distance(h, uniform_density(256)) < 0.02
 
 
@@ -252,19 +251,19 @@ def visit_counts(h):
     return np.rint(h.weights * h.meta["K"] / h.L).astype(np.int64)
 
 
-def serial_lane_counts(m, L, cfg, lanes):
+def serial_lane_counts(m, L, lanes, *, seed, K, burn_in, grid_factor):
     """Per-bin visits of mc_density's chains, each run alone by chain_states
     over its own column of the noise, counted by chain state and then folded
     onto the output bins."""
-    Lc = L * cfg.grid_factor
+    Lc = L * grid_factor
     visits = np.zeros(Lc + 1, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(1)[0]))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     starts = rng.integers(1, Lc + 1, size=lanes)
-    counted_steps = -(-cfg.K // lanes)
-    noise = rng.uniform(-1.0, 1.0, size=(cfg.burn_in + counted_steps, lanes))
-    last = cfg.K - (counted_steps - 1) * lanes  # lanes that take the last counted step
+    counted_steps = -(-K // lanes)
+    noise = rng.uniform(-1.0, 1.0, size=(burn_in + counted_steps, lanes))
+    last = K - (counted_steps - 1) * lanes  # lanes that take the last counted step
     for b in range(lanes):
-        states = run_chain(m, noise[:, b], int(starts[b]), Lc)[cfg.burn_in :]
+        states = run_chain(m, noise[:, b], int(starts[b]), Lc)[burn_in :]
         np.add.at(visits, states[: counted_steps - (b >= last)], 1)
     bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
     return np.bincount(bins, weights=visits[1:], minlength=L).astype(np.int64)
@@ -274,7 +273,7 @@ def serial_lane_counts(m, L, cfg, lanes):
 @given(data=st.data())
 def test_mc_lanes_match_serial_chains(data):
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
-    cfg = DitherConfig(
+    kw = dict(
         seed=data.draw(st.integers(0, 2**32)),
         burn_in=data.draw(st.integers(1_000, 1_100)),
         K=data.draw(st.integers(6_400, 7_000)),
@@ -282,11 +281,11 @@ def test_mc_lanes_match_serial_chains(data):
     )
     lanes = data.draw(st.integers(1, 9))
     with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "_LANE_BLOCK", data.draw(st.integers(1, 40))):
-        h = mc_density(m, 64, cfg)
+        h = mc_density(m, 64, **kw)
     assert h.meta["lanes"] == lanes
-    assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, cfg, lanes))
+    assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, lanes, **kw))
     # the lanes gather from the table; the serial chains evaluate the map per step
-    Lc = 64 * cfg.grid_factor
+    Lc = 64 * kw["grid_factor"]
     scalar = [Lc * min(max(m.raw_eval(j / Lc if j < Lc else 1.0 - _maps.EPS), _maps.EPS), 1.0 - _maps.EPS) for j in range(1, Lc + 1)]
     assert scaled_map_table(m, Lc)[1:].tolist() == scalar
 
@@ -296,15 +295,15 @@ def test_mc_burn_in_across_chunk_boundaries(cubic, rows):
     # burn_in = 1000 ends inside a block of noise rows (7, 333) and on a block
     # boundary (1000); K = 7001 is no multiple of the lane count, and with 10^4
     # lanes the run has fewer visits than lanes
-    cfg = DitherConfig(seed=5, K=7_001, burn_in=1_000, grid_factor=2)
+    kw = dict(seed=5, K=7_001, burn_in=1_000, grid_factor=2)
     for lanes in (256, 10_000):
         with mock.patch.object(density, "_LANES", lanes):
             with mock.patch.object(density, "_LANE_BLOCK", 1 << 20):
-                one_block = mc_density(cubic, 64, cfg)
+                one_block = mc_density(cubic, 64, **kw)
             with mock.patch.object(density, "_LANE_BLOCK", rows):
-                blocked = mc_density(cubic, 64, cfg)
+                blocked = mc_density(cubic, 64, **kw)
         assert np.array_equal(blocked.weights, one_block.weights)
-        assert visit_counts(blocked).sum() == cfg.K
+        assert visit_counts(blocked).sum() == kw["K"]
 
 
 @pytest.mark.parametrize("start", [0.3, 0.9, None])
@@ -315,7 +314,7 @@ def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start)
     # sit on and around multiples of the patched chunk
     L = 4096
     with mock.patch.object(bitstream, "_CHAIN_CHUNK", 64):
-        bits = generate_bits(cubic, branch_part, BitstreamConfig(seed=3, length=length, L=L, start=start))
+        bits = generate_bits(cubic, branch_part, length, seed=3, L=L, start=start)
     rng = np.random.Generator(np.random.PCG64(3))
     j0 = round(start * L) if start is not None else int(rng.integers(1, L + 1))
     noise = rng.uniform(-1.0, 1.0, size=length)
@@ -458,7 +457,20 @@ def test_density_for_dispatch(tent):
         density_for(tent, "quadrature", 256)
 
 
+@pytest.mark.parametrize("method", ["montecarlo", "fp_operator"])
+def test_density_for_grid_factor(tent, method):
+    # only None takes the method's default grid factor; 0 is rejected, not read as unset
+    kw = dict(K=6_400, burn_in=1_000)
+    with pytest.raises(ValueError, match="grid_factor"):
+        density_for(tent, method, 64, grid_factor=0, **kw)
+    f = density_for(tent, method, 64, **kw)
+    if method == "montecarlo":
+        assert np.array_equal(f.weights, mc_density(tent, 64, seed=0, grid_factor=MC_GRID_FACTOR, **kw).weights)
+    else:
+        assert f.meta["grid_factor"] == 1
+
+
 def test_routes_agree_on_cubic(cubic):
     fp = fp_fixed_point(cubic, 512, tol=1e-11, max_iter=20000, grid_factor=8)
-    mc = mc_density(cubic, 512, DitherConfig(seed=11, K=8_000_000, grid_factor=512))
+    mc = mc_density(cubic, 512, seed=11, K=8_000_000, grid_factor=512)
     assert l1_distance(mc, fp) < 0.05

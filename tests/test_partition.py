@@ -18,7 +18,6 @@ from chaosrng.partition import (
     SymbolPartition,
     _sorted_distinct,
     partition_from_config,
-    refine,
     refinement_ladder,
 )
 from reference import IntervalSet, preimage_of_set, set_mass
@@ -83,17 +82,19 @@ def test_partition_from_config():
 
 def test_depth_limits(cubic, branch_part):
     with pytest.raises(RefinementError):
-        refine(cubic, branch_part, 0)
+        refinement_ladder(cubic, branch_part, 0)
     with pytest.raises(RefinementError):
-        refine(cubic, branch_part, 25)
+        refinement_ladder(cubic, branch_part, 25)
     with pytest.raises(RefinementError, match="exceeds the cap"):
         refinement_ladder(cubic, branch_part, DEFAULT_MAX_DEPTH + 1)
+    with pytest.raises(RefinementError, match="depth-1 partition"):
+        refinement_ladder(cubic, refinement_ladder(cubic, branch_part, 2)[-1], 3)
 
 
 def test_bernoulli_cells_are_binary_expansions(bernoulli, sym_part):
     # for 2x mod 1, the word w is the binary expansion: cell(w) = [0.w, 0.w + 2^-N]
     for N in (1, 3, 6):
-        p = refine(bernoulli, sym_part, N)
+        p = refinement_ladder(bernoulli, sym_part, N)[-1]
         for w, cell in p.cells.items():
             lo = int(w, 2) / 2**N
             assert len(cell) == 1
@@ -103,7 +104,7 @@ def test_bernoulli_cells_are_binary_expansions(bernoulli, sym_part):
 
 
 def test_tent_cells_are_dyadic(tent, sym_part):
-    p = refine(tent, sym_part, 5)
+    p = refinement_ladder(tent, sym_part, 5)[-1]
     assert p.nonempty_count() == 32
     for cell in p.cells.values():
         assert len(cell) == 1
@@ -114,7 +115,7 @@ def test_tent_cells_are_dyadic(tent, sym_part):
 
 def test_cubic_depth2_cut_points(cubic, branch_part):
     # the two new depth-2 boundaries are the preimages of the branch split
-    p = refine(cubic, branch_part, 2)
+    p = refinement_ladder(cubic, branch_part, 2)[-1]
     cuts = sorted(
         {round(e, 9) for c in p.cells.values() for a, b in c for e in (a, b)}
         - {0.0, 1.0, round(XB, 9)}
@@ -150,7 +151,7 @@ def test_cubic_ladder_keeps_every_word(cubic, branch_part):
 def test_word_of_matches_iteration(cubic, branch_part):
     # the depth-N cell of x0 spells out the first N bits of the orbit
     N = 6
-    p = refine(cubic, branch_part, N)
+    p = refinement_ladder(cubic, branch_part, N)[-1]
     rng = np.random.default_rng(7)
     for x0 in rng.uniform(0.01, 0.99, size=25):
         w = p.word_of(float(x0))
@@ -175,26 +176,26 @@ def test_validate_catches_corruption(cubic, branch_part):
     codes = p.codes.copy()
     codes[0] = 2**3  # a code outside the depth-3 index space
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic)
+        cr.SymbolPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic)
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=2, cuts=p.cuts, codes=p.codes).validate(cubic)
+        cr.SymbolPartition(depth=2, cuts=p.cuts, codes=p.codes).validate(cubic)
     codes = p.codes.copy()
     codes[0] ^= 0b100  # flip the first bit: the word no longer extends its parent's
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
+        cr.SymbolPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
     i = int(np.searchsorted(p.cuts, XB))  # drop the parent cut point 1/sqrt(3)
     with pytest.raises(PartitionInvariantError):
-        cr.RefinedPartition(depth=3, cuts=np.delete(p.cuts, i), codes=np.delete(p.codes, i)).validate(cubic, parent=parent)
+        cr.SymbolPartition(depth=3, cuts=np.delete(p.cuts, i), codes=np.delete(p.codes, i)).validate(cubic, parent=parent)
     with pytest.raises(PartitionInvariantError):  # cut points out of order
-        cr.RefinedPartition(depth=3, cuts=p.cuts[::-1], codes=p.codes).validate(cubic)
+        cr.SymbolPartition(depth=3, cuts=p.cuts[::-1], codes=p.codes).validate(cubic)
     codes = p.codes.copy()
     codes[0] ^= 0b001  # flip the last bit: the prefix still matches, so only the check through M fails
     with pytest.raises(PartitionInvariantError, match="last N-1 bits"):
-        cr.RefinedPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
+        cr.SymbolPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
 
 
 def test_to_json(tmp_path, tent, sym_part):
-    p = refine(tent, sym_part, 2)
+    p = refinement_ladder(tent, sym_part, 2)[-1]
     p.to_json(tmp_path / "cells.json")
     text = (tmp_path / "cells.json").read_text()
     assert '"00"' in text and '"11"' in text
@@ -203,8 +204,8 @@ def test_to_json(tmp_path, tent, sym_part):
 def test_depth_one(tent, sym_part):
     # level 1 of the ladder is the partition itself
     p = refinement_ladder(tent, sym_part, 1)[0]
+    assert p is sym_part
     assert p.depth == 1
-    assert p.cuts is sym_part.cuts and p.codes is sym_part.codes
     assert p.cells == {"0": ((0.0, 0.5),), "1": ((0.5, 1.0),)}
 
 
