@@ -8,6 +8,9 @@ the asymptotic entropy-rate metric, and the post-processing rate budget.
 
 from .analysis import AnalysisResult, InvariantViolation, run_analysis
 from .bitstream import (
+    PatternCounter,
+    VonNeumannExtractor,
+    bit_chunks,
     empirical_pattern_probs,
     generate_bits,
     monobit_frequency,
@@ -64,11 +67,14 @@ __all__ = [
     "InvariantViolation",
     "MapModel",
     "NonConvergenceError",
+    "PatternCounter",
     "ProbabilityTable",
     "ResolutionError",
     "SymbolPartition",
+    "VonNeumannExtractor",
     "bernoulli_map",
     "bias",
+    "bit_chunks",
     "block_entropy",
     "block_probabilities",
     "cubic_sample_map",

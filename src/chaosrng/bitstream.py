@@ -11,7 +11,10 @@ periodic orbits.
 """
 from __future__ import annotations
 
+import os
+import re
 import struct
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +30,14 @@ DEFAULT_STREAM_L = 1 << 20
 #: stream would degenerate like raw float iteration
 MAX_STREAM_L = 1 << 53
 
-#: noise values per draw in :func:`generate_bits`, and so the states per
-#: :func:`density.chain_states` call: a stream's working set besides its
-#: output bits, at any grid L.  A chunk's Python list and ints cost about 40
-#: bytes a state, so 2^14 keeps it near 1 MB; chunks of 2^12 to 2^16 stepped
-#: a 2e6-state chain equally fast, within noise
+#: noise values per draw in :func:`bit_chunks`, and so the states per
+#: :func:`density.chain_states` call and the bits per chunk: a streamed
+#: stream's whole working set, at any length and grid L.  A chunk's Python
+#: list and ints cost about 40 bytes a state, so 2^14 keeps it near 1 MB;
+#: chunks of 2^12 to 2^16 stepped a 2e6-state chain equally fast, within noise
 _CHAIN_CHUNK = 1 << 14
 
-#: windows per slice in :func:`empirical_pattern_probs`
+#: windows per slice in :meth:`PatternCounter.update`
 _COUNT_SLICE = 1 << 16
 
 STREAM_MAGIC = b"CRBS"
@@ -43,6 +46,63 @@ STREAM_VERSION = 1
 
 class InsufficientDataError(ValueError):
     """Stream too short for the requested pattern depth."""
+
+
+def bit_chunks(
+    m: MapModel,
+    s: SymbolPartition,
+    length: int,
+    *,
+    seed: int,
+    L: int = DEFAULT_STREAM_L,
+    dither: bool = True,
+    start: float | None = None,
+) -> Iterator[np.ndarray]:
+    """The stream of :func:`generate_bits`, in order, as uint8 chunks of 0/1.
+
+    Chunks hold at most ``_CHAIN_CHUNK`` bits, so a consumer of them holds
+    O(chunk) memory at every length and grid L.  The arguments are checked
+    on the call, before the first chunk is asked for.
+    """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    if dither and not 64 <= L <= MAX_STREAM_L:
+        raise ValueError(f"dither grid L={L} out of range; need 64..2^53")
+    if start is not None and not 0.0 < start < 1.0:
+        raise ValueError(f"start must lie in (0,1), got {start}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if dither:
+        return _dithered_chunks(m, s, length, rng, L, start)
+    return _raw_chunks(m, s, length, rng, start)
+
+
+def _dithered_chunks(m, s, length, rng, L, start):
+    if start is not None:
+        j = max(1, min(L, round(start * L)))
+    else:
+        j = int(rng.integers(1, L + 1))
+    yield np.array([s.symbol_of(j / L)], dtype=np.uint8)
+    # the same doubles as one uniform(size=length - 1) draw; bit n is read
+    # from state j_n
+    for lo in range(0, length - 1, _CHAIN_CHUNK):
+        noise = rng.uniform(-1.0, 1.0, size=min(_CHAIN_CHUNK, length - 1 - lo))
+        states = chain_states(m, noise, j, L)
+        yield s.symbol_of(states / L).astype(np.uint8)
+        j = int(states[-1])
+
+
+def _raw_chunks(m, s, length, rng, start):
+    # x stays in [EPS, 1 - EPS], so raw_eval's scalar path plus the clamp of
+    # eval_map is all a step needs
+    f, lo, hi = m.raw_eval, EPS, 1.0 - EPS
+    x = start if start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
+    for n0 in range(0, length, _CHAIN_CHUNK):
+        xs = np.empty(min(_CHAIN_CHUNK, length - n0))
+        for n in range(xs.size):
+            xs[n] = x
+            y = f(x)
+            x = lo if y < lo else hi if y > hi else y
+        yield s.symbol_of(xs).astype(np.uint8)
 
 
 def generate_bits(
@@ -60,72 +120,92 @@ def generate_bits(
     Dither on: the digitized grid recurrence (state stays on j/L), stepped
     by :func:`density.chain_states` on the map itself.  Besides the output it
     holds O(``_CHAIN_CHUNK``) memory at every grid L: the noise is drawn and
-    the states classified one chunk at a time.
+    the states classified one chunk at a time (:func:`bit_chunks`).
     Dither off: raw float iteration - deterministic, and demonstrably
     degenerate over long runs.  `start` is an explicit x_0 in (0, 1); None
     draws it from the seeded generator.
     """
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    if dither and not 64 <= L <= MAX_STREAM_L:
-        raise ValueError(f"dither grid L={L} out of range; need 64..2^53")
-    if start is not None and not 0.0 < start < 1.0:
-        raise ValueError(f"start must lie in (0,1), got {start}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    chunks = bit_chunks(m, s, length, seed=seed, L=L, dither=dither, start=start)
     out = np.empty(length, dtype=np.uint8)
-    if dither:
-        if start is not None:
-            j = max(1, min(L, round(start * L)))
-        else:
-            j = int(rng.integers(1, L + 1))
-        out[0] = s.symbol_of(j / L)
-        # the same doubles as one uniform(size=length - 1) draw; bit n is read
-        # from state j_n
-        for lo in range(0, length - 1, _CHAIN_CHUNK):
-            noise = rng.uniform(-1.0, 1.0, size=min(_CHAIN_CHUNK, length - 1 - lo))
-            states = chain_states(m, noise, j, L)
-            out[lo + 1 : lo + 1 + len(states)] = s.symbol_of(states / L)
-            j = int(states[-1])
-        return out
-    # x stays in [EPS, 1 - EPS], so raw_eval's scalar path plus the clamp of
-    # eval_map is all a step needs
-    f, lo, hi = m.raw_eval, EPS, 1.0 - EPS
-    x = start if start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
-    xs = np.empty(length)
-    for n in range(length):
-        xs[n] = x
-        y = f(x)
-        x = lo if y < lo else hi if y > hi else y
-    out[:] = s.symbol_of(xs)
+    n = 0
+    for chunk in chunks:
+        out[n : n + chunk.size] = chunk
+        n += chunk.size
     return out
 
 
-def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
-    """Sliding-window N-bit word frequencies; the brute-force P_N oracle.
+class PatternCounter:
+    """Sliding-window counts of the words of every depth 1..n_max over a
+    stream fed in chunks; the brute-force P_N oracle.
 
-    Window codes are built in the narrowest unsigned type that holds N bits
-    (uint8 up to N = 8, uint16 up to 16) and counted ``_COUNT_SLICE`` windows
-    at a time, so that bincount's int64 copy of the codes stays small.
+    Only the n_max-bit windows are counted, and the last n_max - 1 bits carry
+    over to the next chunk.  Depth N - 1 follows from depth N by summing
+    over the last bit, which misses only the one (N - 1)-window that starts
+    at n - N + 1, read from the carried bits.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) < 100 * 2**N:
-        raise InsufficientDataError(
-            f"need at least {100 * 2 ** N} bits for depth {N}, got {len(bits)}"
+
+    def __init__(self, n_max: int):
+        if n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {n_max}")
+        self.n_max = n_max
+        self.n_bits = 0
+        self._counts = np.zeros(2**n_max, dtype=np.int64)
+        self._tail = np.zeros(0, dtype=np.uint8)
+
+    def update(self, chunk) -> None:
+        """Count the n_max-windows that end in `chunk`.
+
+        Window codes are built in the narrowest unsigned type that holds
+        n_max bits (uint8 up to 8, uint16 up to 16) and counted
+        ``_COUNT_SLICE`` windows at a time, so that bincount's int64 copy of
+        the codes stays small.
+        """
+        chunk = np.asarray(chunk, dtype=np.uint8)
+        bits = np.concatenate((self._tail, chunk)) if self._tail.size else chunk
+        N = self.n_max
+        code_type = np.min_scalar_type(2**N - 1)
+        n_windows = bits.size - N + 1
+        for lo in range(0, n_windows, _COUNT_SLICE):
+            # windows lo..hi-1 read bits lo..hi+N-2: slices overlap by N - 1 bits
+            hi = min(lo + _COUNT_SLICE, n_windows)
+            acc = bits[lo:hi].astype(code_type)
+            for k in range(1, N):
+                acc <<= 1
+                acc |= bits[lo + k : hi + k]
+            self._counts += np.bincount(acc, minlength=2**N)
+        # a copy, so that a whole stream passed as one chunk is not kept alive
+        self._tail = bits[max(bits.size - (N - 1), 0) :].copy()
+        self.n_bits += chunk.size
+
+    def counts(self, N: int) -> np.ndarray:
+        """Window counts at depth N, indexed by word code."""
+        if not 1 <= N <= self.n_max:
+            raise ValueError(f"depth {N} outside 1..{self.n_max}")
+        c = self._counts.copy()
+        for d in range(self.n_max - 1, N - 1, -1):
+            c = c[0::2] + c[1::2]
+            if self._tail.size >= d:  # the stream has a last d-window
+                c[int("".join(map(str, self._tail[-d:].tolist())), 2)] += 1
+        return c
+
+    def table(self, N: int) -> ProbabilityTable:
+        if self.n_bits < 100 * 2**N:
+            raise InsufficientDataError(
+                f"need at least {100 * 2 ** N} bits for depth {N}, got {self.n_bits}"
+            )
+        n_windows = self.n_bits - N + 1
+        table = ProbabilityTable(
+            depth=N, p=self.counts(N) / n_windows, meta={"n_bits": self.n_bits, "windows": n_windows}
         )
-    n_windows = len(bits) - N + 1
-    code_type = np.min_scalar_type(2**N - 1)
-    counts = np.zeros(2**N, dtype=np.int64)
-    for lo in range(0, n_windows, _COUNT_SLICE):
-        # windows lo..hi-1 read bits lo..hi+N-2: slices overlap by N - 1 bits
-        hi = min(lo + _COUNT_SLICE, n_windows)
-        acc = bits[lo:hi].astype(code_type)
-        for k in range(1, N):
-            acc <<= 1
-            acc |= bits[lo + k : hi + k]
-        counts += np.bincount(acc, minlength=2**N)
-    table = ProbabilityTable(depth=N, p=counts / n_windows, meta={"n_bits": len(bits), "windows": n_windows})
-    table.validate()
-    return table
+        table.validate()
+        return table
+
+
+def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
+    """Sliding-window N-bit word frequencies of a whole stream."""
+    counter = PatternCounter(N)
+    counter.update(bits)
+    return counter.table(N)
 
 
 def total_variation(a: ProbabilityTable, b: ProbabilityTable) -> float:
@@ -134,47 +214,180 @@ def total_variation(a: ProbabilityTable, b: ProbabilityTable) -> float:
     return 0.5 * float(np.abs(a.p - b.p).sum())
 
 
+class OnesCounter:
+    """Bits and ones of a stream fed in chunks."""
+
+    def __init__(self):
+        self.n_bits = 0
+        self.ones = 0
+
+    def update(self, chunk) -> None:
+        chunk = np.asarray(chunk)
+        self.n_bits += chunk.size
+        self.ones += int(np.count_nonzero(chunk))
+
+    def frequency(self) -> float:
+        """Fraction of ones; nan for an empty stream."""
+        return self.ones / self.n_bits if self.n_bits else float("nan")
+
+
 def monobit_frequency(bits: np.ndarray) -> float:
     """Fraction of ones."""
-    return float(np.mean(bits))
+    counter = OnesCounter()
+    counter.update(bits)
+    return counter.frequency()
+
+
+class VonNeumannExtractor:
+    """:func:`von_neumann_extract` over a stream fed in chunks: an odd last
+    bit waits for its partner in the next chunk."""
+
+    def __init__(self):
+        self._odd = np.zeros(0, dtype=np.uint8)
+
+    def update(self, chunk) -> np.ndarray:
+        """The extracted bits of the pairs that `chunk` completes."""
+        chunk = np.asarray(chunk, dtype=np.uint8)
+        bits = np.concatenate((self._odd, chunk)) if self._odd.size else chunk
+        self._odd = bits[bits.size - bits.size % 2 :].copy()
+        return von_neumann_extract(bits)
 
 
 def von_neumann_extract(bits: np.ndarray) -> np.ndarray:
-    """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 discarded."""
+    """Pairwise debiasing: 01 -> 0, 10 -> 1, 00/11 discarded; an odd last bit is dropped.
+
+    The pairs are read through two strided views, so the selection builds no
+    index array.
+    """
     bits = np.asarray(bits, dtype=np.uint8)
-    pairs = bits[: 2 * (len(bits) // 2)].reshape(-1, 2)
-    keep = pairs[:, 0] != pairs[:, 1]
-    return pairs[keep, 0].copy()
+    n = bits.size - bits.size % 2
+    first, second = bits[0:n:2], bits[1:n:2]
+    return first[first != second]
 
 
 # ---------------------------------------------------------------------------
 # Stream files: 16-byte binary header (magic, version, bit count) or ASCII.
+# The writers take the stream in chunks.  They write to `<name>.part` and
+# rename it to `<name>` on a clean close, so a file under its own name always
+# holds every bit its header counts.
+
+
+def _binary_header(n_bits: int) -> bytes:
+    return STREAM_MAGIC + struct.pack("<HHQ", STREAM_VERSION, 0, n_bits)
+
+
+class _ChunkFile:
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._part = self.path.with_name(self.path.name + ".part")
+        self._fh = open(self._part, "wb")
+        self.n_bits = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._discard()
+
+    def _discard(self) -> None:
+        self._fh.close()
+        self._part.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        try:
+            self._finish()
+        except BaseException:
+            self._discard()
+            raise
+        self._fh.close()
+        os.replace(self._part, self.path)
+
+
+class StreamWriter(_ChunkFile):
+    """Binary stream file: bits packed 8 per byte, little bit order.
+
+    The bits after the last whole byte carry over to the next chunk; the
+    header's bit count is written on close.
+    """
+
+    def __init__(self, path: str | Path):
+        super().__init__(path)
+        self._fh.write(_binary_header(0))
+        self._rest = np.zeros(0, dtype=np.uint8)
+
+    def write(self, chunk) -> None:
+        chunk = np.asarray(chunk, dtype=np.uint8)
+        bits = np.concatenate((self._rest, chunk)) if self._rest.size else chunk
+        whole = bits.size - bits.size % 8
+        self._fh.write(np.packbits(bits[:whole], bitorder="little"))
+        self._rest = bits[whole:].copy()
+        self.n_bits += chunk.size
+
+    def _finish(self) -> None:
+        self._fh.write(np.packbits(self._rest, bitorder="little"))
+        self._fh.seek(0)
+        self._fh.write(_binary_header(self.n_bits))
+
+
+class AsciiStreamWriter(_ChunkFile):
+    """ASCII stream file: a header line that states the bit count `n_bits`,
+    then one line of '0'/'1'.  Closing after any other number of bits raises
+    ValueError and leaves no file."""
+
+    def __init__(self, path: str | Path, n_bits: int):
+        super().__init__(path)
+        self.declared = n_bits
+        self._fh.write(f"# bitstream v{STREAM_VERSION} n={n_bits} rng={RNG_ALGORITHM}\n".encode())
+
+    def write(self, chunk) -> None:
+        chunk = np.asarray(chunk, dtype=np.uint8)
+        self._fh.write(chunk + ord("0"))
+        self.n_bits += chunk.size
+
+    def _finish(self) -> None:
+        if self.n_bits != self.declared:
+            raise ValueError(f"{self.path}: header states {self.declared} bits, {self.n_bits} written")
+        self._fh.write(b"\n")
 
 
 def write_stream(path: str | Path, bits: np.ndarray) -> None:
-    bits = np.asarray(bits, dtype=np.uint8)
-    header = STREAM_MAGIC + struct.pack("<HHQ", STREAM_VERSION, 0, len(bits))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.packbits(bits, bitorder="little").tobytes())
+    with StreamWriter(path) as w:
+        w.write(bits)
 
 
 def read_stream(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
-    if raw[:4] != STREAM_MAGIC:
-        raise ValueError("not a bit-stream file (bad magic)")
+    if raw[:4] != STREAM_MAGIC or len(raw) < 16:
+        raise ValueError("not a bit-stream file (bad magic or short header)")
     version, _, n_bits = struct.unpack("<HHQ", raw[4:16])
     if version != STREAM_VERSION:
         raise ValueError(f"unsupported stream version {version}")
-    return np.unpackbits(np.frombuffer(raw[16:], dtype=np.uint8), bitorder="little")[:n_bits]
+    if len(raw) - 16 != -(-n_bits // 8):
+        raise ValueError(f"header states {n_bits} bits, but the payload holds {len(raw) - 16} bytes")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=16), count=n_bits, bitorder="little")
 
 
 def write_stream_ascii(path: str | Path, bits: np.ndarray) -> None:
-    body = (np.asarray(bits, dtype=np.uint8) + ord("0")).tobytes().decode()
-    Path(path).write_text(f"# bitstream v{STREAM_VERSION} n={len(body)} rng={RNG_ALGORITHM}\n{body}\n")
+    bits = np.asarray(bits, dtype=np.uint8)
+    with AsciiStreamWriter(path, bits.size) as w:
+        w.write(bits)
 
 
 def read_stream_ascii(path: str | Path) -> np.ndarray:
+    """Bits of an ASCII stream file; a file without the header line is one
+    line of '0'/'1'."""
     lines = Path(path).read_text().splitlines()
-    body = lines[1] if lines and lines[0].startswith("#") else lines[0]
-    return np.frombuffer(body.encode(), dtype=np.uint8) - ord("0")
+    header = lines.pop(0) if lines and lines[0].startswith("#") else None
+    if len(lines) != 1:
+        raise ValueError(f"need one line of bits after the header, got {len(lines)}")
+    body = np.frombuffer(lines[0].encode(), dtype=np.uint8) - ord("0")
+    if np.any(body > 1):
+        raise ValueError("the body holds characters other than '0' and '1'")
+    if header is not None:
+        declared = re.search(r"\sn=(\d+)(\s|$)", header)
+        if declared is None or int(declared.group(1)) != body.size:
+            raise ValueError(f"header {header!r} does not state the body's {body.size} bits")
+    return body

@@ -7,6 +7,7 @@ carry it in a leading comment line, so any report traces back to its exact
 inputs.  Exit codes: 0 success, 1 analysis failure, 2 config error.
 """
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -108,7 +109,9 @@ class AnalysisConfig:
     workers: int | None = _field("workers", None, "--workers", help="accepted only as 1; has no effect")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "AnalysisConfig":
+    def from_dict(cls, raw: dict, *, check: bool = True) -> "AnalysisConfig":
+        """The config a JSON object describes; `check=False` leaves the
+        values unvalidated, for flags to override first."""
         by_path = {tuple(f.metadata["path"].split(".")): f.name for f in fields(cls)}
         sections = {path[0] for path in by_path if len(path) == 2}
         values = {}
@@ -124,7 +127,8 @@ class AnalysisConfig:
                     raise ConfigError(f"{'.'.join(path)}: unknown field")
                 values[by_path[path]] = v
         cfg = cls(**values)
-        cfg.validate()
+        if check:
+            cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
@@ -134,9 +138,11 @@ class AnalysisConfig:
             (out.setdefault(section, {}) if section else out)[key] = getattr(self, f.name)
         return out
 
-    def validate(self, command: str | None = None) -> None:
-        """Check every field.  The floors on K and burn_in hold only where a Monte
-        Carlo density is built: in `verify`, and by method except in `bitgen`."""
+    def validate(self, command: str | None = None) -> tuple[_maps.MapModel, _partition.SymbolPartition]:
+        """Check every field, and return the map and the partition the config
+        describes, built here once.  The floors on K and burn_in hold only where
+        a Monte Carlo density is built: in `verify`, and by method except in
+        `bitgen`."""
         for f in fields(self):
             _check_type(f.metadata["path"], getattr(self, f.name), f.type)
         if self.method not in DENSITY_METHODS:
@@ -171,28 +177,19 @@ class AnalysisConfig:
         if self.workers not in (None, 1):
             raise ConfigError(f"workers: only null or 1 is accepted, got {self.workers!r}")
         try:
-            _maps.map_from_config(self.map)
+            m = _maps.map_from_config(self.map)
         except _maps.MapConfigError as e:
             raise ConfigError(f"map: {e}") from e
-        if self.partition is not None:
-            try:
-                _partition.partition_from_config(self.partition)
-            except (ValueError, TypeError) as e:
-                raise ConfigError(f"partition: {e}") from e
-
-    # resolved objects -----------------------------------------------------
-
-    def build_map(self) -> _maps.MapModel:
-        return _maps.map_from_config(self.map)
-
-    def build_partition(self, m: _maps.MapModel) -> _partition.SymbolPartition:
-        if self.partition is not None:
-            return _partition.partition_from_config(self.partition)
-        # default: one bit per monotone branch pair, split where the first
-        # branch ends (1/2 for the symmetric built-ins, 1/sqrt(3) for the
-        # cubic sample map)
-        cut = m.branches[0].hi if len(m.branches) == 2 else 0.5
-        return _partition.SymbolPartition.from_pairs([(0.0, cut)])
+        if self.partition is None:
+            # default: one bit per monotone branch pair, split where the first
+            # branch ends (1/2 for the symmetric built-ins, 1/sqrt(3) for the
+            # cubic sample map)
+            cut = m.branches[0].hi if len(m.branches) == 2 else 0.5
+            return m, _partition.SymbolPartition.from_pairs([(0.0, cut)])
+        try:
+            return m, _partition.partition_from_config(self.partition)
+        except (ValueError, TypeError) as e:
+            raise ConfigError(f"partition: {e}") from e
 
     def sha256(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -240,8 +237,7 @@ def _compute_density(cfg: AnalysisConfig, m: _maps.MapModel, method: str):
 # commands
 
 
-def cmd_density(cfg: AnalysisConfig) -> int:
-    m = cfg.build_map()
+def cmd_density(cfg: AnalysisConfig, m: _maps.MapModel) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
@@ -258,9 +254,7 @@ def cmd_density(cfg: AnalysisConfig) -> int:
     return 0
 
 
-def cmd_analyze(cfg: AnalysisConfig) -> int:
-    m = cfg.build_map()
-    s = cfg.build_partition(m)
+def cmd_analyze(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPartition) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
@@ -286,49 +280,61 @@ def cmd_analyze(cfg: AnalysisConfig) -> int:
     return 0
 
 
-def cmd_bitgen(cfg: AnalysisConfig, von_neumann: bool, ascii_out: bool) -> int:
-    m = cfg.build_map()
-    s = cfg.build_partition(m)
+def cmd_bitgen(
+    cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPartition, von_neumann: bool, ascii_out: bool
+) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
-    bits = _bitstream.generate_bits(
-        m, s, cfg.length, seed=cfg.seed, L=cfg.stream_grid, dither=cfg.dither, start=cfg.start
-    )
-    _bitstream.write_stream(out / "stream.bits", bits)
-    if ascii_out:
-        _bitstream.write_stream_ascii(out / "stream.txt", bits)
+    # one pass over the stream's chunks; no consumer holds more than a chunk
+    ones, patterns = _bitstream.OnesCounter(), _bitstream.PatternCounter(4)
+    extractor, vn_ones = _bitstream.VonNeumannExtractor(), _bitstream.OnesCounter()
+    with contextlib.ExitStack() as files:
+        writers = [files.enter_context(_bitstream.StreamWriter(out / "stream.bits"))]
+        if ascii_out:
+            writers.append(files.enter_context(_bitstream.AsciiStreamWriter(out / "stream.txt", cfg.length)))
+        if von_neumann:
+            vn_writer = files.enter_context(_bitstream.StreamWriter(out / "stream_vn.bits"))
+        chunks = _bitstream.bit_chunks(
+            m, s, cfg.length, seed=cfg.seed, L=cfg.stream_grid, dither=cfg.dither, start=cfg.start
+        )
+        for chunk in chunks:
+            for w in writers:
+                w.write(chunk)
+            ones.update(chunk)
+            patterns.update(chunk)
+            if von_neumann:
+                vn = extractor.update(chunk)
+                vn_writer.write(vn)
+                vn_ones.update(vn)
+    n = ones.n_bits
     summary = {
         "map": m.name,
-        "length": int(bits.size),
-        "monobit_frequency": _bitstream.monobit_frequency(bits),
+        "length": n,
+        "monobit_frequency": ones.frequency(),
         "patterns": {},
     }
-    print(f"bitgen map={m.name} bits={bits.size} monobit(ones)={summary['monobit_frequency']:.4f}")
+    print(f"bitgen map={m.name} bits={n} monobit(ones)={summary['monobit_frequency']:.4f}")
     for N in range(1, 5):
-        if bits.size < 100 * 2**N:  # too short for this depth and every deeper one
+        if n < 100 * 2**N:  # too short for this depth and every deeper one
             break
-        probs = _bitstream.empirical_pattern_probs(bits, N).probs
+        probs = patterns.table(N).probs
         summary["patterns"][str(N)] = probs
         row = "  ".join(f"P({w})={v:.4f}" for w, v in probs.items())
         print(f"N={N}: {row}")
     if von_neumann:
-        vn = _bitstream.von_neumann_extract(bits)
-        _bitstream.write_stream(out / "stream_vn.bits", vn)
-        ratio = vn.size / bits.size
+        ratio = vn_ones.n_bits / n
         summary["von_neumann"] = {
-            "output_bits": int(vn.size),
+            "output_bits": vn_ones.n_bits,
             "ratio": ratio,
-            "monobit_frequency": _bitstream.monobit_frequency(vn) if vn.size else None,
+            "monobit_frequency": vn_ones.frequency() if vn_ones.n_bits else None,
         }
-        print(f"von neumann: {vn.size} bits out, ratio = {ratio:.4f}")
+        print(f"von neumann: {vn_ones.n_bits} bits out, ratio = {ratio:.4f}")
     _write_json(out / "bitgen_summary.json", summary, h)
     return 0
 
 
-def cmd_verify(cfg: AnalysisConfig) -> int:
-    m = cfg.build_map()
-    s = cfg.build_partition(m)
+def cmd_verify(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPartition) -> int:
     depth = min(cfg.depth, 8)
     checks = []  # (name, value, tolerance, ok)
 
@@ -345,10 +351,12 @@ def cmd_verify(cfg: AnalysisConfig) -> int:
     dh = tv = float("nan")  # nan < tolerance is False: both checks fail
     if res_fp is not None:
         dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
-        bits = _bitstream.generate_bits(m, s, max(cfg.length, 1_000_000), seed=cfg.seed, L=1 << 24)
+        counts = _bitstream.PatternCounter(min(depth, 4))
+        for chunk in _bitstream.bit_chunks(m, s, max(cfg.length, 1_000_000), seed=cfg.seed, L=1 << 24):
+            counts.update(chunk)
         tv = max(
-            _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(bits, N))
-            for N in range(1, min(depth, 4) + 1)
+            _bitstream.total_variation(res_fp.tables[N - 1], counts.table(N))
+            for N in range(1, counts.n_max + 1)
         )
     checks.append(("max|h_N(mc) - h_N(fp)|", dh, 0.01, dh < 0.01))
     checks.append(("max TV(blocks, stream)", tv, 0.01, tv < 0.01))
@@ -412,7 +420,8 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
             raise ConfigError(f"config: {args.config} is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be a JSON object")
-    cfg = AnalysisConfig.from_dict(raw)
+    # validated once, after the flags: a flag may mend a value of the file
+    cfg = AnalysisConfig.from_dict(raw, check=False)
 
     if args.map:
         if args.map in _maps.BUILTIN_MAPS:
@@ -436,7 +445,6 @@ def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
         value = getattr(args, f.name, None) if f.metadata["flag"] else None
         if value is not None:
             setattr(cfg, f.name, value)
-    cfg.validate(args.command)
     return cfg
 
 
@@ -456,18 +464,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        m, s = cfg.validate(args.command)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
         if args.command == "density":
-            return cmd_density(cfg)
+            return cmd_density(cfg, m)
         if args.command == "analyze":
-            return cmd_analyze(cfg)
+            return cmd_analyze(cfg, m, s)
         if args.command == "bitgen":
-            return cmd_bitgen(cfg, args.von_neumann, args.ascii)
+            return cmd_bitgen(cfg, m, s, args.von_neumann, args.ascii)
         if args.command == "verify":
-            return cmd_verify(cfg)
+            return cmd_verify(cfg, m, s)
     except ANALYSIS_ERRORS as e:
         print(f"analysis failure: {e}", file=sys.stderr)
         return 1

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 import chaosrng as cr
 from chaosrng import bitstream
 from chaosrng.bitstream import (
+    AsciiStreamWriter,
     InsufficientDataError,
+    PatternCounter,
+    StreamWriter,
+    VonNeumannExtractor,
+    bit_chunks,
     empirical_pattern_probs,
     generate_bits,
     monobit_frequency,
@@ -27,6 +32,15 @@ from chaosrng.maps import EPS
 bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8)
 )
+
+
+@st.composite
+def split_streams(draw, max_size=200):
+    """A bit array and its pieces at random cut points; equal cuts give empty
+    pieces, and most pieces are a few bits long."""
+    bits = np.array(draw(st.lists(st.integers(0, 1), max_size=max_size)), dtype=np.uint8)
+    cuts = sorted(draw(st.lists(st.integers(0, bits.size), max_size=20)))
+    return bits, [bits[a:b] for a, b in zip([0, *cuts], [*cuts, bits.size])]
 
 
 def test_config_validation(cubic, branch_part):
@@ -98,7 +112,7 @@ def test_empirical_pattern_probs_exact():
 def int64_pattern_counts(bits, N):
     """Window counts with the stream widened to int64: the reference route."""
     bits = np.asarray(bits, dtype=np.int64)
-    n_windows = len(bits) - N + 1
+    n_windows = max(len(bits) - N + 1, 0)
     acc = np.zeros(n_windows, dtype=np.int64)
     for k in range(N):
         acc = (acc << 1) | bits[k : k + n_windows]
@@ -119,6 +133,81 @@ def test_empirical_pattern_probs_match_int64_route(N):
         assert t.meta == {"n_bits": n_bits, "windows": n_bits - N + 1}
         # t.p is indexed by word code; t.probs would rebuild a 2^N dict per lookup
         assert t.p.tolist() == (counts / (n_bits - N + 1)).tolist()
+
+
+@given(split_streams(max_size=600), st.integers(1, 8))
+def test_pattern_counter_matches_int64_route_per_depth(stream, n_max):
+    # every depth from one pass over the n_max windows, fed in arbitrary
+    # chunks, equals that depth's own count over the whole array
+    bits, chunks = stream
+    counter = PatternCounter(n_max)
+    for chunk in chunks:
+        counter.update(chunk)
+    assert counter.n_bits == bits.size
+    for N in range(1, n_max + 1):
+        counts = int64_pattern_counts(bits, N)
+        assert counter.counts(N).tolist() == counts.tolist(), N
+        if bits.size >= 100 * 2**N:
+            assert counter.table(N).p.tolist() == (counts / (bits.size - N + 1)).tolist()
+        else:
+            with pytest.raises(InsufficientDataError):
+                counter.table(N)
+
+
+def test_pattern_counter_rejects_depths_it_did_not_count():
+    counter = PatternCounter(3)
+    for N in (0, 4):
+        with pytest.raises(ValueError, match="outside 1..3"):
+            counter.counts(N)
+    with pytest.raises(ValueError):
+        PatternCounter(0)
+
+
+@given(split_streams())
+def test_von_neumann_extractor_split_matches_whole(stream):
+    bits, chunks = stream
+    extractor = VonNeumannExtractor()
+    pieces = [extractor.update(chunk) for chunk in chunks]
+    assert all(p.dtype == np.uint8 for p in pieces)
+    assert np.concatenate([np.zeros(0, np.uint8), *pieces]).tolist() == von_neumann_extract(bits).tolist()
+
+
+@given(split_streams())
+def test_stream_writers_split_match_whole(tmp_path_factory, stream):
+    bits, chunks = stream
+    d = tmp_path_factory.mktemp("s")
+    write_stream(d / "whole.bits", bits)
+    write_stream_ascii(d / "whole.txt", bits)
+    with StreamWriter(d / "split.bits") as packed, AsciiStreamWriter(d / "split.txt", bits.size) as text:
+        for chunk in chunks:
+            packed.write(chunk)
+            text.write(chunk)
+    assert (d / "split.bits").read_bytes() == (d / "whole.bits").read_bytes()
+    assert (d / "split.txt").read_bytes() == (d / "whole.txt").read_bytes()
+    assert sorted(p.name for p in d.iterdir()) == ["split.bits", "split.txt", "whole.bits", "whole.txt"]
+
+
+def test_stream_writers_leave_no_file_on_failure(tmp_path):
+    with pytest.raises(RuntimeError):
+        with StreamWriter(tmp_path / "x.bits") as w:
+            w.write(np.ones(20, dtype=np.uint8))
+            raise RuntimeError("interrupted")
+    # an ASCII header states its bit count up front; a different count fails
+    with pytest.raises(ValueError, match="header states 10 bits, 9 written"):
+        with AsciiStreamWriter(tmp_path / "x.txt", 10) as w:
+            w.write(np.ones(9, dtype=np.uint8))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bit_chunks_are_the_stream_in_bounded_pieces(cubic, branch_part):
+    length = 2 * bitstream._CHAIN_CHUNK + 5
+    for dither in (True, False):
+        chunks = list(bit_chunks(cubic, branch_part, length, seed=4, dither=dither))
+        assert all(c.dtype == np.uint8 and 1 <= c.size <= bitstream._CHAIN_CHUNK for c in chunks)
+        assert np.concatenate(chunks).tolist() == generate_bits(cubic, branch_part, length, seed=4, dither=dither).tolist()
+    # arguments are checked on the call, before any chunk is drawn
+    with pytest.raises(ValueError):
+        bit_chunks(cubic, branch_part, 0, seed=0)
 
 
 @pytest.mark.parametrize("L", [2**20, 2**40])
@@ -215,3 +304,24 @@ def test_read_stream_rejects_garbage(tmp_path):
     p.write_bytes(b"NOPE" + bytes(12))
     with pytest.raises(ValueError):
         read_stream(p)
+
+
+def test_read_stream_rejects_a_payload_that_disagrees_with_its_header(tmp_path):
+    p = tmp_path / "x.bits"
+    write_stream(p, np.ones(20, dtype=np.uint8))  # 16-byte header, 3 payload bytes
+    raw = p.read_bytes()
+    for bad in (raw[:-1], raw + b"\0", raw[:16], raw[:10]):
+        p.write_bytes(bad)
+        with pytest.raises(ValueError):
+            read_stream(p)
+
+
+def test_read_stream_ascii_rejects_a_body_that_disagrees_with_its_header(tmp_path):
+    p = tmp_path / "x.txt"
+    write_stream_ascii(p, np.array([0, 1, 1], dtype=np.uint8))
+    text = p.read_text()
+    assert read_stream_ascii(p).tolist() == [0, 1, 1]
+    for bad in (text.replace("n=3", "n=4"), text.replace("011", "01"), text.replace("011", "012"), text + "1\n", ""):
+        p.write_text(bad)
+        with pytest.raises(ValueError):
+            read_stream_ascii(p)

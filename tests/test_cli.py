@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -243,6 +244,19 @@ def test_analyze_config_file_with_flag_override(tmp_path, capsys):
     assert len(report["H"]) == 5  # flag overrode the config depth
 
 
+def test_flags_override_invalid_config_file_values(tmp_path, capsys):
+    # the file's K is below 100 * L for the default L and for --L; --K mends
+    # it, and the floor is checked against --L, not the default L
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"density": {"method": "montecarlo", "K": 1000}}))
+    code, out, err = run(capsys, "density", "--config", str(p), "--K", "1000000", "--L", "1024", "--out-dir", str(tmp_path))
+    assert code == 0, err
+    assert out.startswith("density method=montecarlo map=cubic_sample L=1024 ")
+    code, _, err = run(capsys, "density", "--config", str(p), "--K", "200000", "--L", "4096", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "need an integer >= 100*L = 409600, got 200000" in err
+
+
 def test_bitgen_stream_and_extractor(tmp_path, capsys):
     code, out, _ = run(
         capsys, "bitgen", "--map", "bernoulli", "--length", "100000",
@@ -274,25 +288,68 @@ def test_bitgen_short_stream_reports_the_depths_it_can(tmp_path, capsys, length,
     assert read_stream(tmp_path / "stream_vn.bits").size == summary["von_neumann"]["output_bits"]
 
 
-# sha256 of stream.bits and stream_vn.bits as written while S(0) was still
-# stored as an interval set; the second partition has three cuts inside (0, 1)
+# sha256 of stream.bits, stream_vn.bits and stream.txt, of the printed text and
+# of bitgen_summary.json without its config_sha256 line (the config holds the
+# output directory).  The two binary streams were first written while S(0)
+# was still stored as an interval set, the rest while the stream was still
+# held whole; the second partition has three cuts inside (0, 1)
 STREAM_SHA256 = {
-    (): ("51abe626702142e69b06af89c3c923b3ffcfca2155a905eea1580c658046027c",
-         "e2bd3306052c2bf442186b2e32e28374bcb672d226ac13ef35f903cdde7d8436"),
-    ("--s0", "0:0.3,0.5:0.77"): ("d74a5b5b391f7216adbe193f6668c8a6ca298d293655b766a15af971ee3b1b0d",
-                                 "f3958bb9c5bd8a0680b33a90f100c62ff23452db64cc8abcb17fdb5ef5b7e0a3"),
+    (): {
+        "stream.bits": "51abe626702142e69b06af89c3c923b3ffcfca2155a905eea1580c658046027c",
+        "stream_vn.bits": "e2bd3306052c2bf442186b2e32e28374bcb672d226ac13ef35f903cdde7d8436",
+        "stream.txt": "edcf88bbb8a37af7063e6aaa1192b1d62bae32bfc6a1818011de4737b80e7e85",
+        "stdout": "19a39d78077fba7c484878499355c88a12a4047aba2054c51ba5877647461897",
+        "bitgen_summary.json": "b113ca6a998c036f17117561b7fb0c24adc066c791e92935082dbb1d9a874b2f",
+    },
+    ("--s0", "0:0.3,0.5:0.77"): {
+        "stream.bits": "d74a5b5b391f7216adbe193f6668c8a6ca298d293655b766a15af971ee3b1b0d",
+        "stream_vn.bits": "f3958bb9c5bd8a0680b33a90f100c62ff23452db64cc8abcb17fdb5ef5b7e0a3",
+        "stream.txt": "5b72d9543d7d197bcb54ca827244720bb74d1aa9f2568a0eb90fb3343acb82aa",
+        "stdout": "a43746b96919e9f64c2358908e3caa762693cbb152f2edd909ec31092a32355f",
+        "bitgen_summary.json": "93db3b478be187b854065a14aeb1d2829b64fca5267579a70ed0e169b10de60b",
+    },
 }
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("flags", list(STREAM_SHA256), ids=["default", "s0-three-cuts"])
 def test_bitgen_stream_bytes_are_pinned(tmp_path, capsys, flags):
-    code, _, _ = run(
+    code, out, _ = run(
         capsys, "bitgen", "--map", "cubic_sample", "--length", "200000", "--stream-grid", "1048576",
-        "--seed", "0", "--von-neumann", *flags, "--out-dir", str(tmp_path),
+        "--seed", "0", "--von-neumann", "--ascii", *flags, "--out-dir", str(tmp_path),
     )
     assert code == 0
-    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("stream.bits", "stream_vn.bits"))
+    got = {name: sha256((tmp_path / name).read_bytes()) for name in ("stream.bits", "stream_vn.bits", "stream.txt")}
+    got["stdout"] = sha256(out.encode())
+    summary = (tmp_path / "bitgen_summary.json").read_bytes()
+    got["bitgen_summary.json"] = sha256(re.sub(rb'\n  "config_sha256": "[0-9a-f]{64}",', b"", summary))
     assert got == STREAM_SHA256[flags]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bitgen_summary.json", "stream.bits", "stream.txt", "stream_vn.bits"
+    ]
+
+
+# bytes a streamed bitgen may hold at any length: a few chunks of chain
+# states, bits and pattern windows
+BITGEN_TRACED_PEAK = 3_000_000
+
+
+@pytest.mark.parametrize("flags", [("--von-neumann", "--ascii"), ("--no-dither",)], ids=["dither", "no-dither"])
+def test_bitgen_memory_does_not_grow_with_length(tmp_path, capsys, flags):
+    run(capsys, "bitgen", "--length", "1000", *flags, "--out-dir", str(tmp_path / "warm"))  # lazy imports
+    peaks = {}
+    for length in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "bitgen", "--length", str(length), *flags, "--out-dir", str(tmp_path / str(length)))
+            peaks[length] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert max(peaks.values()) < BITGEN_TRACED_PEAK, peaks
 
 
 VERIFY_TENT_ARGS = (

@@ -237,7 +237,7 @@ def test_chain_states_clip_and_start_at_zero():
 
 
 def test_chain_states_length_off_the_chunk_size(cubic):
-    # the kernel does not split its noise: generate_bits passes it one chunk
+    # the kernel does not split its noise: bit_chunks passes it one chunk
     # at a time, and any longer noise still gives one array of its length
     L = 1000
     noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * bitstream._CHAIN_CHUNK + 123)

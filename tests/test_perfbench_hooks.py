@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 from chaosrng import maps
-from chaosrng.cli import _build_parser, _config_from_args
+from chaosrng.cli import _build_parser, _config_from_args, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,4 +35,19 @@ def test_workload_command_lines_parse(monkeypatch):
     assert ops
     for op in ops:
         cfg = _config_from_args(parser.parse_args(op.argv(0)))
+        cfg.validate(op.args[0])
         assert cfg.seed == 0, op.argv(0)
+
+
+def test_bitgen_workload_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path, capsys):
+    # the benchmark reads bitgen_summary.json; its checks must still find
+    # every key and landmark they read
+    run = load_perfbench(monkeypatch, "run")
+    checks = load_perfbench(monkeypatch, "checks")
+    (op,) = run.WORKLOADS["bitgen-2e6"]
+    monkeypatch.chdir(tmp_path)  # the workload's output directory is relative
+    assert main(op.argv(0)) == 0
+    capsys.readouterr()
+    found, values = checks.check_bitgen(tmp_path / op.out_rel, int(op.args[op.args.index("--length") + 1]))
+    assert all(c.ok for c in found), [c.line() for c in found]
+    assert values["bits"] == 2_000_000
