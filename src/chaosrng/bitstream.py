@@ -31,10 +31,11 @@ DEFAULT_STREAM_L = 1 << 20
 MAX_STREAM_L = 1 << 53
 
 #: noise values per draw in :func:`bit_chunks`, and so the states per
-#: :func:`density.chain_states` call and the bits per chunk: a streamed
-#: stream's whole working set, at any length and grid L.  A chunk's Python
-#: list and ints cost about 40 bytes a state, so 2^14 keeps it near 1 MB;
-#: chunks of 2^12 to 2^16 stepped a 2e6-state chain equally fast, within noise
+#: :func:`density.chain_states` call and the bits per chunk: the whole
+#: working set of a consumer of the chunks, at any length and grid L.  A
+#: chunk's Python list and ints cost about 40 bytes a state, so 2^14 keeps
+#: it near 1 MB; chunks of 2^12 to 2^16 stepped a 2e6-state chain equally
+#: fast, within noise
 _CHAIN_CHUNK = 1 << 14
 
 #: windows per slice in :meth:`PatternCounter.update`
@@ -277,6 +278,9 @@ def _binary_header(n_bits: int) -> bytes:
 
 
 class _ChunkFile:
+    """A stream file written through `<name>.part`: renamed on a clean close,
+    deleted on an error."""
+
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._part = self.path.with_name(self.path.name + ".part")
