@@ -215,28 +215,9 @@ def total_variation(a: ProbabilityTable, b: ProbabilityTable) -> float:
     return 0.5 * float(np.abs(a.p - b.p).sum())
 
 
-class OnesCounter:
-    """Bits and ones of a stream fed in chunks."""
-
-    def __init__(self):
-        self.n_bits = 0
-        self.ones = 0
-
-    def update(self, chunk) -> None:
-        chunk = np.asarray(chunk)
-        self.n_bits += chunk.size
-        self.ones += int(np.count_nonzero(chunk))
-
-    def frequency(self) -> float:
-        """Fraction of ones; nan for an empty stream."""
-        return self.ones / self.n_bits if self.n_bits else float("nan")
-
-
 def monobit_frequency(bits: np.ndarray) -> float:
     """Fraction of ones."""
-    counter = OnesCounter()
-    counter.update(bits)
-    return counter.frequency()
+    return float(np.mean(bits))
 
 
 class VonNeumannExtractor:
@@ -250,8 +231,9 @@ class VonNeumannExtractor:
         """The extracted bits of the pairs that `chunk` completes."""
         chunk = np.asarray(chunk, dtype=np.uint8)
         bits = np.concatenate((self._odd, chunk)) if self._odd.size else chunk
-        self._odd = bits[bits.size - bits.size % 2 :].copy()
-        return von_neumann_extract(bits)
+        n = bits.size - bits.size % 2
+        self._odd = bits[n:].copy()
+        return von_neumann_extract(bits[:n])
 
 
 def von_neumann_extract(bits: np.ndarray) -> np.ndarray:
