@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -62,19 +63,50 @@ def _check_type(path: str, value, hint) -> None:
 
 
 def _field(
-    path: str, default=MISSING, flag: str | None = None, *, commands=COMMANDS, default_factory=MISSING, **argparse_kw
+    path: str, flag: str, default=MISSING, *, commands=COMMANDS, default_factory=MISSING, parse=None, **argparse_kw
 ):
     """One row of the config field table.
 
     `path` is where the field lives in the JSON config ("density.L").
-    `flag` is its command-line spelling, offered on `commands`; the flag's
-    dest is the field name and its type the field's annotation, and
-    `argparse_kw` adds choices and help.  A field without a flag is set
-    from the command line only by a flag with its own parsing, in
-    `_build_parser` and `_config_from_args`, or not at all.
+    `flag` is its command-line spelling, offered on `commands`, with the
+    field name as its dest and `argparse_kw` (an action, choices, help) added.
+    A bool field's flag takes no value and sets the opposite of the default.
+    Any other flag's text goes to `parse` where the row names one (a function
+    to the field's value that raises ConfigError naming the field), and is
+    otherwise converted by argparse to the field's annotated type.
     """
-    meta = {"path": path, "flag": flag, "commands": commands, "argparse": argparse_kw}
+    meta = {"path": path, "flag": flag, "commands": commands, "parse": parse, "argparse": argparse_kw}
     return field(default=default, default_factory=default_factory, metadata=meta)
+
+
+def _read_json(path: str, name: str):
+    """The JSON value in the file at `path`; a file that cannot be read or
+    parsed is a ConfigError naming the field `name`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"{name}: cannot read {path}: {e}") from e
+    except ValueError as e:  # not JSON, or not UTF-8 text
+        raise ConfigError(f"{name}: {path} is not valid JSON: {e}") from e
+
+
+def _read_map(text: str) -> dict:
+    if text in _maps.BUILTIN_MAPS:
+        return {"type": "builtin", "name": text}
+    if not Path(text).exists():
+        raise ConfigError(f"map: {text!r} is neither a builtin ({sorted(_maps.BUILTIN_MAPS)}) nor a file")
+    return _read_json(text, "map")
+
+
+def _parse_s0(text: str) -> dict:
+    pairs = []
+    for chunk in text.split(","):
+        lo, _, hi = chunk.partition(":")
+        try:
+            pairs.append([float(lo), float(hi)])
+        except ValueError as e:
+            raise ConfigError(f"partition: cannot parse interval {chunk!r} (want 'lo:hi')") from e
+    return {"s0": pairs}
 
 
 @dataclass
@@ -85,28 +117,42 @@ class AnalysisConfig:
     its flag and, through its annotation, the JSON types it accepts.
     """
 
-    map: dict = _field("map", default_factory=lambda: {"type": "builtin", "name": "cubic_sample"})
-    partition: dict | None = _field("partition", None)  # None = split at the map's first branch end
-    method: str = _field("density.method", "fp_operator", "--method", choices=DENSITY_METHODS)
-    L: int = _field("density.L", _density.DEFAULT_L, "--L", help="density grid size")
-    K: int = _field("density.K", _density.DEFAULT_K, "--K", help="Monte Carlo visit budget")
-    burn_in: int = _field("density.burn_in", _density.DEFAULT_BURN_IN, "--burn-in")
-    tol: float = _field("density.tol", _density.DEFAULT_TOL, "--tol", help="operator convergence tolerance")
-    grid_factor: int | None = _field("density.grid_factor", None, "--grid-factor")
-    depth: int = _field("depth", _analysis.DEFAULT_DEPTH, "--depth", help="refinement depth N")
-    seed: int = _field("seed", 0, "--seed")
-    length: int = _field("length", 1_000_000, "--length", commands=("bitgen",), help="number of bits to generate")
-    dither: bool = _field("dither", True)
-    stream_grid: int = _field(
-        "stream_grid", _bitstream.DEFAULT_STREAM_L, "--stream-grid", commands=("bitgen",), help="dither grid size"
+    map: dict = _field(
+        "map", "--map", default_factory=lambda: {"type": "builtin", "name": "cubic_sample"}, parse=_read_map,
+        help="builtin map name or path to a map JSON file",
     )
-    start: float | None = _field("start", None, "--start", commands=("bitgen",), help="explicit x_0 in (0,1)")
-    input_rate: float | None = _field("input_rate", None, "--rate", help="raw bit rate R for the budget")
-    out_dir: str = _field("output.directory", ".", "--out-dir")
-    formats: list = _field("output.formats", default_factory=lambda: ["csv", "json"])
+    partition: dict | None = _field(
+        "partition", "--s0", None, parse=_parse_s0, help="S(0) intervals as 'lo:hi[,lo:hi...]', e.g. '0:0.5'"
+    )
+    method: str = _field("density.method", "--method", "fp_operator", choices=DENSITY_METHODS)
+    L: int = _field("density.L", "--L", _density.DEFAULT_L, help="density grid size")
+    K: int = _field("density.K", "--K", _density.DEFAULT_K, help="Monte Carlo visit budget")
+    burn_in: int = _field("density.burn_in", "--burn-in", _density.DEFAULT_BURN_IN)
+    tol: float = _field("density.tol", "--tol", _density.DEFAULT_TOL, help="operator convergence tolerance")
+    grid_factor: int | None = _field("density.grid_factor", "--grid-factor", None)
+    depth: int = _field("depth", "--depth", _analysis.DEFAULT_DEPTH, help="refinement depth N")
+    seed: int = _field("seed", "--seed", 0)
+    length: int = _field("length", "--length", 1_000_000, commands=("bitgen",), help="number of bits to generate")
+    dither: bool = _field(
+        "dither", "--no-dither", True, commands=("bitgen",), help="raw float iteration (negative control)"
+    )
+    von_neumann: bool = _field(
+        "von_neumann", "--von-neumann", False, commands=("bitgen",), help="also write the extracted stream"
+    )
+    stream_grid: int = _field(
+        "stream_grid", "--stream-grid", _bitstream.DEFAULT_STREAM_L, commands=("bitgen",), help="dither grid size"
+    )
+    start: float | None = _field("start", "--start", None, commands=("bitgen",), help="explicit x_0 in (0,1)")
+    input_rate: float | None = _field("input_rate", "--rate", None, help="raw bit rate R for the budget")
+    out_dir: str = _field("output.directory", "--out-dir", ".")
+    formats: list = _field(
+        "output.formats", "--format", default_factory=lambda: ["csv", "json"],
+        parse=lambda texts: list(dict.fromkeys(texts)), action="append", choices=FORMATS,
+    )
+    ascii: bool = _field("output.ascii", "--ascii", False, commands=("bitgen",), help="also write the '01' text format")
     # accepted only as null or 1, and without effect, so that command lines passing
     # `--workers 1` still parse
-    workers: int | None = _field("workers", None, "--workers", help="accepted only as 1; has no effect")
+    workers: int | None = _field("workers", "--workers", None, help="accepted only as 1; has no effect")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":
@@ -154,8 +200,8 @@ class AnalysisConfig:
                 raise ConfigError(f"density.K: need an integer >= 100*L = {100 * self.L}, got {self.K!r}")
             if self.burn_in < 1_000:
                 raise ConfigError(f"density.burn_in: need >= 1000, got {self.burn_in!r}")
-        if not self.tol > 0:
-            raise ConfigError(f"density.tol: must be positive, got {self.tol!r}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"density.tol: must be positive and finite, got {self.tol!r}")
         if self.grid_factor is not None and self.grid_factor < 1:
             raise ConfigError(f"density.grid_factor: need a positive integer, got {self.grid_factor!r}")
         if not 1 <= self.depth <= _partition.DEFAULT_MAX_DEPTH:
@@ -169,8 +215,8 @@ class AnalysisConfig:
             raise ConfigError(f"stream_grid: need 64..2^53 for a dithered stream, got {self.stream_grid!r}")
         if self.start is not None and not 0.0 < self.start < 1.0:
             raise ConfigError(f"start: must lie in (0, 1), got {self.start!r}")
-        if self.input_rate is not None and not self.input_rate > 0:
-            raise ConfigError(f"input_rate: must be positive, got {self.input_rate!r}")
+        if self.input_rate is not None and not 0 < self.input_rate < math.inf:
+            raise ConfigError(f"input_rate: must be positive and finite, got {self.input_rate!r}")
         if self.workers not in (None, 1):
             raise ConfigError(f"workers: only null or 1 is accepted, got {self.workers!r}")
         try:
@@ -208,7 +254,8 @@ def _write_json(path: Path, payload: dict, cfg_hash: str) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _density_outputs(f, out: Path, stem: str, cfg: AnalysisConfig, cfg_hash: str) -> None:
+def _write_outputs(f, out: Path, stem: str, cfg: AnalysisConfig, cfg_hash: str) -> None:
+    """`f` (a density or a report) as the `stem` files of the config's formats."""
     if "csv" in cfg.formats:
         p = out / f"{stem}.csv"
         f.to_csv(p)
@@ -234,7 +281,7 @@ def _compute_density(cfg: AnalysisConfig, m: _maps.MapModel, method: str):
 # commands
 
 
-def cmd_density(cfg: AnalysisConfig, m: _maps.MapModel) -> int:
+def cmd_density(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPartition) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
@@ -243,7 +290,7 @@ def cmd_density(cfg: AnalysisConfig, m: _maps.MapModel) -> int:
     for method in methods:
         f = _compute_density(cfg, m, method)
         results[method] = f
-        _density_outputs(f, out, f"density_{method}", cfg, h)
+        _write_outputs(f, out, f"density_{method}", cfg, h)
         print(f"density method={method} map={m.name} L={f.L} files={out}/density_{method}.*")
     if len(results) == 2:
         d = _density.l1_distance(results["montecarlo"], results["fp_operator"])
@@ -262,12 +309,7 @@ def cmd_analyze(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPart
     if cfg.method == "both":
         other = _compute_density(cfg, m, "montecarlo")
         report.provenance["l1_cross_method"] = _density.l1_distance(other, density)
-    if "csv" in cfg.formats:
-        p = out / "report.csv"
-        report.to_csv(p)
-        _stamp_csv(p, h)
-    if "json" in cfg.formats:
-        _write_json(out / "report.json", report.to_dict(), h)
+    _write_outputs(report, out, "report", cfg, h)
     line = f"analyze map={m.name} depth={cfg.depth} bias={report.bias:.4f} h_estimate={report.h_estimate:.4f}"
     if report.recommended_rate is not None:
         line += f" R_d={report.recommended_rate:.4g} overhead={report.overhead:.4f}"
@@ -277,9 +319,7 @@ def cmd_analyze(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPart
     return 0
 
 
-def cmd_bitgen(
-    cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPartition, von_neumann: bool, ascii_out: bool
-) -> int:
+def cmd_bitgen(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolPartition) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     h = cfg.sha256()
@@ -288,9 +328,9 @@ def cmd_bitgen(
     ones = vn_ones = 0
     with contextlib.ExitStack() as files:
         writers = [files.enter_context(_bitstream.StreamWriter(out / "stream.bits"))]
-        if ascii_out:
+        if cfg.ascii:
             writers.append(files.enter_context(_bitstream.AsciiStreamWriter(out / "stream.txt", cfg.length)))
-        if von_neumann:
+        if cfg.von_neumann:
             vn_writer = files.enter_context(_bitstream.StreamWriter(out / "stream_vn.bits"))
         chunks = _bitstream.bit_chunks(
             m, s, cfg.length, seed=cfg.seed, L=cfg.stream_grid, dither=cfg.dither, start=cfg.start
@@ -300,7 +340,7 @@ def cmd_bitgen(
                 w.write(chunk)
             ones += int(chunk.sum())
             patterns.update(chunk)
-            if von_neumann:
+            if cfg.von_neumann:
                 vn = extractor.update(chunk)
                 vn_writer.write(vn)
                 vn_ones += int(vn.sum())
@@ -319,7 +359,7 @@ def cmd_bitgen(
         summary["patterns"][str(N)] = probs
         row = "  ".join(f"P({w})={v:.4f}" for w, v in probs.items())
         print(f"N={N}: {row}")
-    if von_neumann:
+    if cfg.von_neumann:
         n_vn = vn_writer.n_bits
         ratio = n_vn / n
         summary["von_neumann"] = {
@@ -370,6 +410,9 @@ def cmd_verify(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     return 1 if failed else 0
 
 
+RUNNERS = {"density": cmd_density, "analyze": cmd_analyze, "bitgen": cmd_bitgen, "verify": cmd_verify}
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 
@@ -383,66 +426,28 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command)
         p.add_argument("--config", help="JSON config file; flags below override its fields")
-        p.add_argument("--map", help="builtin map name or path to a map JSON file")
-        p.add_argument("--s0", help="S(0) intervals as 'lo:hi[,lo:hi...]', e.g. '0:0.5'")
-        p.add_argument("--format", action="append", choices=FORMATS, dest="formats")
         for f in fields(AnalysisConfig):
-            if f.metadata["flag"] and command in f.metadata["commands"]:
-                p.add_argument(f.metadata["flag"], type=_types(f.type)[0], dest=f.name, **f.metadata["argparse"])
-        if command == "bitgen":
-            p.add_argument("--no-dither", action="store_true", help="raw float iteration (negative control)")
-            p.add_argument("--von-neumann", action="store_true", help="also write the extracted stream")
-            p.add_argument("--ascii", action="store_true", help="also write the '01' text format")
+            if command in f.metadata["commands"]:
+                kw = f.metadata["argparse"]
+                if f.type is bool:
+                    kw = {"action": "store_const", "const": not f.default, **kw}
+                elif not f.metadata["parse"]:
+                    kw = {"type": _types(f.type)[0], **kw}
+                p.add_argument(f.metadata["flag"], dest=f.name, **kw)
     return parser
 
 
-def _parse_s0(text: str) -> dict:
-    pairs = []
-    for chunk in text.split(","):
-        lo, _, hi = chunk.partition(":")
-        try:
-            pairs.append([float(lo), float(hi)])
-        except ValueError as e:
-            raise ConfigError(f"partition: cannot parse interval {chunk!r} (want 'lo:hi')") from e
-    return {"s0": pairs}
-
-
 def _config_from_args(args: argparse.Namespace) -> AnalysisConfig:
-    raw: dict = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except OSError as e:
-            raise ConfigError(f"config: cannot read {args.config}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config: {args.config} is not valid JSON: {e}") from e
-        if not isinstance(raw, dict):
-            raise ConfigError("config: top level must be a JSON object")
+    raw = _read_json(args.config, "config") if args.config else {}
+    if not isinstance(raw, dict):
+        raise ConfigError("config: top level must be a JSON object")
     # validated once, after the flags: a flag may mend a value of the file
     cfg = AnalysisConfig.from_dict(raw)
-
-    if args.map:
-        if args.map in _maps.BUILTIN_MAPS:
-            cfg.map = {"type": "builtin", "name": args.map}
-        elif Path(args.map).exists():
-            try:
-                cfg.map = json.loads(Path(args.map).read_text())
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"map: {args.map} is not valid JSON: {e}") from e
-        else:
-            raise ConfigError(
-                f"map: {args.map!r} is neither a builtin ({sorted(_maps.BUILTIN_MAPS)}) nor a file"
-            )
-    if args.s0:
-        cfg.partition = _parse_s0(args.s0)
-    if args.formats:
-        cfg.formats = list(dict.fromkeys(args.formats))
-    if getattr(args, "no_dither", False):
-        cfg.dither = False
     for f in fields(cfg):
-        value = getattr(args, f.name, None) if f.metadata["flag"] else None
+        value = getattr(args, f.name, None)  # None: flag absent, or not offered on this command
         if value is not None:
-            setattr(cfg, f.name, value)
+            parse = f.metadata["parse"]
+            setattr(cfg, f.name, parse(value) if parse else value)
     return cfg
 
 
@@ -467,18 +472,10 @@ def main(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     try:
-        if args.command == "density":
-            return cmd_density(cfg, m)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, m, s)
-        if args.command == "bitgen":
-            return cmd_bitgen(cfg, m, s, args.von_neumann, args.ascii)
-        if args.command == "verify":
-            return cmd_verify(cfg, m, s)
+        return RUNNERS[args.command](cfg, m, s)
     except ANALYSIS_ERRORS as e:
         print(f"analysis failure: {e}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

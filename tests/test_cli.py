@@ -1,4 +1,5 @@
 """Command-line behavior: subcommands, config handling, exit codes."""
+import argparse
 import copy
 import hashlib
 import json
@@ -16,7 +17,7 @@ import pytest
 from chaosrng import analysis
 from chaosrng.analysis import InvariantViolation
 from chaosrng.bitstream import read_stream, read_stream_ascii
-from chaosrng.cli import AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
+from chaosrng.cli import COMMANDS, RUNNERS, AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
 
 
 def run(capsys, *argv):
@@ -39,10 +40,11 @@ ALL_SET = {
     "seed": 7,
     "length": 5000,
     "dither": False,
+    "von_neumann": True,
     "stream_grid": 4096,
     "start": 0.25,
     "input_rate": 2e6,
-    "output": {"directory": "out", "formats": ["json"]},
+    "output": {"directory": "out", "formats": ["json"], "ascii": True},
     "workers": 1,
 }
 
@@ -62,34 +64,48 @@ def test_config_roundtrip():
 
 def test_config_hash_is_pinned():
     # the hash stamps every output; a change here changes every output file
-    assert AnalysisConfig().sha256() == "87df28fba64072a30782e94ec8ad2fe958a7ce5f842dc2c269df26b409ed0fe3"
+    assert AnalysisConfig().sha256() == "1353a083769dc372c279b880b281cb237ad61fffa5cccd3395946e456f87a13b"
     assert AnalysisConfig.from_dict(ALL_SET).sha256() == (
-        "7d5bb9721f35afb4555547a21680726376e6e9a1fce0ed3d3196549e17c220ea"
+        "28f9dbafbc5adb9ecad1ba34cced7e3335cf4b0920a92c7c1859ef4d485c737b"
     )
+
+
+# the command-line text of the ALL_SET values that do not print as their text
+FLAG_TEXT = {"map": "tent", "partition": "0:0.3", "formats": "json"}
 
 
 def test_each_flag_overrides_only_its_field():
     expected = AnalysisConfig.from_dict(ALL_SET)
-    cases = [(["--map", "tent"], "map"), (["--s0", "0:0.3"], "partition"),
-             (["--format", "json"], "formats"), (["--no-dither"], "dither")]
-    cases += [([f.metadata["flag"], str(getattr(expected, f.name))], f.name)
-              for f in fields(AnalysisConfig) if f.metadata["flag"]]
-    assert sorted(name for _, name in cases) == sorted(f.name for f in fields(AnalysisConfig))
     default = AnalysisConfig()
     parser = _build_parser()
-    for argv, name in cases:
+    for f in fields(AnalysisConfig):
+        argv = [f.metadata["flag"]]  # a bool field's flag takes no text
+        if f.type is not bool:
+            argv.append(FLAG_TEXT.get(f.name, str(getattr(expected, f.name))))
         cfg = _config_from_args(parser.parse_args(["bitgen", *argv]))
-        changed = [f.name for f in fields(cfg) if getattr(cfg, f.name) != getattr(default, f.name)]
-        assert changed == [name], argv
-        assert getattr(cfg, name) == getattr(expected, name), argv
+        changed = [g.name for g in fields(cfg) if getattr(cfg, g.name) != getattr(default, g.name)]
+        assert changed == [f.name], argv
+        assert getattr(cfg, f.name) == getattr(expected, f.name), argv
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_offers_only_the_table_flags(command):
+    # every flag is a row of the field table, so it reaches the config and its hash
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = sub.choices[command]._actions
+    table = [f for f in fields(AnalysisConfig) if command in f.metadata["commands"]]
+    assert sorted(opt for a in actions for opt in a.option_strings) == sorted(
+        ["-h", "--help", "--config"] + [f.metadata["flag"] for f in table]
+    )
+    assert sorted(a.dest for a in actions) == sorted(["help", "config"] + [f.name for f in table])
+    assert list(RUNNERS) == list(COMMANDS)
 
 
 def test_readme_config_table_matches_fields():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)", readme, re.M)
     assert [path for path, _ in rows] == [f.metadata["path"] for f in fields(AnalysisConfig)]
-    for (_, flag), f in zip(rows, fields(AnalysisConfig)):
-        assert f.metadata["flag"] in (None, flag)
+    assert [flag for _, flag in rows] == [f.metadata["flag"] for f in fields(AnalysisConfig)]
 
 
 def test_config_rejects_unknown_fields():
@@ -145,12 +161,12 @@ def test_density_both_prints_l1(tmp_path, capsys):
 
 # sha256 of the four files of `density --map logistic --method both --L 333
 # --K 100000 --grid-factor 3 --out-dir .`, as written before mc_density took
-# keyword arguments
+# keyword arguments, with the config stamp of the 20-field config
 DENSITY_BOTH_SHA256 = {
-    "density_fp_operator.csv": "96850f5399a29cb082f86542ab6da2fda69517b4b7adb5caa3e28788d6404e41",
-    "density_fp_operator.json": "5c8dfdf5893d1aa6adb7fe37f856916b662ee9966040516a7eb496eca96a26bc",
-    "density_montecarlo.csv": "44492d93d8f475658d4ccd618a2ca0fcc9ded4d06d8bec4d39b28c8606ea002d",
-    "density_montecarlo.json": "0aca7e2d2a99f4d53d1861fef0be86c7adfb669de74bd8c6c13fc9cd58a76949",
+    "density_fp_operator.csv": "aa54c11bb44d53062c1f4968db6763313958be4006fb3f1ff44bb80fadce714e",
+    "density_fp_operator.json": "15bd53419d6a8d39484a985ded417191f658707c078857c2f0c40961b3002764",
+    "density_montecarlo.csv": "7fd3e679fb2b3b17bd98495629764379a51951f51416d6a01f7a799fe8aa7cc0",
+    "density_montecarlo.json": "069bf1dc1ec648f19b3300f7ad2dd2970cd36256cc3498313e604b3ebc86f39c",
 }
 
 
@@ -206,7 +222,7 @@ def test_analyze_writes_report(tmp_path, capsys, monkeypatch):
     csv_lines = (tmp_path / "report.csv").read_text().splitlines()
     assert csv_lines[1] == "N,H_N,h_N"
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
-    assert digest == "212f863b48a5f8bc94c650bfa679ab7a7ce7827b6ecf1ea672a0081c74f7ed16"
+    assert digest == "7d517ab4306bf6a05f0fe572fd1b6cce5b7cc7db54783389c13a709f25664301"
 
 
 def test_analyze_leaves_numpy_ma_unimported(tmp_path):
@@ -272,6 +288,25 @@ def test_bitgen_stream_and_extractor(tmp_path, capsys):
     summary = json.loads((tmp_path / "bitgen_summary.json").read_text())
     assert summary["von_neumann"]["output_bits"] == vn.size
     assert "P(01)" in out
+
+
+def test_bitgen_switches_are_config_fields(tmp_path, capsys):
+    # the switches change the outputs, so the config hash must tell their runs apart
+    hashes = []
+    for flags in ([], ["--von-neumann"]):
+        code, _, _ = run(capsys, "bitgen", "--length", "1000", *flags, "--out-dir", str(tmp_path))
+        assert code == 0
+        hashes.append(json.loads((tmp_path / "bitgen_summary.json").read_text())["config_sha256"])
+    assert hashes[0] != hashes[1]
+    # a config file asks for both outputs without the flags
+    out = tmp_path / "cfg"
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"von_neumann": True, "output": {"directory": str(out), "ascii": True}}))
+    code, _, _ = run(capsys, "bitgen", "--config", str(p), "--length", "1000")
+    assert code == 0
+    summary = json.loads((out / "bitgen_summary.json").read_text())
+    assert summary["von_neumann"]["output_bits"] == read_stream(out / "stream_vn.bits").size > 0
+    assert np.array_equal(read_stream_ascii(out / "stream.txt"), read_stream(out / "stream.bits"))
 
 
 @pytest.mark.parametrize("length, depths", [(1000, 3), (150, 0)])
@@ -485,11 +520,17 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         ({"stream_grid": 2**53 + 1}, [], "stream_grid"),  # past float resolution
         ({}, ["--workers", "2"], "workers"),  # a stub: only null or 1 parses
         ({"workers": 0}, [], "workers"),
+        # 1e999 parses as inf; an infinite rate was written to report.json as
+        # `Infinity`, and an infinite tolerance stopped the operator after one step
+        pytest.param('{"density": {"tol": 1e999}}', [], "density.tol", id="tol-1e999"),
+        pytest.param({}, ["--tol", "inf"], "density.tol", id="tol-flag-inf"),
+        pytest.param('{"input_rate": 1e999}', [], "input_rate", id="input_rate-1e999"),
+        pytest.param({}, ["--rate", "inf"], "input_rate", id="input_rate-flag-inf"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(config))
+    p.write_text(config if isinstance(config, str) else json.dumps(config))
     code, _, err = run(capsys, "bitgen", "--config", str(p), "--length", "1000", *flags, "--out-dir", str(tmp_path))
     assert code == 2
     assert f"config error: {path}: " in err
@@ -501,3 +542,13 @@ def test_malformed_config_file_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", "--config", str(p))
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize("flag, path", [("--config", "config"), ("--map", "map")])
+def test_unreadable_json_file_exits_2(tmp_path, capsys, flag, path):
+    # a directory exists but cannot be read: --map raised IsADirectoryError
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe")  # not UTF-8
+    for target in (tmp_path, tmp_path / "binary.json"):
+        code, _, err = run(capsys, "analyze", flag, str(target), "--out-dir", str(tmp_path / "out"))
+        assert code == 2, target
+        assert err.startswith(f"config error: {path}: "), err
