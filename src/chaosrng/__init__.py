@@ -22,7 +22,6 @@ from .density import (
     NonConvergenceError,
     ResolutionError,
     fp_fixed_point,
-    fp_step,
     l1_distance,
     mc_density,
 )
@@ -41,8 +40,6 @@ from .maps import (
     MapModel,
     bernoulli_map,
     cubic_sample_map,
-    eval_map,
-    load_map,
     logistic_map,
     map_from_config,
     piecewise_linear_map,
@@ -52,7 +49,6 @@ from .maps import (
 )
 from .partition import (
     SymbolPartition,
-    refine_once,
     refinement_ladder,
     symmetric_partition,
 )
@@ -80,12 +76,9 @@ __all__ = [
     "cubic_sample_map",
     "empirical_pattern_probs",
     "entropy_rate_estimate",
-    "eval_map",
     "fp_fixed_point",
-    "fp_step",
     "generate_bits",
     "l1_distance",
-    "load_map",
     "logistic_map",
     "map_from_config",
     "mc_density",
@@ -95,7 +88,6 @@ __all__ = [
     "polynomial_map",
     "preimages",
     "rate_budget",
-    "refine_once",
     "refinement_ladder",
     "run_analysis",
     "symmetric_partition",

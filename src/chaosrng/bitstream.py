@@ -94,7 +94,7 @@ def _dithered_chunks(m, s, length, rng, L, start):
 
 def _raw_chunks(m, s, length, rng, start):
     # x stays in [EPS, 1 - EPS], so raw_eval's scalar path plus the clamp of
-    # eval_map is all a step needs
+    # MapModel.__call__ is all a step needs
     f, lo, hi = m.raw_eval, EPS, 1.0 - EPS
     x = start if start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
     for n0 in range(0, length, _CHAIN_CHUNK):
@@ -363,17 +363,17 @@ def write_stream_ascii(path: str | Path, bits: np.ndarray) -> None:
 
 
 def read_stream_ascii(path: str | Path) -> np.ndarray:
-    """Bits of an ASCII stream file; a file without the header line is one
-    line of '0'/'1'."""
+    """Bits of an ASCII stream file: its header line, then one line of '0'/'1'."""
     lines = Path(path).read_text().splitlines()
-    header = lines.pop(0) if lines and lines[0].startswith("#") else None
+    if not lines or not lines[0].startswith("#"):
+        raise ValueError("no header line stating the bit count")
+    header = lines.pop(0)
     if len(lines) != 1:
         raise ValueError(f"need one line of bits after the header, got {len(lines)}")
     body = np.frombuffer(lines[0].encode(), dtype=np.uint8) - ord("0")
     if np.any(body > 1):
         raise ValueError("the body holds characters other than '0' and '1'")
-    if header is not None:
-        declared = re.search(r"\sn=(\d+)(\s|$)", header)
-        if declared is None or int(declared.group(1)) != body.size:
-            raise ValueError(f"header {header!r} does not state the body's {body.size} bits")
+    declared = re.search(r"\sn=(\d+)(\s|$)", header)
+    if declared is None or int(declared.group(1)) != body.size:
+        raise ValueError(f"header {header!r} does not state the body's {body.size} bits")
     return body

@@ -31,6 +31,7 @@ class ConfigError(ValueError):
 DENSITY_METHODS = ("montecarlo", "fp_operator", "both")
 FORMATS = ("csv", "json")
 COMMANDS = ("density", "analyze", "bitgen", "verify")
+_DENSITY_READERS = ("density", "analyze", "verify")  # the commands that build a density
 _JSON_NAMES = {
     int: "an integer",
     float: "a number",
@@ -62,14 +63,13 @@ def _check_type(path: str, value, hint) -> None:
         raise ConfigError(f"{path}: need {' or '.join(_JSON_NAMES[t] for t in types)}, got {value!r}")
 
 
-def _field(
-    path: str, flag: str, default=MISSING, *, commands=COMMANDS, default_factory=MISSING, parse=None, **argparse_kw
-):
+def _field(path: str, flag: str, default=MISSING, *, commands, default_factory=MISSING, parse=None, **argparse_kw):
     """One row of the config field table.
 
     `path` is where the field lives in the JSON config ("density.L").
-    `flag` is its command-line spelling, offered on `commands`, with the
-    field name as its dest and `argparse_kw` (an action, choices, help) added.
+    `flag` is its command-line spelling, offered on `commands`, the commands
+    that read the field, with the field name as its dest and `argparse_kw`
+    (an action, choices, help) added.  A config file may set any field.
     A bool field's flag takes no value and sets the opposite of the default.
     Any other flag's text goes to `parse` where the row names one (a function
     to the field's value that raises ConfigError naming the field), and is
@@ -118,20 +118,29 @@ class AnalysisConfig:
     """
 
     map: dict = _field(
-        "map", "--map", default_factory=lambda: {"type": "builtin", "name": "cubic_sample"}, parse=_read_map,
-        help="builtin map name or path to a map JSON file",
+        "map", "--map", default_factory=lambda: {"type": "builtin", "name": "cubic_sample"}, commands=COMMANDS,
+        parse=_read_map, help="builtin map name or path to a map JSON file",
     )
     partition: dict | None = _field(
-        "partition", "--s0", None, parse=_parse_s0, help="S(0) intervals as 'lo:hi[,lo:hi...]', e.g. '0:0.5'"
+        "partition", "--s0", None, commands=("analyze", "bitgen", "verify"), parse=_parse_s0,
+        help="S(0) intervals as 'lo:hi[,lo:hi...]', e.g. '0:0.5'",
     )
-    method: str = _field("density.method", "--method", "fp_operator", choices=DENSITY_METHODS)
-    L: int = _field("density.L", "--L", _density.DEFAULT_L, help="density grid size")
-    K: int = _field("density.K", "--K", _density.DEFAULT_K, help="Monte Carlo visit budget")
-    burn_in: int = _field("density.burn_in", "--burn-in", _density.DEFAULT_BURN_IN)
-    tol: float = _field("density.tol", "--tol", _density.DEFAULT_TOL, help="operator convergence tolerance")
-    grid_factor: int | None = _field("density.grid_factor", "--grid-factor", None)
-    depth: int = _field("depth", "--depth", _analysis.DEFAULT_DEPTH, help="refinement depth N")
-    seed: int = _field("seed", "--seed", 0)
+    method: str = _field(
+        "density.method", "--method", "fp_operator", commands=("density", "analyze"), choices=DENSITY_METHODS
+    )
+    L: int = _field("density.L", "--L", _density.DEFAULT_L, commands=_DENSITY_READERS, help="density grid size")
+    K: int = _field("density.K", "--K", _density.DEFAULT_K, commands=_DENSITY_READERS, help="Monte Carlo visit budget")
+    burn_in: int = _field("density.burn_in", "--burn-in", _density.DEFAULT_BURN_IN, commands=_DENSITY_READERS)
+    tol: float = _field(
+        "density.tol", "--tol", _density.DEFAULT_TOL, commands=_DENSITY_READERS, help="operator convergence tolerance"
+    )
+    grid_factor: int | None = _field("density.grid_factor", "--grid-factor", None, commands=_DENSITY_READERS)
+    depth: int = _field(
+        "depth", "--depth", _analysis.DEFAULT_DEPTH, commands=("analyze", "verify"), help="refinement depth N"
+    )
+    seed: int = _field("seed", "--seed", 0, commands=COMMANDS)
+    # verify also reads length (its check stream is max(length, 1e6) bits) but
+    # offers no flag for it
     length: int = _field("length", "--length", 1_000_000, commands=("bitgen",), help="number of bits to generate")
     dither: bool = _field(
         "dither", "--no-dither", True, commands=("bitgen",), help="raw float iteration (negative control)"
@@ -143,16 +152,22 @@ class AnalysisConfig:
         "stream_grid", "--stream-grid", _bitstream.DEFAULT_STREAM_L, commands=("bitgen",), help="dither grid size"
     )
     start: float | None = _field("start", "--start", None, commands=("bitgen",), help="explicit x_0 in (0,1)")
-    input_rate: float | None = _field("input_rate", "--rate", None, help="raw bit rate R for the budget")
-    out_dir: str = _field("output.directory", "--out-dir", ".")
+    input_rate: float | None = _field(
+        "input_rate", "--rate", None, commands=("analyze",), help="raw bit rate R for the budget"
+    )
+    # verify writes no file; it takes the flag because perfbench passes it to
+    # every command
+    out_dir: str = _field("output.directory", "--out-dir", ".", commands=COMMANDS)
     formats: list = _field(
-        "output.formats", "--format", default_factory=lambda: ["csv", "json"],
+        "output.formats", "--format", default_factory=lambda: ["csv", "json"], commands=("density", "analyze"),
         parse=lambda texts: list(dict.fromkeys(texts)), action="append", choices=FORMATS,
     )
     ascii: bool = _field("output.ascii", "--ascii", False, commands=("bitgen",), help="also write the '01' text format")
     # accepted only as null or 1, and without effect, so that command lines passing
     # `--workers 1` still parse
-    workers: int | None = _field("workers", "--workers", None, help="accepted only as 1; has no effect")
+    workers: int | None = _field(
+        "workers", "--workers", None, commands=COMMANDS, help="accepted only as 1; has no effect"
+    )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisConfig":

@@ -13,7 +13,6 @@ L1 distance is a built-in cross-check of either route.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -147,9 +146,6 @@ class DensityHistogram:
             "weights": self.weights.tolist(),
             **{k: v for k, v in self.meta.items() if k in ("seed", "K", "burn_in", "rng", "iterations", "lanes")},
         }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict()))
 
 
 def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
@@ -337,20 +333,6 @@ def _fp_data(m: MapModel, grid: str, n: int) -> list:
     return terms
 
 
-def fp_step(m: MapModel, f: DensityHistogram) -> DensityHistogram:
-    """One application of the density transfer operator, renormalized, on
-    the grid f was solved on (its uniform bins if it has no other).
-
-    new mass of grid bin i = density mass of its preimage under M,
-    accumulated branch by branch from the cumulative of f.
-    """
-    f.validate()
-    w = f._solve_weights
-    new = _fp_apply(_fp_data(m, f.grid, w.size), w)
-    meta = {"iterations": f.meta.get("iterations", 0) + 1}
-    return DensityHistogram(L=f.L, weights=None, method="fp_operator", meta=meta, grid=f.grid, grid_weights=new)
-
-
 def _fp_apply(terms: list, w: np.ndarray) -> np.ndarray:
     """Grid weights (n times the bin masses) after one operator step."""
     n = w.size
@@ -367,10 +349,6 @@ def _fp_apply(terms: list, w: np.ndarray) -> np.ndarray:
         raise RuntimeError("transfer step annihilated all mass")
     new *= n / total
     return new
-
-
-def uniform_density(L: int, method: str = "fp_operator") -> DensityHistogram:
-    return DensityHistogram(L=L, weights=np.ones(L), method=method, meta={})
 
 
 def fp_fixed_point(

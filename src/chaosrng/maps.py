@@ -19,9 +19,8 @@ critical points, or piecewise-linear breakpoint/value lists).
 from __future__ import annotations
 
 import bisect
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,9 +53,6 @@ class Branch:
     image: tuple[float, float]
     linear: bool = False
 
-    def image_contains(self, y: float) -> bool:
-        return self.image[0] <= y <= self.image[1]
-
 
 @dataclass(frozen=True, eq=False)
 class MapModel:
@@ -72,24 +68,19 @@ class MapModel:
     name: str
     raw_eval: Callable[[np.ndarray | float], np.ndarray | float]
     branches: tuple[Branch, ...]
-    config: dict = field(default_factory=dict)
 
     def __call__(self, x):
-        return eval_map(self, x)
+        """M(x), clamped into [EPS, 1-EPS].
 
-
-def eval_map(m: MapModel, x):
-    """Evaluate M(x), clamping the result into [EPS, 1-EPS].
-
-    Accepts scalars or arrays; raises :class:`DomainError` outside (0,1).
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
-        raise DomainError(f"map argument outside (0,1): {x!r}")
-    y = np.clip(m.raw_eval(arr), EPS, 1.0 - EPS)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(y)
-    return y
+        Accepts scalars or arrays; raises :class:`DomainError` outside (0,1).
+        """
+        arr = np.asarray(x, dtype=float)
+        if np.any((arr <= 0.0) | (arr >= 1.0)):
+            raise DomainError(f"map argument outside (0,1): {x!r}")
+        y = np.clip(self.raw_eval(arr), EPS, 1.0 - EPS)
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(y)
+        return y
 
 
 def preimages(m: MapModel, y: float) -> list[float]:
@@ -100,11 +91,7 @@ def preimages(m: MapModel, y: float) -> list[float]:
     """
     if not 0.0 < y < 1.0:
         raise DomainError(f"target outside (0,1): {y!r}")
-    roots: list[float] = []
-    for br in m.branches:
-        if br.image_contains(y):
-            roots.append(float(br.inverse(y)))
-    roots.sort()
+    roots = sorted(float(br.inverse(y)) for br in m.branches if br.image[0] <= y <= br.image[1])
     out: list[float] = []
     for r in roots:
         if not out or r - out[-1] > 1e-9:
@@ -232,7 +219,6 @@ def cubic_sample_map() -> MapModel:
                 lambda y: r * np.sin((np.pi - np.arcsin(y)) / 3.0),
             ),
         ),
-        config={"type": "builtin", "name": "cubic_sample"},
     )
 
 
@@ -244,7 +230,6 @@ def tent_map() -> MapModel:
         name="tent",
         raw_eval=f,
         branches=(_linear_branch(0.0, 0.5, 0.0, 1.0), _linear_branch(0.5, 1.0, 1.0, 0.0)),
-        config={"type": "builtin", "name": "tent"},
     )
 
 
@@ -260,7 +245,6 @@ def bernoulli_map() -> MapModel:
         name="bernoulli",
         raw_eval=f,
         branches=(_linear_branch(0.0, 0.5, 0.0, 1.0), _linear_branch(0.5, 1.0, 0.0, 1.0)),
-        config={"type": "builtin", "name": "bernoulli"},
     )
 
 
@@ -282,7 +266,6 @@ def logistic_map() -> MapModel:
                 lambda y: 0.5 * (1.0 + np.sqrt(1.0 - y)),
             ),
         ),
-        config={"type": "builtin", "name": "logistic"},
     )
 
 
@@ -320,7 +303,6 @@ def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[floa
         name=name,
         raw_eval=f,
         branches=_smooth_branches(f, critical_points),
-        config={"type": "polynomial", "coefficients": coeffs, "critical_points": list(critical_points)},
     )
 
 
@@ -360,7 +342,6 @@ def piecewise_linear_map(breakpoints: Sequence[float], values: Sequence[float], 
         name=name,
         raw_eval=f,
         branches=branches,
-        config={"type": "piecewise_linear", "breakpoints": xs, "values": ys},
     )
 
 
@@ -387,8 +368,3 @@ def map_from_config(cfg: dict) -> MapModel:
             raise MapConfigError("piecewise_linear map needs 'breakpoints' and 'values'")
         return piecewise_linear_map(cfg["breakpoints"], cfg["values"], cfg.get("name", "piecewise_linear"))
     raise MapConfigError(f"unknown map type {kind!r}")
-
-
-def load_map(path: str) -> MapModel:
-    with open(path) as fh:
-        return map_from_config(json.load(fh))

@@ -12,9 +12,7 @@ maps, whose bisection can land ~1e-8 off near a critical value (see `maps`).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -112,10 +110,6 @@ class SymbolPartition:
         at = np.clip(np.searchsorted(parent.cuts, m.raw_eval(mids)) - 1, 0, parent.codes.size - 1)
         if np.any(parent.codes[at] != codes & (2 ** (self.depth - 1) - 1)):
             raise PartitionInvariantError("M carries an interval out of the parent cell of its word's last N-1 bits")
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {w: [list(iv) for iv in c] for w, c in self.cells.items()}
-        Path(path).write_text(json.dumps(payload))
 
 
 def _tiling(name: str, pairs) -> tuple[np.ndarray, np.ndarray]:

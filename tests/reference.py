@@ -5,7 +5,8 @@
 two sets describing the same region compare equal.  With
 :func:`preimage_of_set` and :func:`set_mass` it computes refined cells and
 their masses one word at a time, the route that the cut/code refinement in
-``chaosrng.partition`` replaces.
+``chaosrng.partition`` replaces.  :func:`uniform_density` and :func:`fp_step`
+(one transfer-operator step) serve the density tests.
 """
 from __future__ import annotations
 
@@ -13,6 +14,9 @@ import bisect
 from typing import Iterable, Iterator
 
 import numpy as np
+
+from chaosrng import density
+from chaosrng.density import DensityHistogram
 
 
 class IntervalSet:
@@ -143,3 +147,21 @@ def set_mass(f, s: IntervalSet) -> float:
     pairs = np.asarray(s.intervals, dtype=float)
     vals = f.cumulative(pairs)
     return float((vals[:, 1] - vals[:, 0]).sum())
+
+
+def uniform_density(L: int, method: str = "fp_operator") -> DensityHistogram:
+    return DensityHistogram(L=L, weights=np.ones(L), method=method, meta={})
+
+
+def fp_step(m, f: DensityHistogram) -> DensityHistogram:
+    """One application of the density transfer operator, renormalized, on
+    the grid f was solved on (its uniform bins if it has no other).
+
+    new mass of grid bin i = density mass of its preimage under M,
+    accumulated branch by branch from the cumulative of f.
+    """
+    f.validate()
+    w = f._solve_weights
+    new = density._fp_apply(density._fp_data(m, f.grid, w.size), w)
+    meta = {"iterations": f.meta.get("iterations", 0) + 1}
+    return DensityHistogram(L=f.L, weights=None, method="fp_operator", meta=meta, grid=f.grid, grid_weights=new)

@@ -82,10 +82,23 @@ def test_each_flag_overrides_only_its_field():
         argv = [f.metadata["flag"]]  # a bool field's flag takes no text
         if f.type is not bool:
             argv.append(FLAG_TEXT.get(f.name, str(getattr(expected, f.name))))
-        cfg = _config_from_args(parser.parse_args(["bitgen", *argv]))
+        cfg = _config_from_args(parser.parse_args([f.metadata["commands"][0], *argv]))
         changed = [g.name for g in fields(cfg) if getattr(cfg, g.name) != getattr(default, g.name)]
         assert changed == [f.name], argv
         assert getattr(cfg, f.name) == getattr(expected, f.name), argv
+
+
+# the flags each command offers besides --config: those of the fields it reads,
+# and verify's --out-dir.  A flag a command does not read would still enter the
+# config hash of its outputs
+COMMON_FLAGS = {"--map", "--seed", "--out-dir", "--workers"}
+DENSITY_FLAGS = {"--L", "--K", "--burn-in", "--tol", "--grid-factor"}
+OFFERED_FLAGS = {
+    "density": COMMON_FLAGS | DENSITY_FLAGS | {"--method", "--format"},
+    "analyze": COMMON_FLAGS | DENSITY_FLAGS | {"--s0", "--method", "--depth", "--rate", "--format"},
+    "bitgen": COMMON_FLAGS | {"--s0", "--length", "--no-dither", "--von-neumann", "--stream-grid", "--start", "--ascii"},
+    "verify": COMMON_FLAGS | DENSITY_FLAGS | {"--s0", "--depth"},
+}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -98,14 +111,18 @@ def test_parser_offers_only_the_table_flags(command):
         ["-h", "--help", "--config"] + [f.metadata["flag"] for f in table]
     )
     assert sorted(a.dest for a in actions) == sorted(["help", "config"] + [f.name for f in table])
+    assert {f.metadata["flag"] for f in table} == OFFERED_FLAGS[command]
     assert list(RUNNERS) == list(COMMANDS)
 
 
 def test_readme_config_table_matches_fields():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)", readme, re.M)
-    assert [path for path, _ in rows] == [f.metadata["path"] for f in fields(AnalysisConfig)]
-    assert [flag for _, flag in rows] == [f.metadata["flag"] for f in fields(AnalysisConfig)]
+    rows = re.findall(r"^\| `([\w.]+)` \| `(--[\w-]+)[^|\n]*\| ([\w, ]+) \|", readme, re.M)
+    assert [path for path, _, _ in rows] == [f.metadata["path"] for f in fields(AnalysisConfig)]
+    assert [flag for _, flag, _ in rows] == [f.metadata["flag"] for f in fields(AnalysisConfig)]
+    assert [commands.split(", ") for _, _, commands in rows] == [
+        list(f.metadata["commands"]) for f in fields(AnalysisConfig)
+    ]
 
 
 def test_config_rejects_unknown_fields():
@@ -235,6 +252,29 @@ def test_analyze_leaves_numpy_ma_unimported(tmp_path):
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+def test_analyze_reads_a_map_file_as_its_builtin(tmp_path, capsys, monkeypatch):
+    # a map file and the builtin name resolve to the same config, so to the same bytes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "t.json").write_text(json.dumps({"type": "builtin", "name": "tent"}))
+    reports = []
+    for map_arg in ("tent", "t.json"):
+        code, _, err = run(capsys, "analyze", "--map", map_arg, "--depth", "3", "--L", "256", "--out-dir", "out")
+        assert code == 0, err
+        reports.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_analyze_both_methods_reports_their_l1(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "analyze", "--map", "tent", "--method", "both", "--L", "256", "--K", "200000",
+        "--depth", "3", "--out-dir", str(tmp_path),
+    )
+    assert code == 0, err
+    d = json.loads((tmp_path / "report.json").read_text())["provenance"]["l1_cross_method"]
+    assert 0 < d < 0.05
+    assert out.splitlines()[-1] == f"L1(mc, fp) = {d:.6f}"
 
 
 def test_analyze_bernoulli_offset_partition(tmp_path, capsys):
@@ -456,16 +496,19 @@ def test_bad_config_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["analyze", "--L", "65536", "--depth", "2"], 0),  # operator density: no visit budget
-        (["bitgen", "--L", "65536", "--length", "1000"], 0),  # no density at all
-        (["analyze", "--method", "montecarlo", "--L", "65536"], 2),
-        (["density", "--method", "both", "--L", "65536"], 2),
-        (["verify", "--L", "65536"], 2),  # verify always builds a Monte Carlo density
+        (["analyze", "--depth", "2"], 0),  # operator density: no visit budget
+        (["bitgen", "--length", "1000"], 0),  # no density at all
+        (["analyze", "--method", "montecarlo"], 2),
+        (["density", "--method", "both"], 2),
+        (["verify"], 2),  # verify always builds a Monte Carlo density
     ],
 )
 def test_monte_carlo_floors_only_where_a_monte_carlo_density_is_built(tmp_path, capsys, argv, code):
-    # the default K = 4e6 is below 100 * L = 6553600
-    got, _, err = run(capsys, *argv, "--map", "tent", "--out-dir", str(tmp_path))
+    # the default K = 4e6 is below 100 * L = 6553600; bitgen takes no --L, so
+    # every run reads L from a config file
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"density": {"L": 65536}}))
+    got, _, err = run(capsys, *argv, "--config", str(p), "--map", "tent", "--out-dir", str(tmp_path))
     assert got == code, err
     assert ("config error: density.K: " in err) == (code == 2)
 
@@ -531,7 +574,9 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):
     p = tmp_path / "cfg.json"
     p.write_text(config if isinstance(config, str) else json.dumps(config))
-    code, _, err = run(capsys, "bitgen", "--config", str(p), "--length", "1000", *flags, "--out-dir", str(tmp_path))
+    # bitgen offers every flag here but --tol and --rate, which analyze reads
+    command = ["bitgen", "--length", "1000"] if set(flags[::2]) <= OFFERED_FLAGS["bitgen"] else ["analyze"]
+    code, _, err = run(capsys, *command, "--config", str(p), *flags, "--out-dir", str(tmp_path))
     assert code == 2
     assert f"config error: {path}: " in err
 

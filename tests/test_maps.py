@@ -1,5 +1,4 @@
 """Map models: evaluation, branch decomposition, preimages, config loading."""
-import json
 import math
 
 import numpy as np
@@ -39,11 +38,11 @@ def test_bernoulli_matches_np_mod(bernoulli, x):
     grid=st.tuples(st.integers(1, 2**40), st.integers(1, 2**40)),
 )
 def test_raw_eval_scalar_path_matches_array_path(m, xs, grid):
-    # random x, a grid point j/L, the clamp ends, and every breakpoint of a
-    # piecewise-linear map together with its neighbouring floats
+    # random x, a grid point j/L, the clamp ends, and the left end of every
+    # branch (each breakpoint of a piecewise-linear map) with its neighbouring floats
     j, L = min(grid), max(grid)
     pts = [*xs, j / L, EPS, 1.0 - EPS, 0.0, 1.0]
-    for b in m.config.get("breakpoints", []):
+    for b in (br.lo for br in m.branches):
         pts += [b, math.nextafter(b, 0.0), math.nextafter(b, 1.0)]
     want = m.raw_eval(np.array(pts))
     for x, w in zip(pts, want):
@@ -58,7 +57,7 @@ def test_eval_domain_and_clamp(cubic):
     with pytest.raises(DomainError):
         cubic(1.0)
     with pytest.raises(DomainError):
-        cr.eval_map(cubic, np.array([0.5, 1.5]))
+        cubic(np.array([0.5, 1.5]))
     # at the maximum the output clamps strictly inside (0,1)
     assert 0.0 < cubic(XB) < 1.0
 
@@ -132,7 +131,7 @@ def test_polynomial_map_matches_builtin():
     m = cr.polynomial_map([0.0, 4.0, -4.0], critical_points=[0.5], name="logi2")
     ref = cr.logistic_map()
     xs = np.linspace(0.01, 0.99, 101)
-    assert np.allclose(cr.eval_map(m, xs), cr.eval_map(ref, xs), atol=1e-12)
+    assert np.allclose(m(xs), ref(xs), atol=1e-12)
 
 
 def test_polynomial_requires_declared_critical_points():
@@ -152,13 +151,9 @@ def test_piecewise_linear_map_and_errors():
         cr.piecewise_linear_map([0.0, 0.5, 1.0], [0.0, 0.0, 1.0])  # flat segment
 
 
-def test_map_config_roundtrip(tmp_path):
-    cfg = {"type": "builtin", "name": "tent"}
-    p = tmp_path / "map.json"
-    p.write_text(json.dumps(cfg))
-    m = cr.load_map(str(p))
+def test_map_config_roundtrip():
+    m = cr.map_from_config({"type": "builtin", "name": "tent"})
     assert m.name == "tent"
-    assert m.config == cfg
     with pytest.raises(MapConfigError):
         cr.map_from_config({"type": "builtin", "name": "nope"})
     with pytest.raises(MapConfigError):

@@ -194,11 +194,10 @@ def test_validate_catches_corruption(cubic, branch_part):
         cr.SymbolPartition(depth=3, cuts=p.cuts, codes=codes).validate(cubic, parent=parent)
 
 
-def test_to_json(tmp_path, tent, sym_part):
+def test_depth_two_cells_name_every_word(tent, sym_part):
     p = refinement_ladder(tent, sym_part, 2)[-1]
-    p.to_json(tmp_path / "cells.json")
-    text = (tmp_path / "cells.json").read_text()
-    assert '"00"' in text and '"11"' in text
+    assert sorted(p.cells) == ["00", "01", "10", "11"]
+    assert sum(hi - lo for c in p.cells.values() for lo, hi in c) == pytest.approx(1.0)
 
 
 def test_depth_one(tent, sym_part):
