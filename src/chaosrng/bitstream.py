@@ -38,6 +38,14 @@ MAX_STREAM_L = 1 << 53
 #: fast, within noise
 _CHAIN_CHUNK = 1 << 14
 
+#: states each chain of the lane sampler (:func:`generate_bits` with
+#: ``lanes`` > 1) steps and discards before its first bit
+_LANE_BURN_IN = 64
+#: lockstep steps per block of noise rows in the lane sampler: 16 rows of
+#: 1024 lanes are 128 KiB of noise.  64 rows raised the peak RSS of a verify
+#: run by 1.6 MB, and 4 rows gave the same peak as 16
+_LANE_ROWS = 16
+
 #: windows per slice in :meth:`PatternCounter.update`
 _COUNT_SLICE = 1 << 16
 
@@ -65,16 +73,20 @@ def bit_chunks(
     O(chunk) memory at every length and grid L.  The arguments are checked
     on the call, before the first chunk is asked for.
     """
+    _check_stream(length, L, dither, start)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if dither:
+        return _dithered_chunks(m, s, length, rng, L, start)
+    return _raw_chunks(m, s, length, rng, start)
+
+
+def _check_stream(length, L, dither, start) -> None:
     if length < 1:
         raise ValueError("length must be at least 1")
     if dither and not 64 <= L <= MAX_STREAM_L:
         raise ValueError(f"dither grid L={L} out of range; need 64..2^53")
     if start is not None and not 0.0 < start < 1.0:
         raise ValueError(f"start must lie in (0,1), got {start}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if dither:
-        return _dithered_chunks(m, s, length, rng, L, start)
-    return _raw_chunks(m, s, length, rng, start)
 
 
 def _dithered_chunks(m, s, length, rng, L, start):
@@ -115,6 +127,7 @@ def generate_bits(
     L: int = DEFAULT_STREAM_L,
     dither: bool = True,
     start: float | None = None,
+    lanes: int = 1,
 ) -> np.ndarray:
     """Binary sequence of `length` bits from iterating the map; uint8 array of 0/1.
 
@@ -125,7 +138,17 @@ def generate_bits(
     Dither off: raw float iteration - deterministic, and demonstrably
     degenerate over long runs.  `start` is an explicit x_0 in (0, 1); None
     draws it from the seeded generator.
+
+    With ``lanes`` > 1 the result is a (length, lanes) block from as many
+    independent dithered chains stepped in lockstep, one per column: samples
+    of the generator's word law, not one physical stream.  See
+    :func:`_lane_block`.
     """
+    if lanes != 1:
+        if lanes < 1 or not dither or start is not None:
+            raise ValueError("the lane sampler needs lanes >= 1, dither on and no start")
+        _check_stream(length, L, dither, start)
+        return _lane_block(m, s, length, seed, L, lanes)
     chunks = bit_chunks(m, s, length, seed=seed, L=L, dither=dither, start=start)
     out = np.empty(length, dtype=np.uint8)
     n = 0
@@ -135,14 +158,52 @@ def generate_bits(
     return out
 
 
+def _lane_block(m, s, rows, seed, L, lanes):
+    """`rows` bits down each of `lanes` dithered grid chains, as a uint8 block.
+
+    Every chain starts at its own uniform grid state and discards its first
+    ``_LANE_BURN_IN`` states.  A step evaluates ``m.raw_eval`` once on the
+    array of all lanes, then clamps, scales, adds the noise, floors and clips
+    with the float64 operations of :func:`density.chain_states`, so each
+    column equals a serial chain over its own column of the noise.  The state
+    is kept as the float j (exact for L <= 2^53).  Noise is drawn and states
+    classified ``_LANE_ROWS`` steps at a time.
+    """
+    # spawn(2)[1]: apart from the draws of mc_density, which takes spawn(1)[0]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
+    j0 = rng.integers(1, L + 1, size=lanes)
+    lo, hi = EPS, 1.0 - EPS
+    xe = np.where(j0 < L, j0 / L, hi)  # where each lane evaluates the map: j/L, and 1 - EPS at j = L
+    out = np.empty((rows, lanes), dtype=np.uint8)
+    steps = _LANE_BURN_IN + rows
+    for n0 in range(0, steps, _LANE_ROWS):
+        noise = rng.uniform(-1.0, 1.0, size=(min(_LANE_ROWS, steps - n0), lanes))
+        x = np.empty_like(noise)  # row r: j/L after step n0 + r + 1
+        for u, xr in zip(noise, x):
+            j = np.clip(m.raw_eval(xe), lo, hi)  # then L * M(x) + u, floored and clipped: the next state
+            j *= L
+            j += u
+            np.floor(j, out=j)
+            np.clip(j, 1, L, out=j)
+            np.divide(j, L, out=xr)
+            xe = np.where(j < L, xr, hi)
+        r0 = n0 - _LANE_BURN_IN  # the output row of x[0]; rows below 0 are burn-in
+        if r0 + x.shape[0] > 0:
+            out[max(r0, 0) : r0 + x.shape[0]] = s.symbol_of(x[max(-r0, 0) :])
+    return out
+
+
 class PatternCounter:
     """Sliding-window counts of the words of every depth 1..n_max over a
     stream fed in chunks; the brute-force P_N oracle.
 
-    Only the n_max-bit windows are counted, and the last n_max - 1 bits carry
-    over to the next chunk.  Depth N - 1 follows from depth N by summing
-    over the last bit, which misses only the one (N - 1)-window that starts
-    at n - N + 1, read from the carried bits.
+    A chunk is a 1-D piece of one stream, or a (rows, lanes) block of as many
+    streams side by side; windows run down each column, never across columns,
+    and a 1-D stream is the one-lane case.  Only the n_max-bit windows are
+    counted, and the last n_max - 1 rows carry over to the next chunk.  Depth
+    N - 1 follows from depth N by summing over the last bit, which misses
+    only each lane's one (N - 1)-window that starts at row n - N + 1, read
+    from the carried rows.
     """
 
     def __init__(self, n_max: int):
@@ -151,31 +212,37 @@ class PatternCounter:
         self.n_max = n_max
         self.n_bits = 0
         self._counts = np.zeros(2**n_max, dtype=np.int64)
-        self._tail = np.zeros(0, dtype=np.uint8)
+        self._tail = None  # the carried rows; its width fixes the lane count
 
     def update(self, chunk) -> None:
         """Count the n_max-windows that end in `chunk`.
 
         Window codes are built in the narrowest unsigned type that holds
-        n_max bits (uint8 up to 8, uint16 up to 16) and counted
+        n_max bits (uint8 up to 8, uint16 up to 16) and counted about
         ``_COUNT_SLICE`` windows at a time, so that bincount's int64 copy of
         the codes stays small.
         """
         chunk = np.asarray(chunk, dtype=np.uint8)
-        bits = np.concatenate((self._tail, chunk)) if self._tail.size else chunk
+        block = chunk[:, None] if chunk.ndim == 1 else chunk
+        if block.ndim != 2 or (self._tail is not None and block.shape[1] != self._tail.shape[1]):
+            raise ValueError(f"need 1-D chunks, or 2-D blocks of one lane count; got shape {chunk.shape}")
+        if self._tail is None:
+            self._tail = np.zeros((0, block.shape[1]), dtype=np.uint8)
+        bits = np.concatenate((self._tail, block)) if self._tail.size else block
         N = self.n_max
         code_type = np.min_scalar_type(2**N - 1)
-        n_windows = bits.size - N + 1
-        for lo in range(0, n_windows, _COUNT_SLICE):
-            # windows lo..hi-1 read bits lo..hi+N-2: slices overlap by N - 1 bits
-            hi = min(lo + _COUNT_SLICE, n_windows)
+        n_windows = bits.shape[0] - N + 1  # per lane
+        step = max(_COUNT_SLICE // bits.shape[1], 1)
+        for lo in range(0, n_windows, step):
+            # windows lo..hi-1 read rows lo..hi+N-2: slices overlap by N - 1 rows
+            hi = min(lo + step, n_windows)
             acc = bits[lo:hi].astype(code_type)
             for k in range(1, N):
                 acc <<= 1
                 acc |= bits[lo + k : hi + k]
-            self._counts += np.bincount(acc, minlength=2**N)
+            self._counts += np.bincount(acc.ravel(), minlength=2**N)
         # a copy, so that a whole stream passed as one chunk is not kept alive
-        self._tail = bits[max(bits.size - (N - 1), 0) :].copy()
+        self._tail = bits[max(bits.shape[0] - (N - 1), 0) :].copy()
         self.n_bits += chunk.size
 
     def counts(self, N: int) -> np.ndarray:
@@ -183,18 +250,21 @@ class PatternCounter:
         if not 1 <= N <= self.n_max:
             raise ValueError(f"depth {N} outside 1..{self.n_max}")
         c = self._counts.copy()
+        tail = self._tail if self._tail is not None else np.zeros((0, 1), dtype=np.uint8)
         for d in range(self.n_max - 1, N - 1, -1):
             c = c[0::2] + c[1::2]
-            if self._tail.size >= d:  # the stream has a last d-window
-                c[int("".join(map(str, self._tail[-d:].tolist())), 2)] += 1
+            if tail.shape[0] >= d:  # each lane has a last d-window
+                words = (tail[-d:].astype(np.int64) << np.arange(d - 1, -1, -1)[:, None]).sum(axis=0)
+                c += np.bincount(words, minlength=2**d)
         return c
 
     def table(self, N: int) -> ProbabilityTable:
-        if self.n_bits < 100 * 2**N:
+        lanes = 1 if self._tail is None else self._tail.shape[1]
+        n_windows = lanes * (self.n_bits // lanes - N + 1)
+        if self.n_bits < 100 * 2**N or n_windows < 1:
             raise InsufficientDataError(
-                f"need at least {100 * 2 ** N} bits for depth {N}, got {self.n_bits}"
+                f"need at least {100 * 2 ** N} bits, and {N} in each lane, for depth {N}; got {self.n_bits}"
             )
-        n_windows = self.n_bits - N + 1
         table = ProbabilityTable(
             depth=N, p=self.counts(N) / n_windows, meta={"n_bits": self.n_bits, "windows": n_windows}
         )
@@ -203,7 +273,8 @@ class PatternCounter:
 
 
 def empirical_pattern_probs(bits: np.ndarray, N: int) -> ProbabilityTable:
-    """Sliding-window N-bit word frequencies of a whole stream."""
+    """Sliding-window N-bit word frequencies of a whole stream, or of a
+    (rows, lanes) block counted down each lane."""
     counter = PatternCounter(N)
     counter.update(bits)
     return counter.table(N)

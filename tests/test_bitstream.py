@@ -154,6 +154,59 @@ def test_pattern_counter_matches_int64_route_per_depth(stream, n_max):
                 counter.table(N)
 
 
+@st.composite
+def split_blocks(draw):
+    """A (rows, lanes) bit block and its pieces at random row cuts; equal
+    cuts give empty pieces, and many pieces are a row or two long."""
+    rows, lanes = draw(st.integers(0, 120)), draw(st.integers(1, 6))
+    bits = np.array(draw(st.lists(st.integers(0, 1), min_size=rows * lanes, max_size=rows * lanes)), dtype=np.uint8)
+    block = bits.reshape(rows, lanes)
+    cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=20)))
+    return block, [block[a:b] for a, b in zip([0, *cuts], [*cuts, rows])]
+
+
+@given(split_blocks(), st.integers(1, 6))
+def test_pattern_counter_counts_down_each_lane(split, n_max):
+    # windows run down each column and never across; the carried rows join
+    # a lane's windows across pieces
+    block, pieces = split
+    counter = PatternCounter(n_max)
+    for piece in pieces:
+        counter.update(piece)
+    assert counter.n_bits == block.size
+    rows, lanes = block.shape
+    for N in range(1, n_max + 1):
+        counts = sum(int64_pattern_counts(block[:, b], N) for b in range(lanes))
+        assert counter.counts(N).tolist() == counts.tolist(), N
+        windows = lanes * (rows - N + 1)
+        if block.size >= 100 * 2**N and windows >= 1:
+            t = counter.table(N)
+            assert t.meta == {"n_bits": block.size, "windows": windows}
+            assert t.p.tolist() == (counts / windows).tolist()
+        else:
+            with pytest.raises(InsufficientDataError):
+                counter.table(N)
+
+
+@given(split_streams(max_size=600), st.integers(1, 8))
+def test_one_column_blocks_count_as_the_stream(stream, n_max):
+    bits, chunks = stream
+    flat, column = PatternCounter(n_max), PatternCounter(n_max)
+    for chunk in chunks:
+        flat.update(chunk)
+        column.update(chunk[:, None])
+    for N in range(1, n_max + 1):
+        assert column.counts(N).tolist() == flat.counts(N).tolist()
+
+
+def test_pattern_counter_keeps_its_lane_count():
+    counter = PatternCounter(2)
+    counter.update(np.zeros((5, 3), dtype=np.uint8))
+    for chunk in (np.zeros((5, 2), dtype=np.uint8), np.zeros(5, dtype=np.uint8), np.zeros((2, 2, 3), dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            counter.update(chunk)
+
+
 def test_pattern_counter_rejects_depths_it_did_not_count():
     counter = PatternCounter(3)
     for N in (0, 4):

@@ -77,12 +77,11 @@ FLAG_TEXT = {"map": "tent", "partition": "0:0.3", "formats": "json"}
 def test_each_flag_overrides_only_its_field():
     expected = AnalysisConfig.from_dict(ALL_SET)
     default = AnalysisConfig()
-    parser = _build_parser()
     for f in fields(AnalysisConfig):
         argv = [f.metadata["flag"]]  # a bool field's flag takes no text
         if f.type is not bool:
             argv.append(FLAG_TEXT.get(f.name, str(getattr(expected, f.name))))
-        cfg = _config_from_args(parser.parse_args([f.metadata["commands"][0], *argv]))
+        _, cfg = _config_from_args([f.metadata["commands"][0], *argv])
         changed = [g.name for g in fields(cfg) if getattr(cfg, g.name) != getattr(default, g.name)]
         assert changed == [f.name], argv
         assert getattr(cfg, f.name) == getattr(expected, f.name), argv
@@ -446,7 +445,7 @@ def test_verify_passes_on_tent(tmp_path, capsys):
     assert out == (
         "L1(mc, fp)              value=0.012901  tolerance=0.05  PASS\n"
         "max|h_N(mc) - h_N(fp)|  value=0.000025  tolerance=0.01  PASS\n"
-        "max TV(blocks, stream)  value=0.001169  tolerance=0.01  PASS\n"
+        "max TV(blocks, stream)  value=0.002347  tolerance=0.01  PASS\n"
         "structural invariants   value=0.000000  tolerance=0  PASS\n"
     )
 
@@ -460,9 +459,18 @@ def test_verify_cubic_stream_check_passes_at_seed_11(tmp_path, capsys):
     assert out == (
         "L1(mc, fp)              value=0.129700  tolerance=0.05  FAIL\n"
         "max|h_N(mc) - h_N(fp)|  value=0.001529  tolerance=0.01  PASS\n"
-        "max TV(blocks, stream)  value=0.001821  tolerance=0.01  PASS\n"
+        "max TV(blocks, stream)  value=0.002246  tolerance=0.01  PASS\n"
         "structural invariants   value=0.000000  tolerance=0  PASS\n"
     )
+
+
+def test_verify_check_stream_ignores_length(tmp_path, capsys):
+    # verify offers no --length, so a config file's length must not reach it
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"length": 3_000_000}))
+    _, plain, _ = run(capsys, *VERIFY_TENT_ARGS, "--out-dir", str(tmp_path))
+    _, with_file, _ = run(capsys, *VERIFY_TENT_ARGS, "--config", str(p), "--out-dir", str(tmp_path))
+    assert with_file == plain
 
 
 def test_verify_reports_invariant_failure(tmp_path, capsys, monkeypatch):

@@ -318,6 +318,34 @@ def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start)
     assert np.array_equal(bits, one_shot_bit_table(branch_part, L)[states])
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_stream_lanes_match_serial_chains(data):
+    # each column of the lane sampler is a chain_states run over its own noise
+    # column from its own start, read after the same burn-in; row blocks of
+    # the noise end inside and at the end of the burn-in
+    m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
+    s = SymbolPartition.from_pairs([(0.0, data.draw(st.floats(0.2, 0.8)))])
+    seed = data.draw(st.integers(0, 2**32))
+    L = data.draw(st.sampled_from([64, 1000, 1 << 24, 1 << 53]))
+    lanes, rows = data.draw(st.integers(2, 9)), data.draw(st.integers(1, 200))
+    with mock.patch.object(bitstream, "_LANE_ROWS", data.draw(st.integers(1, 70))):
+        block = generate_bits(m, s, rows, seed=seed, L=L, lanes=lanes)
+    assert block.shape == (rows, lanes) and block.dtype == np.uint8
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
+    starts = rng.integers(1, L + 1, size=lanes)
+    noise = rng.uniform(-1.0, 1.0, size=(bitstream._LANE_BURN_IN + rows, lanes))
+    for b in range(lanes):
+        states = chain_states(m, noise[:, b], int(starts[b]), L)[bitstream._LANE_BURN_IN :]
+        assert block[:, b].tolist() == s.symbol_of(states / L).tolist(), b
+
+
+def test_stream_lanes_reject_what_they_do_not_model(cubic, branch_part):
+    for kw in (dict(lanes=0), dict(lanes=4, dither=False), dict(lanes=4, start=0.3), dict(lanes=4, L=32)):
+        with pytest.raises(ValueError):
+            generate_bits(cubic, branch_part, 10, seed=0, **kw)
+
+
 # ---------------------------------------------------------------------------
 # operator route
 

@@ -5,7 +5,8 @@ import sys
 from pathlib import Path
 
 from chaosrng import maps
-from chaosrng.cli import _build_parser, _config_from_args, main
+from chaosrng.cli import _config_from_args, main
+from test_cli import VERIFY_TENT_ARGS
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,12 +31,11 @@ def test_traced_stages_resolve(monkeypatch):
 
 def test_workload_command_lines_parse(monkeypatch):
     run = load_perfbench(monkeypatch, "run")
-    parser = _build_parser()
     ops = [op for ops in run.WORKLOADS.values() for op in ops]
     assert ops
     for op in ops:
-        cfg = _config_from_args(parser.parse_args(op.argv(0)))
-        cfg.validate(op.args[0])
+        command, cfg = _config_from_args(op.argv(0))
+        cfg.validate(command)
         assert cfg.seed == 0, op.argv(0)
 
 
@@ -51,3 +51,24 @@ def test_bitgen_workload_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path
     found, values = checks.check_bitgen(tmp_path / op.out_rel, int(op.args[op.args.index("--length") + 1]))
     assert all(c.ok for c in found), [c.line() for c in found]
     assert values["bits"] == 2_000_000
+
+
+def test_traced_verify_runs_inside_traced_stages(monkeypatch, tmp_path, capsys):
+    # the benchmark's traced run fails when more of a command's time than the
+    # tracing overhead falls outside every stage it wraps; verify's stream
+    # must run inside one, and the wrappers must not change what it prints
+    traced = load_perfbench(monkeypatch, "traced")
+    spans = load_perfbench(monkeypatch, "spans")
+    argv = [*VERIFY_TENT_ARGS, "--out-dir", str(tmp_path)]
+    main(argv)
+    plain = capsys.readouterr().out
+    rec = spans.Recorder()
+    remove = traced.instrument(rec)
+    try:
+        with rec.span("cli.main"):
+            main(argv)
+    finally:
+        remove()
+    assert capsys.readouterr().out == plain
+    (root,) = spans.roots(rec.spans)
+    assert spans.self_time(rec.spans, root) < 0.05 * spans.duration(rec.spans[root])
