@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import density as _density
 from .density import RNG_ALGORITHM, chain_states
 from .entropy import ProbabilityTable
 from .maps import EPS, MapModel
@@ -38,13 +39,9 @@ MAX_STREAM_L = 1 << 53
 #: fast, within noise
 _CHAIN_CHUNK = 1 << 14
 
-#: states each chain of the lane sampler (:func:`generate_bits` with
-#: ``lanes`` > 1) steps and discards before its first bit
+#: steps of the lane sampler's lead chain (:func:`generate_bits` with
+#: ``lanes`` > 1) before the first lane's start
 _LANE_BURN_IN = 64
-#: lockstep steps per block of noise rows in the lane sampler: 16 rows of
-#: 1024 lanes are 128 KiB of noise.  64 rows raised the peak RSS of a verify
-#: run by 1.6 MB, and 4 rows gave the same peak as 16
-_LANE_ROWS = 16
 
 #: windows per slice in :meth:`PatternCounter.update`
 _COUNT_SLICE = 1 << 16
@@ -161,24 +158,28 @@ def generate_bits(
 def _lane_block(m, s, rows, seed, L, lanes):
     """`rows` bits down each of `lanes` dithered grid chains, as a uint8 block.
 
-    Every chain starts at its own uniform grid state and discards its first
-    ``_LANE_BURN_IN`` states.  A step evaluates ``m.raw_eval`` once on the
-    array of all lanes, then clamps, scales, adds the noise, floors and clips
-    with the float64 operations of :func:`density.chain_states`, so each
-    column equals a serial chain over its own column of the noise.  The state
-    is kept as the float j (exact for L <= 2^53).  Noise is drawn and states
-    classified ``_LANE_ROWS`` steps at a time.
+    The chains start at the states ``_LANE_BURN_IN`` .. ``_LANE_BURN_IN`` +
+    lanes - 1 of one serial lead chain (:func:`density._lane_starts`), and
+    bit r of a lane is read from its state r + 1 steps after its start; the
+    lanes are independent given those starts.  A step evaluates
+    ``m.raw_eval`` once on the array of all lanes, then clamps, scales, adds
+    the noise, floors and clips with the float64 operations of
+    :func:`density.chain_states`, so each column equals a serial chain over
+    its own column of the noise.  The state is kept as the float j (exact
+    for L <= 2^53).  The generator draws the lead chain's start and noise,
+    then the lanes' noise ``density._LANE_NOISE`` values (whole rows) at a
+    time, and each block's states are classified as it is stepped.
     """
     # spawn(2)[1]: apart from the draws of mc_density, which takes spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
-    j0 = rng.integers(1, L + 1, size=lanes)
+    j0 = _density._lane_starts(m, L, lanes, _LANE_BURN_IN, rng)
     lo, hi = EPS, 1.0 - EPS
     xe = np.where(j0 < L, j0 / L, hi)  # where each lane evaluates the map: j/L, and 1 - EPS at j = L
     out = np.empty((rows, lanes), dtype=np.uint8)
-    steps = _LANE_BURN_IN + rows
-    for n0 in range(0, steps, _LANE_ROWS):
-        noise = rng.uniform(-1.0, 1.0, size=(min(_LANE_ROWS, steps - n0), lanes))
-        x = np.empty_like(noise)  # row r: j/L after step n0 + r + 1
+    step = max(_density._LANE_NOISE // lanes, 1)
+    for r0 in range(0, rows, step):
+        noise = rng.uniform(-1.0, 1.0, size=(min(step, rows - r0), lanes))
+        x = np.empty_like(noise)  # row r: j/L of output row r0 + r
         for u, xr in zip(noise, x):
             j = np.clip(m.raw_eval(xe), lo, hi)  # then L * M(x) + u, floored and clipped: the next state
             j *= L
@@ -187,9 +188,7 @@ def _lane_block(m, s, rows, seed, L, lanes):
             np.clip(j, 1, L, out=j)
             np.divide(j, L, out=xr)
             xe = np.where(j < L, xr, hi)
-        r0 = n0 - _LANE_BURN_IN  # the output row of x[0]; rows below 0 are burn-in
-        if r0 + x.shape[0] > 0:
-            out[max(r0, 0) : r0 + x.shape[0]] = s.symbol_of(x[max(-r0, 0) :])
+        out[r0 : r0 + x.shape[0]] = s.symbol_of(x)
     return out
 
 

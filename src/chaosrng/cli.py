@@ -34,13 +34,6 @@ COMMANDS = ("density", "analyze", "bitgen", "verify")
 _DENSITY_READERS = ("density", "analyze", "verify")  # the commands that build a density
 #: bits in verify's check stream
 _CHECK_BITS = 1_000_000
-#: lockstep chains that sample verify's check stream, a constant so that the
-#: output does not depend on the machine.  At 1024 lanes a 1e6-bit stream took
-#: about 0.06 s, against 0.4 s for one serial chain.  On the cubic and logistic
-#: maps over seeds 1-12, the median max TV to the operator tables read
-#: 0.0015-0.0020 at 64, 1024 and 4096 lanes, with a burn-in of 64 or 1024,
-#: and 0.0016 for one serial chain
-_LANES = 1024
 _JSON_NAMES = {
     int: "an integer",
     float: "a number",
@@ -411,8 +404,9 @@ def cmd_verify(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     dh = tv = float("nan")  # nan < tolerance is False: both checks fail
     if res_fp is not None:
         dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
-        # samples of the generator's word law: _LANES short chains, each read down its own column
-        block = _bitstream.generate_bits(m, s, -(-_CHECK_BITS // _LANES), seed=cfg.seed, L=1 << 24, lanes=_LANES)
+        # samples of the generator's word law: short lane chains, each read down its own column
+        lanes = _density._LANES
+        block = _bitstream.generate_bits(m, s, -(-_CHECK_BITS // lanes), seed=cfg.seed, L=1 << 24, lanes=lanes)
         tv = max(
             _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(block, N))
             for N in range(1, min(depth, 4) + 1)

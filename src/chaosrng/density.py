@@ -159,12 +159,18 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-#: chains stepped in lockstep by a Monte Carlo run.  Every chain pays its own
-#: burn-in, so more lanes cost more steps; on a 2-core Xeon a verify-size run
-#: (K = 4e6, 65536 chain states) took 0.15 s at 192-384 lanes and 0.18 s at 768
-_LANES = 256
-#: lockstep steps per block of noise rows in :func:`mc_density`
-_LANE_BLOCK = 64
+#: lockstep chains of a lane sampler: :func:`mc_density` and verify's check
+#: stream (``bitstream.generate_bits`` with ``lanes`` > 1), a constant so that
+#: the output does not depend on the machine.  The lanes start from one
+#: burned-in lead chain (:func:`_lane_starts`), so burn-in is paid once and a
+#: wider row costs only its own numpy work.  On a 2-core Xeon a verify-size
+#: Monte Carlo run (K = 4e6, 65536 chain states) took 0.089 s at 1024 lanes
+#: and 0.081-0.083 s at 2048-8192, against 0.10-0.15 s for 256 lanes that
+#: each paid their own burn-in
+_LANES = 4096
+#: noise values drawn per block by a lane sampler, so a block is
+#: max(_LANE_NOISE // lanes, 1) lockstep rows (128 KiB of float64 noise)
+_LANE_NOISE = 1 << 14
 #: grid points per map evaluation in :func:`scaled_map_table`; a slice's
 #: float64 temporaries (128 KiB each) stay in cache.  A 2^24-point cubic table
 #: took 0.25-0.38 s in a fresh process with 2^16-point slices, whose 512 KiB
@@ -203,6 +209,23 @@ def chain_states(m: MapModel, noise, j0: int, L: int) -> np.ndarray:
     return np.array(states, dtype=np.int64)
 
 
+def _lane_starts(m: MapModel, L: int, lanes: int, burn_in: int, rng: np.random.Generator) -> np.ndarray:
+    """Start states of `lanes` grid chains, fanned out of one lead chain.
+
+    The lead chain starts at a uniform grid state, drawn first, and
+    :func:`chain_states` steps it over the next burn_in + lanes - 1 noise
+    values of `rng`; its states burn_in .. burn_in + lanes - 1 are returned,
+    so lane k starts burn_in + k steps after a uniform start.  The burn-in
+    is stepped ``_LANE_NOISE`` values at a time and only its last state
+    kept, so the memory does not grow with `burn_in`; the draws equal one
+    uniform(size=burn_in + lanes - 1) draw.
+    """
+    j = int(rng.integers(1, L + 1))
+    for lo in range(0, burn_in - 1, _LANE_NOISE):
+        j = int(chain_states(m, rng.uniform(-1.0, 1.0, size=min(_LANE_NOISE, burn_in - 1 - lo)), j, L)[-1])
+    return chain_states(m, rng.uniform(-1.0, 1.0, size=lanes), j, L)
+
+
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
     """table[j] = L * M(j/L) for grid states j = 0..L, the table that the
     Monte Carlo lanes gather from; x is EPS at j = 0 and 1 - EPS at j = L.
@@ -238,13 +261,19 @@ def mc_density(
 
     ``_LANES`` chains step in lockstep, one numpy update
     j <- clip(floor(table[j] + u), 1, Lc) over all of them per step, on the
-    chain grid Lc = grid_factor * L.  Every chain starts at its own uniform
-    grid state and discards its own first ``burn_in`` states; the K counted
-    visits are the next ceil(K / _LANES) steps, of which the last counts only
+    chain grid Lc = grid_factor * L.  The chains start at the states
+    burn_in .. burn_in + _LANES - 1 of one serial lead chain
+    (:func:`_lane_starts`), so every counted state lies at least
+    ``burn_in`` steps after a uniform start; the lanes are independent given
+    those starts, not from the start.  The K counted visits are the
+    ceil(K / _LANES) steps after the starts, of which the last counts only
     the first K - (ceil(K / _LANES) - 1) * _LANES chains.  Each counted state
     j goes straight to output bin min(j // grid_factor, L - 1).
-    Deterministic for a given seed; each chain equals a :func:`chain_states`
-    run over its own column of the noise.
+
+    Deterministic for a given seed: the generator draws the lead chain's
+    start, then its noise, then the lanes' noise one block of
+    ``_LANE_NOISE`` values (whole rows) at a time.  Each chain equals a
+    :func:`chain_states` run over its own column of the noise.
 
     The chain grid is finer than the L output bins because, with the two
     equal, map slopes above 2 outrun the +-1-cell dither and leave
@@ -260,6 +289,10 @@ def mc_density(
     if grid_factor < 1:
         raise ValueError(f"grid_factor={grid_factor} must be a positive integer")
     Lc = L * grid_factor
+    # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    # the lead chain runs before the table is built, so their memory never adds up
+    j = _lane_starts(m, Lc, _LANES, burn_in, rng)
     table = scaled_map_table(m, Lc)
     # scaled_map_table keeps every entry in (0, Lc), so table[j] + u lies in
     # (-1, Lc + 1) and its truncation to int is the clipped floor, except that
@@ -267,22 +300,20 @@ def mc_density(
     table[0] = table[1]
     counts = np.zeros(L, dtype=np.int64)
 
-    # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    j = rng.integers(1, Lc + 1, size=_LANES)
-    steps = burn_in + -(-K // _LANES)
+    steps = -(-K // _LANES)
+    rows = max(_LANE_NOISE // _LANES, 1)
     left = K
-    for lo in range(0, steps, _LANE_BLOCK):
-        # row r holds step lo + r of every chain: the first `left` counted
-        # states in row-major order are whole rows, then the last counted
-        # step of the first chains only
-        noise = rng.uniform(-1.0, 1.0, size=(min(_LANE_BLOCK, steps - lo), _LANES))
+    for lo in range(0, steps, rows):
+        # row r holds counted step lo + r of every chain: the first `left`
+        # states in row-major order are whole rows, then the last step of the
+        # first chains only
+        noise = rng.uniform(-1.0, 1.0, size=(min(rows, steps - lo), _LANES))
         states = np.empty(noise.shape, dtype=np.int64)
         for u, row in zip(noise, states):
             u += table[j]
             row[:] = u
             j = row
-        counted = states[max(burn_in - lo, 0) :].ravel()[:left]
+        counted = states.ravel()[:left]
         # state j (0 stands for 1) lies in output bin j // grid_factor, state Lc in the top bin
         counts += np.bincount(np.minimum(np.maximum(counted, 1) // grid_factor, L - 1), minlength=L)
         left -= counted.size

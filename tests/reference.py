@@ -6,7 +6,9 @@ two sets describing the same region compare equal.  With
 :func:`preimage_of_set` and :func:`set_mass` it computes refined cells and
 their masses one word at a time, the route that the cut/code refinement in
 ``chaosrng.partition`` replaces.  :func:`uniform_density` and :func:`fp_step`
-(one transfer-operator step) serve the density tests.
+(one transfer-operator step) serve the density tests, and
+:func:`mc_density_burn_in_per_lane` is the Monte Carlo route that fanning the
+lanes out of one lead chain replaced.
 """
 from __future__ import annotations
 
@@ -165,3 +167,34 @@ def fp_step(m, f: DensityHistogram) -> DensityHistogram:
     new = density._fp_apply(density._fp_data(m, f.grid, w.size), w)
     meta = {"iterations": f.meta.get("iterations", 0) + 1}
     return DensityHistogram(L=f.L, weights=None, method="fp_operator", meta=meta, grid=f.grid, grid_weights=new)
+
+
+def mc_density_burn_in_per_lane(m, L, *, seed, K, burn_in=density.DEFAULT_BURN_IN, grid_factor=density.MC_GRID_FACTOR):
+    """``density.mc_density`` as it was before its lanes shared one lead chain.
+
+    256 chains step in lockstep on the chain grid Lc = grid_factor * L from
+    their own uniform grid starts, and each discards its own first `burn_in`
+    states; the K counted visits are the next ceil(K / 256) steps in
+    row-major order.  Same seed spawn as ``mc_density``, so it is the slow
+    path that the statistical oracle holds the fast one against.
+    """
+    lanes, block = 256, 64
+    Lc = L * grid_factor
+    table = density.scaled_map_table(m, Lc)
+    table[0] = table[1]  # 0 stands for state 1, as in mc_density
+    counts = np.zeros(L, dtype=np.int64)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    j = rng.integers(1, Lc + 1, size=lanes)
+    steps = burn_in + -(-K // lanes)
+    left = K
+    for lo in range(0, steps, block):
+        noise = rng.uniform(-1.0, 1.0, size=(min(block, steps - lo), lanes))
+        states = np.empty(noise.shape, dtype=np.int64)
+        for u, row in zip(noise, states):
+            u += table[j]
+            row[:] = u
+            j = row
+        counted = states[max(burn_in - lo, 0) :].ravel()[:left]
+        counts += np.bincount(np.minimum(np.maximum(counted, 1) // grid_factor, L - 1), minlength=L)
+        left -= counted.size
+    return DensityHistogram(L=L, weights=counts * (L / K), method="montecarlo", meta={"K": K, "seed": seed})

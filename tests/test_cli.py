@@ -176,13 +176,14 @@ def test_density_both_prints_l1(tmp_path, capsys):
 
 
 # sha256 of the four files of `density --map logistic --method both --L 333
-# --K 100000 --grid-factor 3 --out-dir .`, as written before mc_density took
-# keyword arguments, with the config stamp of the 20-field config
+# --K 100000 --grid-factor 3 --out-dir .`: the operator files as written
+# before mc_density took keyword arguments, the Monte Carlo files since its
+# lanes start from one lead chain, all with the config stamp of the 20-field config
 DENSITY_BOTH_SHA256 = {
     "density_fp_operator.csv": "aa54c11bb44d53062c1f4968db6763313958be4006fb3f1ff44bb80fadce714e",
     "density_fp_operator.json": "15bd53419d6a8d39484a985ded417191f658707c078857c2f0c40961b3002764",
-    "density_montecarlo.csv": "7fd3e679fb2b3b17bd98495629764379a51951f51416d6a01f7a799fe8aa7cc0",
-    "density_montecarlo.json": "069bf1dc1ec648f19b3300f7ad2dd2970cd36256cc3498313e604b3ebc86f39c",
+    "density_montecarlo.csv": "5411f3616aec46e1448a8e0879ac2d4b7727cb7887db700019c403bb1cbfa137",
+    "density_montecarlo.json": "fffdc70f5f2898f2b7ca7e7d81cb9353a80fb521eea1bbb74cc12fc4cb62a3c4",
 }
 
 
@@ -443,9 +444,9 @@ def test_verify_passes_on_tent(tmp_path, capsys):
     assert out.count("PASS") == 4
     assert "FAIL" not in out
     assert out == (
-        "L1(mc, fp)              value=0.012901  tolerance=0.05  PASS\n"
-        "max|h_N(mc) - h_N(fp)|  value=0.000025  tolerance=0.01  PASS\n"
-        "max TV(blocks, stream)  value=0.002347  tolerance=0.01  PASS\n"
+        "L1(mc, fp)              value=0.011969  tolerance=0.05  PASS\n"
+        "max|h_N(mc) - h_N(fp)|  value=0.000016  tolerance=0.01  PASS\n"
+        "max TV(blocks, stream)  value=0.002292  tolerance=0.01  PASS\n"
         "structural invariants   value=0.000000  tolerance=0  PASS\n"
     )
 
@@ -457,9 +458,9 @@ def test_verify_cubic_stream_check_passes_at_seed_11(tmp_path, capsys):
     assert line.endswith("PASS"), line
     # the L1 check fails: the grid chain's known bias against the operator density
     assert out == (
-        "L1(mc, fp)              value=0.129700  tolerance=0.05  FAIL\n"
-        "max|h_N(mc) - h_N(fp)|  value=0.001529  tolerance=0.01  PASS\n"
-        "max TV(blocks, stream)  value=0.002246  tolerance=0.01  PASS\n"
+        "L1(mc, fp)              value=0.130549  tolerance=0.05  FAIL\n"
+        "max|h_N(mc) - h_N(fp)|  value=0.001592  tolerance=0.01  PASS\n"
+        "max TV(blocks, stream)  value=0.002728  tolerance=0.01  PASS\n"
         "structural invariants   value=0.000000  tolerance=0  PASS\n"
     )
 
@@ -481,7 +482,7 @@ def test_verify_reports_invariant_failure(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, *VERIFY_TENT_ARGS, "--out-dir", str(tmp_path))
     assert code == 1
     assert out == (
-        "L1(mc, fp)              value=0.012901  tolerance=0.05  PASS\n"
+        "L1(mc, fp)              value=0.011969  tolerance=0.05  PASS\n"
         "max|h_N(mc) - h_N(fp)|  value=nan  tolerance=0.01  FAIL\n"
         "max TV(blocks, stream)  value=nan  tolerance=0.01  FAIL\n"
         "structural invariants   value=1.000000  tolerance=0  FAIL\n"

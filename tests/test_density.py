@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from chaosrng.analysis import run_analysis
 from chaosrng import maps as _maps
 from chaosrng.bitstream import generate_bits
 from chaosrng.density import (
+    DEFAULT_BURN_IN,
     MC_GRID_FACTOR,
     DensityHistogram,
     NonConvergenceError,
@@ -29,7 +31,7 @@ from chaosrng.density import (
     solve_grid,
 )
 from chaosrng.partition import SymbolPartition
-from reference import IntervalSet, fp_step, set_mass, uniform_density
+from reference import IntervalSet, fp_step, mc_density_burn_in_per_lane, set_mass, uniform_density
 from strategies import map_models
 
 
@@ -247,27 +249,56 @@ def visit_counts(h):
     return np.rint(h.weights * h.meta["K"] / h.L).astype(np.int64)
 
 
+def lead_chain_starts(m, L, lanes, burn_in, rng):
+    """The last `lanes` states of one chain_states run from a uniform grid
+    start over one draw of burn_in + lanes - 1 noise values: the lane starts,
+    so that lane k starts at the lead chain's state burn_in + k."""
+    j0 = int(rng.integers(1, L + 1))
+    return chain_states(m, rng.uniform(-1.0, 1.0, size=burn_in + lanes - 1), j0, L)[-lanes:]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lane_starts_are_the_lead_chains_last_states(data):
+    # the burn-in is stepped in blocks of _LANE_NOISE values that end inside
+    # and at the end of it; the generator is left where one draw leaves it
+    m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
+    L = data.draw(st.sampled_from([64, 1000, 1 << 24]))
+    lanes, burn_in = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 300))
+    seed = data.draw(st.integers(0, 2**32))
+    rng = np.random.default_rng(seed)
+    with mock.patch.object(density, "_LANE_NOISE", data.draw(st.integers(1, 400))):
+        starts = density._lane_starts(m, L, lanes, burn_in, rng)
+    ref = np.random.default_rng(seed)
+    assert starts.dtype == np.int64
+    assert starts.tolist() == lead_chain_starts(m, L, lanes, burn_in, ref).tolist()
+    assert rng.uniform() == ref.uniform()
+
+
 def serial_lane_counts(m, L, lanes, *, seed, K, burn_in, grid_factor):
     """Per-bin visits of mc_density's chains, each run alone by chain_states
-    over its own column of the noise, counted by chain state and then folded
-    onto the output bins."""
+    from its lead-chain start over its own column of the noise, counted by
+    chain state and then folded onto the output bins."""
     Lc = L * grid_factor
     visits = np.zeros(Lc + 1, dtype=np.int64)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    starts = rng.integers(1, Lc + 1, size=lanes)
+    starts = lead_chain_starts(m, Lc, lanes, burn_in, rng)
     counted_steps = -(-K // lanes)
-    noise = rng.uniform(-1.0, 1.0, size=(burn_in + counted_steps, lanes))
+    noise = rng.uniform(-1.0, 1.0, size=(counted_steps, lanes))
     last = K - (counted_steps - 1) * lanes  # lanes that take the last counted step
     for b in range(lanes):
-        states = run_chain(m, noise[:, b], int(starts[b]), Lc)[burn_in :]
+        states = run_chain(m, noise[:, b], int(starts[b]), Lc)
         np.add.at(visits, states[: counted_steps - (b >= last)], 1)
     bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
     return np.bincount(bins, weights=visits[1:], minlength=L).astype(np.int64)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_mc_lanes_match_serial_chains(data):
+    # one lane, a few, and more lanes than visits (K < lanes); blocks of
+    # _LANE_NOISE values hold 1 to 41 whole rows, so they split the counted
+    # rows anywhere, and the lead chain's burn-in too
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     kw = dict(
         seed=data.draw(st.integers(0, 2**32)),
@@ -275,8 +306,9 @@ def test_mc_lanes_match_serial_chains(data):
         K=data.draw(st.integers(6_400, 7_000)),
         grid_factor=data.draw(st.integers(1, 8)),
     )
-    lanes = data.draw(st.integers(1, 9))
-    with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "_LANE_BLOCK", data.draw(st.integers(1, 40))):
+    lanes = data.draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(6_401, 7_100)))
+    block = data.draw(st.integers(1, 41 * lanes))
+    with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "_LANE_NOISE", block):
         h = mc_density(m, 64, **kw)
     assert h.meta["lanes"] == lanes
     assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, lanes, **kw))
@@ -286,20 +318,63 @@ def test_mc_lanes_match_serial_chains(data):
     assert scaled_map_table(m, Lc)[1:].tolist() == scalar
 
 
-@pytest.mark.parametrize("rows", [7, 333, 1000])
-def test_mc_burn_in_across_chunk_boundaries(cubic, rows):
-    # burn_in = 1000 ends inside a block of noise rows (7, 333) and on a block
-    # boundary (1000); K = 7001 is no multiple of the lane count, and with 10^4
-    # lanes the run has fewer visits than lanes
+@pytest.mark.parametrize("block", [7, 333, 1000])
+def test_mc_burn_in_across_chunk_boundaries(cubic, block):
+    # blocks of `block` noise values: the lead chain's 999 burn-in steps end
+    # inside a block (7, 1000) and on a block boundary (333), and the counted
+    # rows come 1 or 3 to a block; K = 7001 is no multiple of the lane count,
+    # and with 10^4 lanes the run has fewer visits than lanes
     kw = dict(seed=5, K=7_001, burn_in=1_000, grid_factor=2)
     for lanes in (256, 10_000):
         with mock.patch.object(density, "_LANES", lanes):
-            with mock.patch.object(density, "_LANE_BLOCK", 1 << 20):
+            with mock.patch.object(density, "_LANE_NOISE", 1 << 20):
                 one_block = mc_density(cubic, 64, **kw)
-            with mock.patch.object(density, "_LANE_BLOCK", rows):
+            with mock.patch.object(density, "_LANE_NOISE", block):
                 blocked = mc_density(cubic, 64, **kw)
         assert np.array_equal(blocked.weights, one_block.weights)
         assert visit_counts(blocked).sum() == kw["K"]
+
+
+def test_mc_matches_burn_in_per_lane_within_sampling_bound():
+    # the fanned-out lanes sample the law that chains with a burn-in each
+    # sampled.  With independent visits, bin i's visit share has variance
+    # p_i / K in each run, so |difference| has mean sqrt(2/pi) sqrt(2 p_i / K)
+    # and variance (1 - 2/pi) 2 p_i / K; summed over the bins, the L1 has
+    # mean 2 / sqrt(pi K) * sum sqrt(p_i) and sd sqrt((1 - 2/pi) 2 / K).  The
+    # ratio of L1 to that mean read 0.94-1.05 over seeds 0-12 on all four
+    # maps; the bound allows 1.44 times the independent visit variance (1.2
+    # times the mean) plus 4 sd
+    L, K = 4096, 4_000_000
+    for name, make in sorted(_maps.BUILTIN_MAPS.items()):
+        m = make()
+        fast = mc_density(m, L, seed=0, K=K)
+        slow = mc_density_burn_in_per_lane(m, L, seed=0, K=K)
+        p = (fast.weights + slow.weights) / (2 * L)
+        mean = 2.0 / math.sqrt(math.pi * K) * np.sqrt(p).sum()
+        sd = math.sqrt((1.0 - 2.0 / math.pi) * 2.0 / K)
+        d = l1_distance(fast, slow)
+        assert d < 1.2 * mean + 4.0 * sd, (name, d, mean)
+
+
+#: tracemalloc peak of one verify-size mc_density (L 4096, K 4e6): the
+#: per-lane burn-in route peaked at 1 084 184 bytes on the cubic, the map
+#: table (65537 floats, 524 KB) and one 16384-state block with its bin
+#: temporaries; the fanned-out lanes read 1 084 168.  An Lc-sized int64
+#: temporary would add 524 KB
+MC_PEAK = 1_100_000
+
+
+@pytest.mark.parametrize("burn_in", [DEFAULT_BURN_IN, 20 * DEFAULT_BURN_IN])
+def test_mc_memory_is_flat_at_verify_sizes(cubic, burn_in):
+    # the lead chain steps its burn-in a block at a time, so a longer one costs no memory
+    mc_density(cubic, 4096, seed=0, K=409_600, burn_in=1_000)  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        mc_density(cubic, 4096, seed=0, burn_in=burn_in)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MC_PEAK, peak
 
 
 @pytest.mark.parametrize("start", [0.3, 0.9, None])
@@ -322,21 +397,21 @@ def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start)
 @given(data=st.data())
 def test_stream_lanes_match_serial_chains(data):
     # each column of the lane sampler is a chain_states run over its own noise
-    # column from its own start, read after the same burn-in; row blocks of
-    # the noise end inside and at the end of the burn-in
+    # column from its lead-chain start; blocks of _LANE_NOISE values end inside
+    # and at the end of the lead chain's burn-in and split the rows anywhere
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     s = SymbolPartition.from_pairs([(0.0, data.draw(st.floats(0.2, 0.8)))])
     seed = data.draw(st.integers(0, 2**32))
     L = data.draw(st.sampled_from([64, 1000, 1 << 24, 1 << 53]))
     lanes, rows = data.draw(st.integers(2, 9)), data.draw(st.integers(1, 200))
-    with mock.patch.object(bitstream, "_LANE_ROWS", data.draw(st.integers(1, 70))):
+    with mock.patch.object(density, "_LANE_NOISE", data.draw(st.integers(1, 70 * lanes))):
         block = generate_bits(m, s, rows, seed=seed, L=L, lanes=lanes)
     assert block.shape == (rows, lanes) and block.dtype == np.uint8
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
-    starts = rng.integers(1, L + 1, size=lanes)
-    noise = rng.uniform(-1.0, 1.0, size=(bitstream._LANE_BURN_IN + rows, lanes))
+    starts = lead_chain_starts(m, L, lanes, bitstream._LANE_BURN_IN, rng)
+    noise = rng.uniform(-1.0, 1.0, size=(rows, lanes))
     for b in range(lanes):
-        states = chain_states(m, noise[:, b], int(starts[b]), L)[bitstream._LANE_BURN_IN :]
+        states = chain_states(m, noise[:, b], int(starts[b]), L)
         assert block[:, b].tolist() == s.symbol_of(states / L).tolist(), b
 
 

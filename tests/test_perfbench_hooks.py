@@ -72,3 +72,7 @@ def test_traced_verify_runs_inside_traced_stages(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().out == plain
     (root,) = spans.roots(rec.spans)
     assert spans.self_time(rec.spans, root) < 0.05 * spans.duration(rec.spans[root])
+    # the lane samplers' lead chains evaluate the map once per step; those
+    # evaluations belong to the stage that runs the lanes, not to the root
+    stray = [s for s in rec.spans if s.parent == root and s.name == "maps.raw_eval"]
+    assert not stray, f"{len(stray)} maps.raw_eval spans directly under the root"
