@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import density as _density
-from .density import RNG_ALGORITHM, chain_states
+from .density import RNG_ALGORITHM, chain_states, lane_states
 from .entropy import ProbabilityTable
 from .maps import EPS, MapModel
 from .partition import SymbolPartition
@@ -30,14 +30,6 @@ DEFAULT_STREAM_L = 1 << 20
 #: doubles and the +-1-cell dither falls below float resolution, so the
 #: stream would degenerate like raw float iteration
 MAX_STREAM_L = 1 << 53
-
-#: noise values per draw in :func:`bit_chunks`, and so the states per
-#: :func:`density.chain_states` call and the bits per chunk: the whole
-#: working set of a consumer of the chunks, at any length and grid L.  A
-#: chunk's Python list and ints cost about 40 bytes a state, so 2^14 keeps
-#: it near 1 MB; chunks of 2^12 to 2^16 stepped a 2e6-state chain equally
-#: fast, within noise
-_CHAIN_CHUNK = 1 << 14
 
 #: steps of the lane sampler's lead chain (:func:`generate_bits` with
 #: ``lanes`` > 1) before the first lane's start
@@ -66,9 +58,10 @@ def bit_chunks(
 ) -> Iterator[np.ndarray]:
     """The stream of :func:`generate_bits`, in order, as uint8 chunks of 0/1.
 
-    Chunks hold at most ``_CHAIN_CHUNK`` bits, so a consumer of them holds
-    O(chunk) memory at every length and grid L.  The arguments are checked
-    on the call, before the first chunk is asked for.
+    Chunks hold at most ``density.NOISE_BLOCK`` bits, the noise values per
+    draw and so the states per :func:`density.chain_states` call, so a
+    consumer of them holds O(chunk) memory at every length and grid L.  The
+    arguments are checked on the call, before the first chunk is asked for.
     """
     _check_stream(length, L, dither, start)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -94,8 +87,9 @@ def _dithered_chunks(m, s, length, rng, L, start):
     yield np.array([s.symbol_of(j / L)], dtype=np.uint8)
     # the same doubles as one uniform(size=length - 1) draw; bit n is read
     # from state j_n
-    for lo in range(0, length - 1, _CHAIN_CHUNK):
-        noise = rng.uniform(-1.0, 1.0, size=min(_CHAIN_CHUNK, length - 1 - lo))
+    chunk = _density.NOISE_BLOCK
+    for lo in range(0, length - 1, chunk):
+        noise = rng.uniform(-1.0, 1.0, size=min(chunk, length - 1 - lo))
         states = chain_states(m, noise, j, L)
         yield s.symbol_of(states / L).astype(np.uint8)
         j = int(states[-1])
@@ -106,8 +100,9 @@ def _raw_chunks(m, s, length, rng, start):
     # MapModel.__call__ is all a step needs
     f, lo, hi = m.raw_eval, EPS, 1.0 - EPS
     x = start if start is not None else float(rng.uniform(1e-6, 1.0 - 1e-6))
-    for n0 in range(0, length, _CHAIN_CHUNK):
-        xs = np.empty(min(_CHAIN_CHUNK, length - n0))
+    chunk = _density.NOISE_BLOCK
+    for n0 in range(0, length, chunk):
+        xs = np.empty(min(chunk, length - n0))
         for n in range(xs.size):
             xs[n] = x
             y = f(x)
@@ -130,14 +125,14 @@ def generate_bits(
 
     Dither on: the digitized grid recurrence (state stays on j/L), stepped
     by :func:`density.chain_states` on the map itself.  Besides the output it
-    holds O(``_CHAIN_CHUNK``) memory at every grid L: the noise is drawn and
-    the states classified one chunk at a time (:func:`bit_chunks`).
+    holds O(``density.NOISE_BLOCK``) memory at every grid L: the noise is
+    drawn and the states classified one chunk at a time (:func:`bit_chunks`).
     Dither off: raw float iteration - deterministic, and demonstrably
     degenerate over long runs.  `start` is an explicit x_0 in (0, 1); None
     draws it from the seeded generator.
 
     With ``lanes`` > 1 the result is a (length, lanes) block from as many
-    independent dithered chains stepped in lockstep, one per column: samples
+    dithered chains of :func:`density.lane_states`, one per column: samples
     of the generator's word law, not one physical stream.  See
     :func:`_lane_block`.
     """
@@ -158,37 +153,18 @@ def generate_bits(
 def _lane_block(m, s, rows, seed, L, lanes):
     """`rows` bits down each of `lanes` dithered grid chains, as a uint8 block.
 
-    The chains start at the states ``_LANE_BURN_IN`` .. ``_LANE_BURN_IN`` +
-    lanes - 1 of one serial lead chain (:func:`density._lane_starts`), and
-    bit r of a lane is read from its state r + 1 steps after its start; the
-    lanes are independent given those starts.  A step evaluates
-    ``m.raw_eval`` once on the array of all lanes, then clamps, scales, adds
-    the noise, floors and clips with the float64 operations of
-    :func:`density.chain_states`, so each column equals a serial chain over
-    its own column of the noise.  The state is kept as the float j (exact
-    for L <= 2^53).  The generator draws the lead chain's start and noise,
-    then the lanes' noise ``density._LANE_NOISE`` values (whole rows) at a
-    time, and each block's states are classified as it is stepped.
+    The chains are those of :func:`density.lane_states`, after
+    ``_LANE_BURN_IN`` steps of lead chain, and bit r of a lane is read from
+    its state r + 1 steps after its start.  Each block of states is
+    classified as it is stepped.
     """
     # spawn(2)[1]: apart from the draws of mc_density, which takes spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
-    j0 = _density._lane_starts(m, L, lanes, _LANE_BURN_IN, rng)
-    lo, hi = EPS, 1.0 - EPS
-    xe = np.where(j0 < L, j0 / L, hi)  # where each lane evaluates the map: j/L, and 1 - EPS at j = L
     out = np.empty((rows, lanes), dtype=np.uint8)
-    step = max(_density._LANE_NOISE // lanes, 1)
-    for r0 in range(0, rows, step):
-        noise = rng.uniform(-1.0, 1.0, size=(min(step, rows - r0), lanes))
-        x = np.empty_like(noise)  # row r: j/L of output row r0 + r
-        for u, xr in zip(noise, x):
-            j = np.clip(m.raw_eval(xe), lo, hi)  # then L * M(x) + u, floored and clipped: the next state
-            j *= L
-            j += u
-            np.floor(j, out=j)
-            np.clip(j, 1, L, out=j)
-            np.divide(j, L, out=xr)
-            xe = np.where(j < L, xr, hi)
-        out[r0 : r0 + x.shape[0]] = s.symbol_of(x)
+    r0 = 0
+    for states in lane_states(m, L, lanes, rows, _LANE_BURN_IN, rng):
+        out[r0 : r0 + len(states)] = s.symbol_of(states / L)
+        r0 += len(states)
     return out
 
 

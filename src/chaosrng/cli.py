@@ -368,9 +368,10 @@ def cmd_bitgen(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     }
     print(f"bitgen map={m.name} bits={n} monobit(ones)={summary['monobit_frequency']:.4f}")
     for N in range(1, 5):
-        if n < 100 * 2**N:  # too short for this depth and every deeper one
+        try:
+            probs = patterns.table(N).probs
+        except _bitstream.InsufficientDataError:  # too short for this depth and every deeper one
             break
-        probs = patterns.table(N).probs
         summary["patterns"][str(N)] = probs
         row = "  ".join(f"P({w})={v:.4f}" for w, v in probs.items())
         print(f"N={N}: {row}")

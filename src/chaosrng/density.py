@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -159,18 +160,29 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-#: lockstep chains of a lane sampler: :func:`mc_density` and verify's check
-#: stream (``bitstream.generate_bits`` with ``lanes`` > 1), a constant so that
-#: the output does not depend on the machine.  The lanes start from one
-#: burned-in lead chain (:func:`_lane_starts`), so burn-in is paid once and a
-#: wider row costs only its own numpy work.  On a 2-core Xeon a verify-size
-#: Monte Carlo run (K = 4e6, 65536 chain states) took 0.089 s at 1024 lanes
-#: and 0.081-0.083 s at 2048-8192, against 0.10-0.15 s for 256 lanes that
-#: each paid their own burn-in
+#: lockstep chains of :func:`mc_density`, a constant so that the output does
+#: not depend on the machine; verify's check stream takes as many.  The lanes
+#: start from one burned-in lead chain (:func:`lane_states`), so burn-in is
+#: paid once and a wider row costs only its own numpy work.  On a 2-core Xeon
+#: a verify-size Monte Carlo run (K = 4e6, 65536 chain states) took 0.089 s
+#: at 1024 lanes and 0.081-0.083 s at 2048-8192, against 0.10-0.15 s for 256
+#: lanes that each paid their own burn-in
 _LANES = 4096
-#: noise values drawn per block by a lane sampler, so a block is
-#: max(_LANE_NOISE // lanes, 1) lockstep rows (128 KiB of float64 noise)
-_LANE_NOISE = 1 << 14
+#: noise values per draw of every chain sampler: the serial stream's chunks
+#: (``bitstream.bit_chunks``), the lead chain's burn-in blocks, and the lane
+#: blocks of max(NOISE_BLOCK // lanes, 1) rows (128 KiB of float64 noise).  A
+#: serial chunk's Python list and ints cost about 40 bytes a state, so 2^14
+#: keeps it near 1 MB; chunks of 2^12 to 2^16 stepped a 2e6-state chain
+#: equally fast, within noise
+NOISE_BLOCK = 1 << 14
+#: largest grid on which :func:`lane_states` steps its lanes by gathering from
+#: :func:`scaled_map_table`; finer grids evaluate the map on the lanes.  At
+#: 4096 lanes on a 2-core Xeon a gather step took 10-21 us at L = 2^16 and
+#: 20-34 us at 2^19, against 36-60 us for an evaluated step, on all four
+#: built-in maps; from 2^20 the gather lost on some maps (logistic 45 us
+#: against 37 us) and from 2^22 on all, as the table (8 L bytes) outgrows the
+#: cache
+_GATHER_MAX_L = 1 << 19
 #: grid points per map evaluation in :func:`scaled_map_table`; a slice's
 #: float64 temporaries (128 KiB each) stay in cache.  A 2^24-point cubic table
 #: took 0.25-0.38 s in a fresh process with 2^16-point slices, whose 512 KiB
@@ -216,19 +228,75 @@ def _lane_starts(m: MapModel, L: int, lanes: int, burn_in: int, rng: np.random.G
     :func:`chain_states` steps it over the next burn_in + lanes - 1 noise
     values of `rng`; its states burn_in .. burn_in + lanes - 1 are returned,
     so lane k starts burn_in + k steps after a uniform start.  The burn-in
-    is stepped ``_LANE_NOISE`` values at a time and only its last state
+    is stepped ``NOISE_BLOCK`` values at a time and only its last state
     kept, so the memory does not grow with `burn_in`; the draws equal one
     uniform(size=burn_in + lanes - 1) draw.
     """
     j = int(rng.integers(1, L + 1))
-    for lo in range(0, burn_in - 1, _LANE_NOISE):
-        j = int(chain_states(m, rng.uniform(-1.0, 1.0, size=min(_LANE_NOISE, burn_in - 1 - lo)), j, L)[-1])
+    for lo in range(0, burn_in - 1, NOISE_BLOCK):
+        j = int(chain_states(m, rng.uniform(-1.0, 1.0, size=min(NOISE_BLOCK, burn_in - 1 - lo)), j, L)[-1])
     return chain_states(m, rng.uniform(-1.0, 1.0, size=lanes), j, L)
 
 
+def lane_states(
+    m: MapModel, L: int, lanes: int, rows: int, burn_in: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """`rows` lockstep steps of `lanes` dithered grid chains on L points, as
+    (r, lanes) int64 blocks of states in 1..L.
+
+    The chains start at the states burn_in .. burn_in + lanes - 1 of one
+    serial lead chain (:func:`_lane_starts`), so every state lies at least
+    `burn_in` steps after a uniform start; the lanes are independent given
+    those starts, not from the start.  Row r of the blocks, taken in order,
+    holds each chain's state r + 1 steps after its start.
+
+    `rng` draws the lead chain's start, then its noise, then the lanes'
+    noise one block of ``NOISE_BLOCK`` values (whole rows, at least one) at
+    a time, each block's just before its rows are stepped.  Each chain
+    equals a :func:`chain_states` run over its own column of the noise.  On
+    grids up to ``_GATHER_MAX_L`` a step gathers from
+    :func:`scaled_map_table`, built after the lead chain ran; on finer ones
+    it evaluates ``m.raw_eval`` once on the array of all lanes with the
+    float64 operations of :func:`chain_states`.  Either way the states are
+    the same.  A yielded block belongs to the caller, who may overwrite it.
+    """
+    j = _lane_starts(m, L, lanes, burn_in, rng)
+    table = None
+    if L <= _GATHER_MAX_L:
+        table = scaled_map_table(m, L)
+        # its entries lie in (0, L), so table[j] + u lies in (-1, L + 1) and
+        # its truncation to int is the clipped floor, except that 0 stands
+        # for state 1: table[0] aliases table[1]
+        table[0] = table[1]
+    lo, hi = _maps.EPS, 1.0 - _maps.EPS
+    block = max(NOISE_BLOCK // lanes, 1)
+    for r0 in range(0, rows, block):
+        noise = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), lanes))
+        states = np.empty(noise.shape, dtype=np.int64)
+        for u, row in zip(noise, states):
+            if table is None:
+                # the map at j/L, and 1 - EPS at j = L, clamped and scaled by L
+                y = np.clip(m.raw_eval(np.where(j < L, j / L, hi)), lo, hi)
+                y *= L
+                u += y
+                np.floor(u, out=u)
+                np.clip(u, 1, L, out=u)
+            else:
+                u += table[j]
+            row[:] = u
+            j = row
+        np.maximum(states, 1, out=states)
+        # a copy, so that the caller may overwrite the block; the spent noise
+        # (u is a view of it) goes before the next block's is drawn
+        j = states[-1].copy()
+        del noise, u
+        yield states
+
+
 def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
-    """table[j] = L * M(j/L) for grid states j = 0..L, the table that the
-    Monte Carlo lanes gather from; x is EPS at j = 0 and 1 - EPS at j = L.
+    """table[j] = L * M(j/L) for grid states j = 0..L, the table that
+    :func:`lane_states` gathers from on coarse grids; x is EPS at j = 0 and
+    1 - EPS at j = L.
 
     Filled in slices of ``_TABLE_CHUNK`` points, clipped and scaled in place,
     so that the table is the only full-size array; the values are those of
@@ -259,21 +327,12 @@ def mc_density(
 ) -> DensityHistogram:
     """Invariant density by dithered grid iteration, as one seeded run.
 
-    ``_LANES`` chains step in lockstep, one numpy update
-    j <- clip(floor(table[j] + u), 1, Lc) over all of them per step, on the
-    chain grid Lc = grid_factor * L.  The chains start at the states
-    burn_in .. burn_in + _LANES - 1 of one serial lead chain
-    (:func:`_lane_starts`), so every counted state lies at least
-    ``burn_in`` steps after a uniform start; the lanes are independent given
-    those starts, not from the start.  The K counted visits are the
-    ceil(K / _LANES) steps after the starts, of which the last counts only
-    the first K - (ceil(K / _LANES) - 1) * _LANES chains.  Each counted state
-    j goes straight to output bin min(j // grid_factor, L - 1).
-
-    Deterministic for a given seed: the generator draws the lead chain's
-    start, then its noise, then the lanes' noise one block of
-    ``_LANE_NOISE`` values (whole rows) at a time.  Each chain equals a
-    :func:`chain_states` run over its own column of the noise.
+    ``_LANES`` chains of :func:`lane_states` step in lockstep on the chain
+    grid Lc = grid_factor * L, from `burn_in` steps of lead chain.  The K
+    counted visits are their ceil(K / _LANES) steps, of which the last
+    counts only the first K - (ceil(K / _LANES) - 1) * _LANES chains.  Each
+    counted state j goes straight to output bin min(j // grid_factor, L - 1).
+    Deterministic for a given seed, in the draw order of :func:`lane_states`.
 
     The chain grid is finer than the L output bins because, with the two
     equal, map slopes above 2 outrun the +-1-cell dither and leave
@@ -288,34 +347,19 @@ def mc_density(
         raise ValueError(f"burn_in={burn_in} too small; need at least 1000 to pass the transient")
     if grid_factor < 1:
         raise ValueError(f"grid_factor={grid_factor} must be a positive integer")
-    Lc = L * grid_factor
     # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    # the lead chain runs before the table is built, so their memory never adds up
-    j = _lane_starts(m, Lc, _LANES, burn_in, rng)
-    table = scaled_map_table(m, Lc)
-    # scaled_map_table keeps every entry in (0, Lc), so table[j] + u lies in
-    # (-1, Lc + 1) and its truncation to int is the clipped floor, except that
-    # 0 stands for state 1.  Chains start at 1..Lc, so table[0] may alias 1.
-    table[0] = table[1]
-    counts = np.zeros(L, dtype=np.int64)
-
-    steps = -(-K // _LANES)
-    rows = max(_LANE_NOISE // _LANES, 1)
+    # an array from the first block on, so that it is allocated after the
+    # map table and does not add to the peak of the table's build
+    counts = 0
     left = K
-    for lo in range(0, steps, rows):
-        # row r holds counted step lo + r of every chain: the first `left`
-        # states in row-major order are whole rows, then the last step of the
-        # first chains only
-        noise = rng.uniform(-1.0, 1.0, size=(min(rows, steps - lo), _LANES))
-        states = np.empty(noise.shape, dtype=np.int64)
-        for u, row in zip(noise, states):
-            u += table[j]
-            row[:] = u
-            j = row
+    for states in lane_states(m, L * grid_factor, _LANES, -(-K // _LANES), burn_in, rng):
+        # the first `left` states in row-major order are whole rows, then the
+        # last step of the first chains only; each is binned in place
         counted = states.ravel()[:left]
-        # state j (0 stands for 1) lies in output bin j // grid_factor, state Lc in the top bin
-        counts += np.bincount(np.minimum(np.maximum(counted, 1) // grid_factor, L - 1), minlength=L)
+        counted //= grid_factor
+        np.minimum(counted, L - 1, out=counted)  # state Lc lies in the top bin
+        counts += np.bincount(counted, minlength=L)
         left -= counted.size
 
     weights = counts * (L / K)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chaosrng as cr
-from chaosrng import bitstream
+from chaosrng import bitstream, density
 from chaosrng.bitstream import (
     AsciiStreamWriter,
     InsufficientDataError,
@@ -253,10 +253,10 @@ def test_stream_writers_leave_no_file_on_failure(tmp_path):
 
 
 def test_bit_chunks_are_the_stream_in_bounded_pieces(cubic, branch_part):
-    length = 2 * bitstream._CHAIN_CHUNK + 5
+    length = 2 * density.NOISE_BLOCK + 5
     for dither in (True, False):
         chunks = list(bit_chunks(cubic, branch_part, length, seed=4, dither=dither))
-        assert all(c.dtype == np.uint8 and 1 <= c.size <= bitstream._CHAIN_CHUNK for c in chunks)
+        assert all(c.dtype == np.uint8 and 1 <= c.size <= density.NOISE_BLOCK for c in chunks)
         assert np.concatenate(chunks).tolist() == generate_bits(cubic, branch_part, length, seed=4, dither=dither).tolist()
     # arguments are checked on the call, before any chunk is drawn
     with pytest.raises(ValueError):

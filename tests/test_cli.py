@@ -349,9 +349,9 @@ def test_bitgen_switches_are_config_fields(tmp_path, capsys):
     assert np.array_equal(read_stream_ascii(out / "stream.txt"), read_stream(out / "stream.bits"))
 
 
-@pytest.mark.parametrize("length, depths", [(1000, 3), (150, 0)])
+@pytest.mark.parametrize("length, depths", [(1000, 3), (401, 2), (150, 0)])
 def test_bitgen_short_stream_reports_the_depths_it_can(tmp_path, capsys, length, depths):
-    # pattern counts need 100 * 2^N bits at depth N: 1000 bits reach N = 3, 150 bits none
+    # pattern counts need 100 * 2^N bits at depth N: 1000 bits reach N = 3, 401 N = 2, 150 none
     code, out, _ = run(
         capsys, "bitgen", "--map", "cubic_sample", "--length", str(length),
         "--von-neumann", "--out-dir", str(tmp_path),

@@ -238,7 +238,7 @@ def test_chain_states_length_off_the_chunk_size(cubic):
     # the kernel does not split its noise: bit_chunks passes it one chunk
     # at a time, and any longer noise still gives one array of its length
     L = 1000
-    noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * bitstream._CHAIN_CHUNK + 123)
+    noise = np.random.default_rng(2).uniform(-1.0, 1.0, size=2 * density.NOISE_BLOCK + 123)
     states = run_chain(cubic, noise, 17, L)
     assert np.array_equal(states, reference_chain(scaled_map_table(cubic, L), noise, 17, L))
     assert run_chain(cubic, [], 17, L).size == 0
@@ -260,14 +260,14 @@ def lead_chain_starts(m, L, lanes, burn_in, rng):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lane_starts_are_the_lead_chains_last_states(data):
-    # the burn-in is stepped in blocks of _LANE_NOISE values that end inside
+    # the burn-in is stepped in blocks of NOISE_BLOCK values that end inside
     # and at the end of it; the generator is left where one draw leaves it
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     L = data.draw(st.sampled_from([64, 1000, 1 << 24]))
     lanes, burn_in = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 300))
     seed = data.draw(st.integers(0, 2**32))
     rng = np.random.default_rng(seed)
-    with mock.patch.object(density, "_LANE_NOISE", data.draw(st.integers(1, 400))):
+    with mock.patch.object(density, "NOISE_BLOCK", data.draw(st.integers(1, 400))):
         starts = density._lane_starts(m, L, lanes, burn_in, rng)
     ref = np.random.default_rng(seed)
     assert starts.dtype == np.int64
@@ -297,8 +297,9 @@ def serial_lane_counts(m, L, lanes, *, seed, K, burn_in, grid_factor):
 @given(data=st.data())
 def test_mc_lanes_match_serial_chains(data):
     # one lane, a few, and more lanes than visits (K < lanes); blocks of
-    # _LANE_NOISE values hold 1 to 41 whole rows, so they split the counted
-    # rows anywhere, and the lead chain's burn-in too
+    # NOISE_BLOCK values hold 1 to 41 whole rows, so they split the counted
+    # rows anywhere, and the lead chain's burn-in too.  The cut puts the chain
+    # grid on either side, so the lanes gather from the table or evaluate the map
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     kw = dict(
         seed=data.draw(st.integers(0, 2**32)),
@@ -308,12 +309,14 @@ def test_mc_lanes_match_serial_chains(data):
     )
     lanes = data.draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(6_401, 7_100)))
     block = data.draw(st.integers(1, 41 * lanes))
-    with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "_LANE_NOISE", block):
-        h = mc_density(m, 64, **kw)
+    Lc = 64 * kw["grid_factor"]
+    cut = Lc - data.draw(st.integers(0, 1))
+    with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "NOISE_BLOCK", block):
+        with mock.patch.object(density, "_GATHER_MAX_L", cut):
+            h = mc_density(m, 64, **kw)
     assert h.meta["lanes"] == lanes
     assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, lanes, **kw))
-    # the lanes gather from the table; the serial chains evaluate the map per step
-    Lc = 64 * kw["grid_factor"]
+    # the table holds the map values that the serial chains evaluate per step
     scalar = [Lc * min(max(m.raw_eval(j / Lc if j < Lc else 1.0 - _maps.EPS), _maps.EPS), 1.0 - _maps.EPS) for j in range(1, Lc + 1)]
     assert scaled_map_table(m, Lc)[1:].tolist() == scalar
 
@@ -327,9 +330,9 @@ def test_mc_burn_in_across_chunk_boundaries(cubic, block):
     kw = dict(seed=5, K=7_001, burn_in=1_000, grid_factor=2)
     for lanes in (256, 10_000):
         with mock.patch.object(density, "_LANES", lanes):
-            with mock.patch.object(density, "_LANE_NOISE", 1 << 20):
+            with mock.patch.object(density, "NOISE_BLOCK", 1 << 20):
                 one_block = mc_density(cubic, 64, **kw)
-            with mock.patch.object(density, "_LANE_NOISE", block):
+            with mock.patch.object(density, "NOISE_BLOCK", block):
                 blocked = mc_density(cubic, 64, **kw)
         assert np.array_equal(blocked.weights, one_block.weights)
         assert visit_counts(blocked).sum() == kw["K"]
@@ -384,7 +387,7 @@ def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start)
     # reference loop and the L-sized bit table; the length - 1 noise values
     # sit on and around multiples of the patched chunk
     L = 4096
-    with mock.patch.object(bitstream, "_CHAIN_CHUNK", 64):
+    with mock.patch.object(density, "NOISE_BLOCK", 64):
         bits = generate_bits(cubic, branch_part, length, seed=3, L=L, start=start)
     rng = np.random.Generator(np.random.PCG64(3))
     j0 = round(start * L) if start is not None else int(rng.integers(1, L + 1))
@@ -397,15 +400,19 @@ def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start)
 @given(data=st.data())
 def test_stream_lanes_match_serial_chains(data):
     # each column of the lane sampler is a chain_states run over its own noise
-    # column from its lead-chain start; blocks of _LANE_NOISE values end inside
-    # and at the end of the lead chain's burn-in and split the rows anywhere
+    # column from its lead-chain start; blocks of NOISE_BLOCK values end inside
+    # and at the end of the lead chain's burn-in and split the rows anywhere.
+    # The coarse grids fall on either side of the cut, so the lanes gather
+    # from the table or evaluate the map; the fine ones only evaluate
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     s = SymbolPartition.from_pairs([(0.0, data.draw(st.floats(0.2, 0.8)))])
     seed = data.draw(st.integers(0, 2**32))
     L = data.draw(st.sampled_from([64, 1000, 1 << 24, 1 << 53]))
     lanes, rows = data.draw(st.integers(2, 9)), data.draw(st.integers(1, 200))
-    with mock.patch.object(density, "_LANE_NOISE", data.draw(st.integers(1, 70 * lanes))):
-        block = generate_bits(m, s, rows, seed=seed, L=L, lanes=lanes)
+    cut = L - data.draw(st.integers(0, 1)) if L <= 1000 else 1000
+    with mock.patch.object(density, "NOISE_BLOCK", data.draw(st.integers(1, 70 * lanes))):
+        with mock.patch.object(density, "_GATHER_MAX_L", cut):
+            block = generate_bits(m, s, rows, seed=seed, L=L, lanes=lanes)
     assert block.shape == (rows, lanes) and block.dtype == np.uint8
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
     starts = lead_chain_starts(m, L, lanes, bitstream._LANE_BURN_IN, rng)
@@ -413,6 +420,18 @@ def test_stream_lanes_match_serial_chains(data):
     for b in range(lanes):
         states = chain_states(m, noise[:, b], int(starts[b]), L)
         assert block[:, b].tolist() == s.symbol_of(states / L).tolist(), b
+
+
+@pytest.mark.parametrize("L", [1000, 1 << 24])
+def test_lane_blocks_belong_to_the_caller(cubic, L):
+    # on both sides of the gather cut, a caller that overwrites every block
+    # (as mc_density bins in place) gets the same later blocks as one that
+    # keeps them
+    kept = [b.copy() for b in density.lane_states(cubic, L, 64, 700, 100, np.random.default_rng(4))]
+    for n, b in enumerate(density.lane_states(cubic, L, 64, 700, 100, np.random.default_rng(4))):
+        assert np.array_equal(b, kept[n]) and b.min() >= 1 and b.max() <= L
+        b[:] = 0
+    assert n + 1 == len(kept) == 3 and sum(len(b) for b in kept) == 700
 
 
 def test_stream_lanes_reject_what_they_do_not_model(cubic, branch_part):
