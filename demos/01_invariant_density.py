@@ -1,6 +1,6 @@
 """Invariant density of a chaotic map, computed two independent ways.
 
-Route 1 iterates the map on a dithered grid and histograms the visits.
+Route 1 iterates the map with small noise and histograms the visits.
 Route 2 evolves a density histogram with the transfer operator until it
 stops changing.  The two share nothing but the map, so their L1 distance
 is an honest accuracy estimate for either.

@@ -406,7 +406,7 @@ def cmd_verify(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     if res_fp is not None:
         dh = max(abs(a - b) for a, b in zip(res_fp.report.h, res_mc.report.h))
         # samples of the generator's word law: short lane chains, each read down its own column
-        lanes = _density._LANES
+        lanes = _density.LANES
         block = _bitstream.generate_bits(m, s, -(-_CHECK_BITS // lanes), seed=cfg.seed, L=1 << 24, lanes=lanes)
         tv = max(
             _bitstream.total_variation(res_fp.tables[N - 1], _bitstream.empirical_pattern_probs(block, N))

@@ -1,7 +1,8 @@
 """Asymptotic (invariant) density of a map, by two independent routes.
 
-1. Digitized Monte Carlo: iterate the map on an L-point grid with uniform
-   dither noise, count visits after a burn-in, and normalize the histogram.
+1. Noisy Monte Carlo: iterate x <- M(x) + sigma*u with small uniform noise,
+   reflected into the unit interval, count visits after a burn-in, and
+   normalize the histogram.
 2. Transfer-operator fixed point: evolve a density histogram with the
    pull-back rule f'(y) = sum over preimages x of f(x)/|M'(x)| until it
    stops changing in L1.  It is solved on the map's own grid (see
@@ -29,7 +30,8 @@ DEFAULT_L = 4096
 DEFAULT_K = 4_000_000
 DEFAULT_BURN_IN = 10_000
 DEFAULT_TOL = 1e-9
-#: the Monte Carlo chain grid is MC_GRID_FACTOR * L points (see :func:`mc_density`)
+#: the Monte Carlo noise scale is sigma = 1 / (MC_GRID_FACTOR * L), a cell of a
+#: grid that much finer than the L output bins (see :func:`mc_density`)
 MC_GRID_FACTOR = 16
 
 
@@ -160,34 +162,20 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 # Monte Carlo route
 
 
-#: lockstep chains of :func:`mc_density`, a constant so that the output does
-#: not depend on the machine; verify's check stream takes as many.  The lanes
-#: start from one burned-in lead chain (:func:`lane_states`), so burn-in is
-#: paid once and a wider row costs only its own numpy work.  On a 2-core Xeon
-#: a verify-size Monte Carlo run (K = 4e6, 65536 chain states) took 0.089 s
-#: at 1024 lanes and 0.081-0.083 s at 2048-8192, against 0.10-0.15 s for 256
-#: lanes that each paid their own burn-in
-_LANES = 4096
+#: lockstep chains of both lane samplers, :func:`mc_density` and verify's
+#: check stream (:func:`lane_states`), a constant so that no output depends on
+#: the machine.  Each fans its lanes out of one burned-in lead chain, so burn-in
+#: is paid once and a wider row costs only its own numpy work.  On a 2-core
+#: Xeon a verify-size cubic Monte Carlo run (K = 4e6) took 0.079 s at 1024
+#: lanes, 0.052 s at 4096 and 0.049 s at 8192, best of 5
+LANES = 4096
 #: noise values per draw of every chain sampler: the serial stream's chunks
-#: (``bitstream.bit_chunks``), the lead chain's burn-in blocks, and the lane
-#: blocks of max(NOISE_BLOCK // lanes, 1) rows (128 KiB of float64 noise).  A
-#: serial chunk's Python list and ints cost about 40 bytes a state, so 2^14
-#: keeps it near 1 MB; chunks of 2^12 to 2^16 stepped a 2e6-state chain
-#: equally fast, within noise
+#: (``bitstream.bit_chunks``), the lead chains' blocks, and the lane blocks of
+#: max(NOISE_BLOCK // lanes, 1) rows (128 KiB of float64 noise).  A serial
+#: chunk's Python list and ints cost about 40 bytes a state, so 2^14 keeps it
+#: near 1 MB; chunks of 2^12 to 2^16 stepped a 2e6-state chain equally fast,
+#: within noise
 NOISE_BLOCK = 1 << 14
-#: largest grid on which :func:`lane_states` steps its lanes by gathering from
-#: :func:`scaled_map_table`; finer grids evaluate the map on the lanes.  At
-#: 4096 lanes on a 2-core Xeon a gather step took 10-21 us at L = 2^16 and
-#: 20-34 us at 2^19, against 36-60 us for an evaluated step, on all four
-#: built-in maps; from 2^20 the gather lost on some maps (logistic 45 us
-#: against 37 us) and from 2^22 on all, as the table (8 L bytes) outgrows the
-#: cache
-_GATHER_MAX_L = 1 << 19
-#: grid points per map evaluation in :func:`scaled_map_table`; a slice's
-#: float64 temporaries (128 KiB each) stay in cache.  A 2^24-point cubic table
-#: took 0.25-0.38 s in a fresh process with 2^16-point slices, whose 512 KiB
-#: temporaries did not, and 0.15 s with 2^14
-_TABLE_CHUNK = 1 << 14
 
 
 def chain_states(m: MapModel, noise, j0: int, L: int) -> np.ndarray:
@@ -195,11 +183,10 @@ def chain_states(m: MapModel, noise, j0: int, L: int) -> np.ndarray:
 
     Starts at state j0 in 1..L and returns the visited states j_1..j_n (one
     per noise value, j0 excluded) as one int64 array.  Each step evaluates
-    the map once, on a Python float (``MapModel.raw_eval``'s scalar path),
-    with the float64 operations that :func:`scaled_map_table` performs for
-    entry j: x = j/L (1 - EPS at j = L), M(x) clamped into [EPS, 1 - EPS],
-    then scaled by L.  So the chain equals one stepped through that table,
-    and holds no L-sized array.
+    the map once, on a Python float (``MapModel.raw_eval``'s scalar path):
+    x = j/L (1 - EPS at j = L), M(x) clamped into [EPS, 1 - EPS], then
+    scaled by L.  So the chain equals one stepped through a table of those
+    values, and holds no L-sized array.
     """
     if not 1 <= j0 <= L:
         raise ValueError(f"start state j0={j0} must lie in 1..{L}")
@@ -252,40 +239,27 @@ def lane_states(
 
     `rng` draws the lead chain's start, then its noise, then the lanes'
     noise one block of ``NOISE_BLOCK`` values (whole rows, at least one) at
-    a time, each block's just before its rows are stepped.  Each chain
-    equals a :func:`chain_states` run over its own column of the noise.  On
-    grids up to ``_GATHER_MAX_L`` a step gathers from
-    :func:`scaled_map_table`, built after the lead chain ran; on finer ones
-    it evaluates ``m.raw_eval`` once on the array of all lanes with the
-    float64 operations of :func:`chain_states`.  Either way the states are
-    the same.  A yielded block belongs to the caller, who may overwrite it.
+    a time, each block's just before its rows are stepped.  A step evaluates
+    ``m.raw_eval`` once on the array of all lanes with the float64
+    operations of :func:`chain_states`, so each chain equals a
+    :func:`chain_states` run over its own column of the noise.  A yielded
+    block belongs to the caller, who may overwrite it.
     """
     j = _lane_starts(m, L, lanes, burn_in, rng)
-    table = None
-    if L <= _GATHER_MAX_L:
-        table = scaled_map_table(m, L)
-        # its entries lie in (0, L), so table[j] + u lies in (-1, L + 1) and
-        # its truncation to int is the clipped floor, except that 0 stands
-        # for state 1: table[0] aliases table[1]
-        table[0] = table[1]
     lo, hi = _maps.EPS, 1.0 - _maps.EPS
     block = max(NOISE_BLOCK // lanes, 1)
     for r0 in range(0, rows, block):
         noise = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), lanes))
         states = np.empty(noise.shape, dtype=np.int64)
         for u, row in zip(noise, states):
-            if table is None:
-                # the map at j/L, and 1 - EPS at j = L, clamped and scaled by L
-                y = np.clip(m.raw_eval(np.where(j < L, j / L, hi)), lo, hi)
-                y *= L
-                u += y
-                np.floor(u, out=u)
-                np.clip(u, 1, L, out=u)
-            else:
-                u += table[j]
+            # the map at j/L, and 1 - EPS at j = L, clamped and scaled by L
+            y = np.clip(m.raw_eval(np.where(j < L, j / L, hi)), lo, hi)
+            y *= L
+            u += y
+            np.floor(u, out=u)
+            np.clip(u, 1, L, out=u)
             row[:] = u
             j = row
-        np.maximum(states, 1, out=states)
         # a copy, so that the caller may overwrite the block; the spent noise
         # (u is a view of it) goes before the next block's is drawn
         j = states[-1].copy()
@@ -293,27 +267,31 @@ def lane_states(
         yield states
 
 
-def scaled_map_table(m: MapModel, L: int) -> np.ndarray:
-    """table[j] = L * M(j/L) for grid states j = 0..L, the table that
-    :func:`lane_states` gathers from on coarse grids; x is EPS at j = 0 and
-    1 - EPS at j = L.
+def _noisy_lane_starts(m: MapModel, lanes: int, burn_in: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Start states of `lanes` noisy chains (:func:`mc_density`), fanned out
+    of one lead chain.
 
-    Filled in slices of ``_TABLE_CHUNK`` points, clipped and scaled in place,
-    so that the table is the only full-size array; the values are those of
-    one vectorized pass.
+    The lead chain starts at a uniform x, drawn first, and steps over the
+    next burn_in + lanes - 1 noise values of `rng` on Python floats; its
+    states burn_in .. burn_in + lanes - 1 are returned, so lane k starts
+    burn_in + k steps after a uniform start.  The noise is drawn
+    ``NOISE_BLOCK`` values at a time and no other state is kept, so the
+    memory does not grow with `burn_in`; the draws equal one
+    uniform(size=burn_in + lanes - 1) draw.
     """
-    table = np.empty(L + 1)
-    for lo in range(0, L + 1, _TABLE_CHUNK):
-        hi = min(lo + _TABLE_CHUNK, L + 1)
-        grid = np.arange(lo, hi) / L
-        if lo == 0:
-            grid[0] = _maps.EPS
-        if hi == L + 1:
-            grid[-1] = 1.0 - _maps.EPS
-        vals = table[lo:hi]
-        np.clip(np.asarray(m.raw_eval(grid), dtype=float), _maps.EPS, 1.0 - _maps.EPS, out=vals)
-        vals *= L
-    return table
+    f = m.raw_eval
+    lo, hi = _maps.EPS, 1.0 - _maps.EPS
+    x = rng.uniform()
+    starts = np.empty(lanes)
+    n = burn_in + lanes - 1
+    for b0 in range(0, n, NOISE_BLOCK):
+        noise = rng.uniform(-1.0, 1.0, size=min(NOISE_BLOCK, n - b0))
+        for k, u in enumerate(memoryview(noise), b0 + 1 - burn_in):
+            y = 1.0 - abs(1.0 - abs(f(x) + sigma * u))
+            x = lo if y < lo else hi if y > hi else y
+            if k >= 0:
+                starts[k] = x
+    return starts
 
 
 def mc_density(
@@ -325,19 +303,21 @@ def mc_density(
     burn_in: int = DEFAULT_BURN_IN,
     grid_factor: int = MC_GRID_FACTOR,
 ) -> DensityHistogram:
-    """Invariant density by dithered grid iteration, as one seeded run.
+    """Invariant density by noisy iteration, as one seeded run.
 
-    ``_LANES`` chains of :func:`lane_states` step in lockstep on the chain
-    grid Lc = grid_factor * L, from `burn_in` steps of lead chain.  The K
-    counted visits are their ceil(K / _LANES) steps, of which the last
-    counts only the first K - (ceil(K / _LANES) - 1) * _LANES chains.  Each
-    counted state j goes straight to output bin min(j // grid_factor, L - 1).
-    Deterministic for a given seed, in the draw order of :func:`lane_states`.
+    Each chain steps x <- M(x) + sigma * u, with u uniform on (-1, 1) and
+    sigma = 1 / (grid_factor * L), reflected into the unit interval
+    (y -> |y|, then y -> 1 - |1 - y|) and clamped to [EPS, 1 - EPS].  Small,
+    absolutely continuous noise keeps the invariant density stable (Kifer
+    1988; Boyarsky and Gora, *Laws of Chaos*, 1997), on maps of any slope.
 
-    The chain grid is finer than the L output bins because, with the two
-    equal, map slopes above 2 outrun the +-1-cell dither and leave
-    unreachable states (a comb artifact in the histogram); a finer chain grid
-    removes it while keeping the same recurrence.
+    ``LANES`` chains step in lockstep in numpy from the last states of one
+    lead chain (:func:`_noisy_lane_starts`), the lanes' noise drawn in
+    blocks of max(NOISE_BLOCK // LANES, 1) rows.  The K counted visits are
+    their ceil(K / LANES) steps, of which the last counts only the first
+    K - (ceil(K / LANES) - 1) * LANES chains.  Each counted state x goes to
+    bin min(floor(x * L), L - 1).  Every lane equals a scalar chain over its
+    own column of the noise, and the run is deterministic for a given seed.
     """
     if L < 64:
         raise ValueError(f"L={L} too small; need at least 64 grid points")
@@ -347,27 +327,43 @@ def mc_density(
         raise ValueError(f"burn_in={burn_in} too small; need at least 1000 to pass the transient")
     if grid_factor < 1:
         raise ValueError(f"grid_factor={grid_factor} must be a positive integer")
+    sigma = 1.0 / (grid_factor * L)
     # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    # an array from the first block on, so that it is allocated after the
-    # map table and does not add to the peak of the table's build
-    counts = 0
+    x = _noisy_lane_starts(m, LANES, burn_in, sigma, rng)
+    lo, hi = _maps.EPS, 1.0 - _maps.EPS
+    rows, block = -(-K // LANES), max(NOISE_BLOCK // LANES, 1)
+    counts = np.zeros(L, dtype=np.int64)
     left = K
-    for states in lane_states(m, L * grid_factor, _LANES, -(-K // _LANES), burn_in, rng):
+    for r0 in range(0, rows, block):
+        # each row of noise is stepped in place into the states it leads to
+        states = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), LANES))
+        states *= sigma
+        for y in states:
+            y += m.raw_eval(x)
+            np.abs(y, out=y)
+            np.subtract(1.0, y, out=y)
+            np.abs(y, out=y)
+            np.subtract(1.0, y, out=y)
+            np.clip(y, lo, hi, out=y)
+            x = y
+        x = states[-1].copy()
         # the first `left` states in row-major order are whole rows, then the
-        # last step of the first chains only; each is binned in place
+        # last step of the first chains only
         counted = states.ravel()[:left]
-        counted //= grid_factor
-        np.minimum(counted, L - 1, out=counted)  # state Lc lies in the top bin
-        counts += np.bincount(counted, minlength=L)
+        counted *= L
+        bins = counted.astype(np.int64)
+        np.minimum(bins, L - 1, out=bins)
+        counts += np.bincount(bins, minlength=L)
         left -= counted.size
+        del states, y, counted, bins  # before the next block is drawn
 
     weights = counts * (L / K)
     hist = DensityHistogram(
         L=L,
         weights=weights,
         method="montecarlo",
-        meta={"K": K, "burn_in": burn_in, "seed": seed, "rng": RNG_ALGORITHM, "lanes": _LANES},
+        meta={"K": K, "burn_in": burn_in, "seed": seed, "rng": RNG_ALGORITHM, "lanes": LANES},
     )
     hist.validate()
     return hist
@@ -474,7 +470,9 @@ def density_for(
     grid_factor: int | None = None,
 ) -> DensityHistogram:
     """Dispatch on method name ("montecarlo" | "fp_operator"); a `grid_factor`
-    of None takes the method's own default."""
+    of None takes the method's own default.  It sets the Monte Carlo noise
+    scale sigma = 1 / (grid_factor * L), and the operator's solve grid of
+    grid_factor * L bins."""
     if method == "montecarlo":
         gf = MC_GRID_FACTOR if grid_factor is None else grid_factor
         return mc_density(m, L, seed=seed, K=K, burn_in=burn_in, grid_factor=gf)

@@ -7,8 +7,8 @@ two sets describing the same region compare equal.  With
 their masses one word at a time, the route that the cut/code refinement in
 ``chaosrng.partition`` replaces.  :func:`uniform_density` and :func:`fp_step`
 (one transfer-operator step) serve the density tests, and
-:func:`mc_density_burn_in_per_lane` is the Monte Carlo route that fanning the
-lanes out of one lead chain replaced.
+:func:`scaled_map_table` is the map table that the grid chains of
+``chaosrng.density`` are held against.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 
 from chaosrng import density
 from chaosrng.density import DensityHistogram
+from chaosrng.maps import EPS
 
 
 class IntervalSet:
@@ -169,32 +170,28 @@ def fp_step(m, f: DensityHistogram) -> DensityHistogram:
     return DensityHistogram(L=f.L, weights=None, method="fp_operator", meta=meta, grid=f.grid, grid_weights=new)
 
 
-def mc_density_burn_in_per_lane(m, L, *, seed, K, burn_in=density.DEFAULT_BURN_IN, grid_factor=density.MC_GRID_FACTOR):
-    """``density.mc_density`` as it was before its lanes shared one lead chain.
+#: grid points per map evaluation in :func:`scaled_map_table`, so that a
+#: slice's float64 temporaries (128 KiB each) stay small
+_TABLE_CHUNK = 1 << 14
 
-    256 chains step in lockstep on the chain grid Lc = grid_factor * L from
-    their own uniform grid starts, and each discards its own first `burn_in`
-    states; the K counted visits are the next ceil(K / 256) steps in
-    row-major order.  Same seed spawn as ``mc_density``, so it is the slow
-    path that the statistical oracle holds the fast one against.
+
+def scaled_map_table(m, L: int) -> np.ndarray:
+    """table[j] = L * M(j/L) for grid states j = 0..L, clamped as the grid
+    chains clamp: x is EPS at j = 0 and 1 - EPS at j = L, and M(x) lies in
+    [EPS, 1 - EPS] before it is scaled.
+
+    Filled in slices of ``_TABLE_CHUNK`` points, clipped and scaled in place;
+    the values are those of one vectorized pass.
     """
-    lanes, block = 256, 64
-    Lc = L * grid_factor
-    table = density.scaled_map_table(m, Lc)
-    table[0] = table[1]  # 0 stands for state 1, as in mc_density
-    counts = np.zeros(L, dtype=np.int64)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    j = rng.integers(1, Lc + 1, size=lanes)
-    steps = burn_in + -(-K // lanes)
-    left = K
-    for lo in range(0, steps, block):
-        noise = rng.uniform(-1.0, 1.0, size=(min(block, steps - lo), lanes))
-        states = np.empty(noise.shape, dtype=np.int64)
-        for u, row in zip(noise, states):
-            u += table[j]
-            row[:] = u
-            j = row
-        counted = states[max(burn_in - lo, 0) :].ravel()[:left]
-        counts += np.bincount(np.minimum(np.maximum(counted, 1) // grid_factor, L - 1), minlength=L)
-        left -= counted.size
-    return DensityHistogram(L=L, weights=counts * (L / K), method="montecarlo", meta={"K": K, "seed": seed})
+    table = np.empty(L + 1)
+    for lo in range(0, L + 1, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, L + 1)
+        grid = np.arange(lo, hi) / L
+        if lo == 0:
+            grid[0] = EPS
+        if hi == L + 1:
+            grid[-1] = 1.0 - EPS
+        vals = table[lo:hi]
+        np.clip(np.asarray(m.raw_eval(grid), dtype=float), EPS, 1.0 - EPS, out=vals)
+        vals *= L
+    return table

@@ -26,8 +26,8 @@ from chaosrng.bitstream import (
     write_stream,
     write_stream_ascii,
 )
-from chaosrng.density import scaled_map_table
 from chaosrng.maps import EPS
+from reference import scaled_map_table
 
 bit_arrays = st.lists(st.integers(0, 1), min_size=1, max_size=200).map(
     lambda v: np.array(v, dtype=np.uint8)

@@ -27,11 +27,10 @@ from chaosrng.density import (
     fp_fixed_point,
     l1_distance,
     mc_density,
-    scaled_map_table,
     solve_grid,
 )
 from chaosrng.partition import SymbolPartition
-from reference import IntervalSet, fp_step, mc_density_burn_in_per_lane, set_mass, uniform_density
+from reference import IntervalSet, fp_step, scaled_map_table, set_mass, uniform_density
 from strategies import map_models
 
 
@@ -118,10 +117,10 @@ def test_mc_metadata_and_normalization(tent, tmp_path):
     h.validate()
     assert h.method == "montecarlo"
     assert h.meta["rng"] == "PCG64"
-    assert h.meta["lanes"] == density._LANES
+    assert h.meta["lanes"] == density.LANES
     assert h.meta["seed"] == 1
     assert h.weights.sum() / h.L == pytest.approx(1.0, abs=1e-12)
-    assert json.loads(json.dumps(h.to_dict()))["lanes"] == density._LANES
+    assert json.loads(json.dumps(h.to_dict()))["lanes"] == density.LANES
 
 
 def test_mc_tent_near_uniform(tent):
@@ -172,7 +171,7 @@ def test_grid_bits_match_one_shot_table(data):
 
 
 # ---------------------------------------------------------------------------
-# chain kernel against the per-step numpy loop over the map table it replaced
+# grid chain kernel against a per-step numpy loop over the map table
 
 
 def reference_chain(table, noise, j0, L):
@@ -275,22 +274,34 @@ def test_lane_starts_are_the_lead_chains_last_states(data):
     assert rng.uniform() == ref.uniform()
 
 
+def noisy_chain(m, noise, x, sigma):
+    """mc_density's chain stepped alone on Python floats from x, one state
+    per noise value: x <- M(x) + sigma * u, reflected at 0 and 1, clamped."""
+    states = []
+    for u in noise.tolist():
+        y = abs(m.raw_eval(x) + sigma * u)
+        y = 1.0 - abs(1.0 - y)
+        x = min(max(y, _maps.EPS), 1.0 - _maps.EPS)
+        states.append(x)
+    return states
+
+
 def serial_lane_counts(m, L, lanes, *, seed, K, burn_in, grid_factor):
-    """Per-bin visits of mc_density's chains, each run alone by chain_states
-    from its lead-chain start over its own column of the noise, counted by
-    chain state and then folded onto the output bins."""
-    Lc = L * grid_factor
-    visits = np.zeros(Lc + 1, dtype=np.int64)
+    """Per-bin visits of mc_density's chains, each run alone by noisy_chain
+    over its own column of the noise, from the lead chain's state burn_in + k
+    for lane k."""
+    sigma = 1.0 / (grid_factor * L)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    starts = lead_chain_starts(m, Lc, lanes, burn_in, rng)
+    x0 = rng.uniform()
+    starts = noisy_chain(m, rng.uniform(-1.0, 1.0, size=burn_in + lanes - 1), x0, sigma)[burn_in - 1 :]
     counted_steps = -(-K // lanes)
     noise = rng.uniform(-1.0, 1.0, size=(counted_steps, lanes))
     last = K - (counted_steps - 1) * lanes  # lanes that take the last counted step
+    counts = np.zeros(L, dtype=np.int64)
     for b in range(lanes):
-        states = run_chain(m, noise[:, b], int(starts[b]), Lc)
-        np.add.at(visits, states[: counted_steps - (b >= last)], 1)
-    bins = np.minimum((np.arange(1, Lc + 1) * L) // Lc, L - 1)
-    return np.bincount(bins, weights=visits[1:], minlength=L).astype(np.int64)
+        for x in noisy_chain(m, noise[:, b], starts[b], sigma)[: counted_steps - (b >= last)]:
+            counts[min(math.floor(x * L), L - 1)] += 1
+    return counts
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,8 +309,7 @@ def serial_lane_counts(m, L, lanes, *, seed, K, burn_in, grid_factor):
 def test_mc_lanes_match_serial_chains(data):
     # one lane, a few, and more lanes than visits (K < lanes); blocks of
     # NOISE_BLOCK values hold 1 to 41 whole rows, so they split the counted
-    # rows anywhere, and the lead chain's burn-in too.  The cut puts the chain
-    # grid on either side, so the lanes gather from the table or evaluate the map
+    # rows anywhere, and the lead chain's burn-in too
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     kw = dict(
         seed=data.draw(st.integers(0, 2**32)),
@@ -309,27 +319,22 @@ def test_mc_lanes_match_serial_chains(data):
     )
     lanes = data.draw(st.one_of(st.just(1), st.integers(2, 9), st.integers(6_401, 7_100)))
     block = data.draw(st.integers(1, 41 * lanes))
-    Lc = 64 * kw["grid_factor"]
-    cut = Lc - data.draw(st.integers(0, 1))
-    with mock.patch.object(density, "_LANES", lanes), mock.patch.object(density, "NOISE_BLOCK", block):
-        with mock.patch.object(density, "_GATHER_MAX_L", cut):
-            h = mc_density(m, 64, **kw)
+    with mock.patch.object(density, "LANES", lanes), mock.patch.object(density, "NOISE_BLOCK", block):
+        h = mc_density(m, 64, **kw)
     assert h.meta["lanes"] == lanes
     assert np.array_equal(visit_counts(h), serial_lane_counts(m, 64, lanes, **kw))
-    # the table holds the map values that the serial chains evaluate per step
-    scalar = [Lc * min(max(m.raw_eval(j / Lc if j < Lc else 1.0 - _maps.EPS), _maps.EPS), 1.0 - _maps.EPS) for j in range(1, Lc + 1)]
-    assert scaled_map_table(m, Lc)[1:].tolist() == scalar
 
 
 @pytest.mark.parametrize("block", [7, 333, 1000])
 def test_mc_burn_in_across_chunk_boundaries(cubic, block):
-    # blocks of `block` noise values: the lead chain's 999 burn-in steps end
-    # inside a block (7, 1000) and on a block boundary (333), and the counted
-    # rows come 1 or 3 to a block; K = 7001 is no multiple of the lane count,
-    # and with 10^4 lanes the run has fewer visits than lanes
+    # blocks of `block` noise values: the lead chain's 999 steps before the
+    # first lane start end inside a block (7, 1000) and on a block boundary
+    # (333), and the counted rows come 1 or 3 to a block; K = 7001 is no
+    # multiple of the lane count, and with 10^4 lanes the run has fewer
+    # visits than lanes
     kw = dict(seed=5, K=7_001, burn_in=1_000, grid_factor=2)
     for lanes in (256, 10_000):
-        with mock.patch.object(density, "_LANES", lanes):
+        with mock.patch.object(density, "LANES", lanes):
             with mock.patch.object(density, "NOISE_BLOCK", 1 << 20):
                 one_block = mc_density(cubic, 64, **kw)
             with mock.patch.object(density, "NOISE_BLOCK", block):
@@ -338,33 +343,33 @@ def test_mc_burn_in_across_chunk_boundaries(cubic, block):
         assert visit_counts(blocked).sum() == kw["K"]
 
 
-def test_mc_matches_burn_in_per_lane_within_sampling_bound():
-    # the fanned-out lanes sample the law that chains with a burn-in each
-    # sampled.  With independent visits, bin i's visit share has variance
-    # p_i / K in each run, so |difference| has mean sqrt(2/pi) sqrt(2 p_i / K)
-    # and variance (1 - 2/pi) 2 p_i / K; summed over the bins, the L1 has
-    # mean 2 / sqrt(pi K) * sum sqrt(p_i) and sd sqrt((1 - 2/pi) 2 / K).  The
-    # ratio of L1 to that mean read 0.94-1.05 over seeds 0-12 on all four
+def test_mc_matches_fp_within_sampling_bound():
+    # with independent visits, bin i's visit share has variance p_i / K, so
+    # its distance to p_i has mean sqrt(2/pi) sqrt(p_i / K) and variance
+    # (1 - 2/pi) p_i / K; summed over the bins, L1(mc, fp) has mean
+    # sqrt(2 / (pi K)) * sum sqrt(p_i) and sd sqrt((1 - 2/pi) / K).  The
+    # ratio of L1 to that mean read 0.98-1.15 over seeds 0-5 on all four
     # maps; the bound allows 1.44 times the independent visit variance (1.2
     # times the mean) plus 4 sd
     L, K = 4096, 4_000_000
     for name, make in sorted(_maps.BUILTIN_MAPS.items()):
         m = make()
-        fast = mc_density(m, L, seed=0, K=K)
-        slow = mc_density_burn_in_per_lane(m, L, seed=0, K=K)
-        p = (fast.weights + slow.weights) / (2 * L)
-        mean = 2.0 / math.sqrt(math.pi * K) * np.sqrt(p).sum()
-        sd = math.sqrt((1.0 - 2.0 / math.pi) * 2.0 / K)
-        d = l1_distance(fast, slow)
+        fp = fp_fixed_point(m, L)
+        p = fp.weights / L
+        mean = math.sqrt(2.0 / (math.pi * K)) * np.sqrt(p).sum()
+        sd = math.sqrt((1.0 - 2.0 / math.pi) / K)
+        d = l1_distance(mc_density(m, L, seed=0, K=K), fp)
         assert d < 1.2 * mean + 4.0 * sd, (name, d, mean)
 
 
-#: tracemalloc peak of one verify-size mc_density (L 4096, K 4e6): the
-#: per-lane burn-in route peaked at 1 084 184 bytes on the cubic, the map
-#: table (65537 floats, 524 KB) and one 16384-state block with its bin
-#: temporaries; the fanned-out lanes read 1 084 168.  An Lc-sized int64
-#: temporary would add 524 KB
-MC_PEAK = 1_100_000
+#: tracemalloc peak of one verify-size mc_density (L 4096, K 4e6): 362 312
+#: bytes on every built-in map, while a block is binned.  Alive then are the
+#: 16384-state float64 block and its int64 bins (128 KiB each), bincount's
+#: result, the counts and the lanes' states (32 KiB each).  The bound leaves
+#: 38 KB of margin, about one more lane row; a second block-sized array, or
+#: a map table of the 65 537-point grid that sigma spans (524 KB), would
+#: exceed it
+MC_PEAK = 400_000
 
 
 @pytest.mark.parametrize("burn_in", [DEFAULT_BURN_IN, 20 * DEFAULT_BURN_IN])
@@ -401,18 +406,14 @@ def test_generate_bits_matches_reference_loop(cubic, branch_part, length, start)
 def test_stream_lanes_match_serial_chains(data):
     # each column of the lane sampler is a chain_states run over its own noise
     # column from its lead-chain start; blocks of NOISE_BLOCK values end inside
-    # and at the end of the lead chain's burn-in and split the rows anywhere.
-    # The coarse grids fall on either side of the cut, so the lanes gather
-    # from the table or evaluate the map; the fine ones only evaluate
+    # and at the end of the lead chain's burn-in and split the rows anywhere
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     s = SymbolPartition.from_pairs([(0.0, data.draw(st.floats(0.2, 0.8)))])
     seed = data.draw(st.integers(0, 2**32))
     L = data.draw(st.sampled_from([64, 1000, 1 << 24, 1 << 53]))
     lanes, rows = data.draw(st.integers(2, 9)), data.draw(st.integers(1, 200))
-    cut = L - data.draw(st.integers(0, 1)) if L <= 1000 else 1000
     with mock.patch.object(density, "NOISE_BLOCK", data.draw(st.integers(1, 70 * lanes))):
-        with mock.patch.object(density, "_GATHER_MAX_L", cut):
-            block = generate_bits(m, s, rows, seed=seed, L=L, lanes=lanes)
+        block = generate_bits(m, s, rows, seed=seed, L=L, lanes=lanes)
     assert block.shape == (rows, lanes) and block.dtype == np.uint8
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
     starts = lead_chain_starts(m, L, lanes, bitstream._LANE_BURN_IN, rng)
@@ -424,14 +425,30 @@ def test_stream_lanes_match_serial_chains(data):
 
 @pytest.mark.parametrize("L", [1000, 1 << 24])
 def test_lane_blocks_belong_to_the_caller(cubic, L):
-    # on both sides of the gather cut, a caller that overwrites every block
-    # (as mc_density bins in place) gets the same later blocks as one that
-    # keeps them
+    # a caller that overwrites every block gets the same later blocks as one
+    # that keeps them
     kept = [b.copy() for b in density.lane_states(cubic, L, 64, 700, 100, np.random.default_rng(4))]
     for n, b in enumerate(density.lane_states(cubic, L, 64, 700, 100, np.random.default_rng(4))):
         assert np.array_equal(b, kept[n]) and b.min() >= 1 and b.max() <= L
         b[:] = 0
     assert n + 1 == len(kept) == 3 and sum(len(b) for b in kept) == 700
+
+
+def test_lanes_evaluate_the_top_state_below_one():
+    # at state L the lanes evaluate the map at x = 1 - EPS, not at 1, as
+    # chain_states does.  On a grid of 2^53 points L * |M(1) - M(1 - EPS)|
+    # spans several cells on every built-in map, so the two give different
+    # next states; every lane starts at L
+    L, lanes, rows = 1 << 53, 5, 3
+    for name, make in sorted(_maps.BUILTIN_MAPS.items()):
+        m = make()
+        at_one, below = (min(max(m.raw_eval(x), _maps.EPS), 1.0 - _maps.EPS) for x in (1.0, 1.0 - _maps.EPS))
+        assert L * abs(at_one - below) > 4, name
+        with mock.patch.object(density, "_lane_starts", lambda *args: np.full(lanes, L, dtype=np.int64)):
+            (block,) = density.lane_states(m, L, lanes, rows, 100, np.random.default_rng(6))
+        noise = np.random.default_rng(6).uniform(-1.0, 1.0, size=(rows, lanes))
+        for b in range(lanes):
+            assert block[:, b].tolist() == chain_states(m, noise[:, b], L, L).tolist(), (name, b)
 
 
 def test_stream_lanes_reject_what_they_do_not_model(cubic, branch_part):

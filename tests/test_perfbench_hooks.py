@@ -53,6 +53,22 @@ def test_bitgen_workload_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path
     assert values["bits"] == 2_000_000
 
 
+def test_verify_workload_outputs_pass_the_benchmark_checks(monkeypatch, tmp_path, capsys):
+    # every verify op of the benchmark passes each of verify's own checks
+    # outright, so that none leans on an exemption for a known defect
+    run = load_perfbench(monkeypatch, "run")
+    checks = load_perfbench(monkeypatch, "checks")
+    ops = run.WORKLOADS["verify-4maps"]
+    assert ops
+    monkeypatch.chdir(tmp_path)  # the workload's output directory is relative
+    for op in ops:
+        code = main(op.argv(0))
+        found, _ = checks.check_verify(op.args[op.args.index("--map") + 1], code, capsys.readouterr().out)
+        assert code == 0, op.name
+        assert [c.name for c in found] == [*checks.VERIFY_CHECKS, "exit code"]
+        assert all(c.ok for c in found), [c.line() for c in found]
+
+
 def test_traced_verify_runs_inside_traced_stages(monkeypatch, tmp_path, capsys):
     # the benchmark's traced run fails when more of a command's time than the
     # tracing overhead falls outside every stage it wraps; verify's stream
