@@ -11,6 +11,7 @@ periodic orbits.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import density as _density
-from .density import RNG_ALGORITHM, chain_states, lane_states
+from .density import RNG_ALGORITHM
 from .entropy import ProbabilityTable
 from .maps import EPS, MapModel
 from .partition import SymbolPartition
@@ -46,6 +47,51 @@ class InsufficientDataError(ValueError):
     """Stream too short for the requested pattern depth."""
 
 
+def chain_states(m: MapModel, noise, j0: int, L: int) -> np.ndarray:
+    """Run the dithered grid chain j <- clip(floor(L * M(j/L) + u), 1, L).
+
+    Starts at state j0 in 1..L and returns the visited states j_1..j_n (one
+    per noise value, j0 excluded) as one int64 array.  Each step evaluates
+    the map once, on a Python float (``MapModel.raw_eval``'s scalar path):
+    x = j/L (1 - EPS at j = L), M(x) clamped into [EPS, 1 - EPS], then
+    scaled by L.  So the chain equals one stepped through a table of those
+    values, and holds no L-sized array.
+    """
+    if not 1 <= j0 <= L:
+        raise ValueError(f"start state j0={j0} must lie in 1..{L}")
+    f = m.raw_eval
+    nz = memoryview(np.ascontiguousarray(noise, dtype=np.float64))
+    floor = math.floor
+    lo, hi = EPS, 1.0 - EPS
+    # int / int and float * float are CPython's fast paths for j/L and L*y;
+    # for L < 2^53 float(L) is exact, so the products are the table's
+    Lf = float(L)
+    j = int(j0)
+    states = []
+    append = states.append
+    for u in nz:
+        y = f(j / L if j < L else hi)
+        v = floor(Lf * (lo if y < lo else hi if y > hi else y) + u)
+        j = 1 if v < 1 else (L if v > L else v)
+        append(j)
+    return np.array(states, dtype=np.int64)
+
+
+def _chain_chunks(m: MapModel, j: int, L: int, n: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The states j_1..j_n of the grid chain from state j, in chunks.
+
+    Each chunk is one :func:`chain_states` run over a draw of at most
+    ``density.NOISE_BLOCK`` noise values of `rng`, from the last state of
+    the chunk before.  So the chunks, joined, are one run over one
+    uniform(size=n) draw, and `rng` ends where that draw leaves it.
+    """
+    block = _density.NOISE_BLOCK
+    for lo in range(0, n, block):
+        states = chain_states(m, rng.uniform(-1.0, 1.0, size=min(block, n - lo)), j, L)
+        yield states
+        j = int(states[-1])
+
+
 def bit_chunks(
     m: MapModel,
     s: SymbolPartition,
@@ -58,10 +104,10 @@ def bit_chunks(
 ) -> Iterator[np.ndarray]:
     """The stream of :func:`generate_bits`, in order, as uint8 chunks of 0/1.
 
-    Chunks hold at most ``density.NOISE_BLOCK`` bits, the noise values per
-    draw and so the states per :func:`density.chain_states` call, so a
-    consumer of them holds O(chunk) memory at every length and grid L.  The
-    arguments are checked on the call, before the first chunk is asked for.
+    Chunks hold at most ``density.NOISE_BLOCK`` bits, the states of one
+    chunk of :func:`_chain_chunks`, so a consumer of them holds O(chunk)
+    memory at every length and grid L.  The arguments are checked on the
+    call, before the first chunk is asked for.
     """
     _check_stream(length, L, dither, start)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -85,14 +131,9 @@ def _dithered_chunks(m, s, length, rng, L, start):
     else:
         j = int(rng.integers(1, L + 1))
     yield np.array([s.symbol_of(j / L)], dtype=np.uint8)
-    # the same doubles as one uniform(size=length - 1) draw; bit n is read
-    # from state j_n
-    chunk = _density.NOISE_BLOCK
-    for lo in range(0, length - 1, chunk):
-        noise = rng.uniform(-1.0, 1.0, size=min(chunk, length - 1 - lo))
-        states = chain_states(m, noise, j, L)
+    # bit n is read from state j_n
+    for states in _chain_chunks(m, j, L, length - 1, rng):
         yield s.symbol_of(states / L).astype(np.uint8)
-        j = int(states[-1])
 
 
 def _raw_chunks(m, s, length, rng, start):
@@ -124,17 +165,16 @@ def generate_bits(
     """Binary sequence of `length` bits from iterating the map; uint8 array of 0/1.
 
     Dither on: the digitized grid recurrence (state stays on j/L), stepped
-    by :func:`density.chain_states` on the map itself.  Besides the output it
-    holds O(``density.NOISE_BLOCK``) memory at every grid L: the noise is
-    drawn and the states classified one chunk at a time (:func:`bit_chunks`).
+    by :func:`chain_states` on the map itself.  Besides the output it holds
+    O(``density.NOISE_BLOCK``) memory at every grid L: the noise is drawn
+    and the states classified one chunk at a time (:func:`bit_chunks`).
     Dither off: raw float iteration - deterministic, and demonstrably
     degenerate over long runs.  `start` is an explicit x_0 in (0, 1); None
     draws it from the seeded generator.
 
     With ``lanes`` > 1 the result is a (length, lanes) block from as many
-    dithered chains of :func:`density.lane_states`, one per column: samples
-    of the generator's word law, not one physical stream.  See
-    :func:`_lane_block`.
+    dithered chains, one per column: samples of the generator's word law,
+    not one physical stream.  See :func:`_lane_block`.
     """
     if lanes != 1:
         if lanes < 1 or not dither or start is not None:
@@ -153,18 +193,38 @@ def generate_bits(
 def _lane_block(m, s, rows, seed, L, lanes):
     """`rows` bits down each of `lanes` dithered grid chains, as a uint8 block.
 
-    The chains are those of :func:`density.lane_states`, after
-    ``_LANE_BURN_IN`` steps of lead chain, and bit r of a lane is read from
-    its state r + 1 steps after its start.  Each block of states is
-    classified as it is stepped.
+    The chains start at the states ``_LANE_BURN_IN`` .. ``_LANE_BURN_IN`` +
+    lanes - 1 of one lead chain (:func:`_chain_chunks`) from a uniform grid
+    state, so the lanes are independent given those starts, not from the
+    start.  Bit r of a lane is read from its state r + 1 steps after its
+    start.
+
+    The generator draws the lead chain's start, then its noise, then the
+    lanes' noise one block of ``density.NOISE_BLOCK`` values (whole rows, at
+    least one) at a time.  Each block is stepped in place, row by row, into
+    the states it leads to, and classified.  A step evaluates ``m.raw_eval``
+    once on the array of all lanes with the float64 operations of
+    :func:`chain_states`, so each chain equals a :func:`chain_states` run
+    over its own column of the noise.
     """
     # spawn(2)[1]: apart from the draws of mc_density, which takes spawn(1)[0]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(2)[1]))
+    lead = _chain_chunks(m, int(rng.integers(1, L + 1)), L, _LANE_BURN_IN + lanes - 1, rng)
+    j = np.concatenate(list(lead))[_LANE_BURN_IN - 1 :]
+    lo, hi = EPS, 1.0 - EPS
+    block = max(_density.NOISE_BLOCK // lanes, 1)
     out = np.empty((rows, lanes), dtype=np.uint8)
-    r0 = 0
-    for states in lane_states(m, L, lanes, rows, _LANE_BURN_IN, rng):
+    for r0 in range(0, rows, block):
+        states = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), lanes))
+        for u in states:
+            # the map at j/L, and 1 - EPS at j = L, clamped and scaled by L
+            y = np.clip(m.raw_eval(np.where(j < L, j / L, hi)), lo, hi)
+            y *= L
+            u += y
+            np.floor(u, out=u)
+            np.clip(u, 1, L, out=u)
+            j = u
         out[r0 : r0 + len(states)] = s.symbol_of(states / L)
-        r0 += len(states)
     return out
 
 

@@ -14,8 +14,6 @@ L1 distance is a built-in cross-check of either route.
 from __future__ import annotations
 
 import csv
-import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +35,10 @@ MC_GRID_FACTOR = 16
 
 class ResolutionError(ValueError):
     """Requested resolution is below the method's floor (K must be >> L)."""
+
+
+class MassLossError(RuntimeError):
+    """A transfer-operator step carried no mass into any bin."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -163,108 +165,20 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 
 
 #: lockstep chains of both lane samplers, :func:`mc_density` and verify's
-#: check stream (:func:`lane_states`), a constant so that no output depends on
-#: the machine.  Each fans its lanes out of one burned-in lead chain, so burn-in
-#: is paid once and a wider row costs only its own numpy work.  On a 2-core
-#: Xeon a verify-size cubic Monte Carlo run (K = 4e6) took 0.079 s at 1024
-#: lanes, 0.052 s at 4096 and 0.049 s at 8192, best of 5
+#: check stream (``bitstream.generate_bits`` with ``lanes``), a constant so
+#: that no output depends on the machine.  Each fans its lanes out of one
+#: burned-in lead chain, so burn-in is paid once and a wider row costs only
+#: its own numpy work.  On a 2-core Xeon a verify-size cubic Monte Carlo run
+#: (K = 4e6) took 0.079 s at 1024 lanes, 0.052 s at 4096 and 0.049 s at
+#: 8192, best of 5
 LANES = 4096
-#: noise values per draw of every chain sampler: the serial stream's chunks
-#: (``bitstream.bit_chunks``), the lead chains' blocks, and the lane blocks of
-#: max(NOISE_BLOCK // lanes, 1) rows (128 KiB of float64 noise).  A serial
-#: chunk's Python list and ints cost about 40 bytes a state, so 2^14 keeps it
-#: near 1 MB; chunks of 2^12 to 2^16 stepped a 2e6-state chain equally fast,
-#: within noise
+#: noise values per draw of every chain sampler: the grid chain's chunks
+#: (``bitstream.bit_chunks`` and the stream lanes' lead chain), the noisy
+#: lead chain's blocks, and the lane blocks of max(NOISE_BLOCK // lanes, 1)
+#: rows (128 KiB of float64 noise).  A serial chunk's Python list and ints
+#: cost about 40 bytes a state, so 2^14 keeps it near 1 MB; chunks of 2^12
+#: to 2^16 stepped a 2e6-state chain equally fast, within noise
 NOISE_BLOCK = 1 << 14
-
-
-def chain_states(m: MapModel, noise, j0: int, L: int) -> np.ndarray:
-    """Run the dithered grid chain j <- clip(floor(L * M(j/L) + u), 1, L).
-
-    Starts at state j0 in 1..L and returns the visited states j_1..j_n (one
-    per noise value, j0 excluded) as one int64 array.  Each step evaluates
-    the map once, on a Python float (``MapModel.raw_eval``'s scalar path):
-    x = j/L (1 - EPS at j = L), M(x) clamped into [EPS, 1 - EPS], then
-    scaled by L.  So the chain equals one stepped through a table of those
-    values, and holds no L-sized array.
-    """
-    if not 1 <= j0 <= L:
-        raise ValueError(f"start state j0={j0} must lie in 1..{L}")
-    f = m.raw_eval
-    nz = memoryview(np.ascontiguousarray(noise, dtype=np.float64))
-    floor = math.floor
-    lo, hi = _maps.EPS, 1.0 - _maps.EPS
-    # int / int and float * float are CPython's fast paths for j/L and L*y;
-    # for L < 2^53 float(L) is exact, so the products are the table's
-    Lf = float(L)
-    j = int(j0)
-    states = []
-    append = states.append
-    for u in nz:
-        y = f(j / L if j < L else hi)
-        v = floor(Lf * (lo if y < lo else hi if y > hi else y) + u)
-        j = 1 if v < 1 else (L if v > L else v)
-        append(j)
-    return np.array(states, dtype=np.int64)
-
-
-def _lane_starts(m: MapModel, L: int, lanes: int, burn_in: int, rng: np.random.Generator) -> np.ndarray:
-    """Start states of `lanes` grid chains, fanned out of one lead chain.
-
-    The lead chain starts at a uniform grid state, drawn first, and
-    :func:`chain_states` steps it over the next burn_in + lanes - 1 noise
-    values of `rng`; its states burn_in .. burn_in + lanes - 1 are returned,
-    so lane k starts burn_in + k steps after a uniform start.  The burn-in
-    is stepped ``NOISE_BLOCK`` values at a time and only its last state
-    kept, so the memory does not grow with `burn_in`; the draws equal one
-    uniform(size=burn_in + lanes - 1) draw.
-    """
-    j = int(rng.integers(1, L + 1))
-    for lo in range(0, burn_in - 1, NOISE_BLOCK):
-        j = int(chain_states(m, rng.uniform(-1.0, 1.0, size=min(NOISE_BLOCK, burn_in - 1 - lo)), j, L)[-1])
-    return chain_states(m, rng.uniform(-1.0, 1.0, size=lanes), j, L)
-
-
-def lane_states(
-    m: MapModel, L: int, lanes: int, rows: int, burn_in: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """`rows` lockstep steps of `lanes` dithered grid chains on L points, as
-    (r, lanes) int64 blocks of states in 1..L.
-
-    The chains start at the states burn_in .. burn_in + lanes - 1 of one
-    serial lead chain (:func:`_lane_starts`), so every state lies at least
-    `burn_in` steps after a uniform start; the lanes are independent given
-    those starts, not from the start.  Row r of the blocks, taken in order,
-    holds each chain's state r + 1 steps after its start.
-
-    `rng` draws the lead chain's start, then its noise, then the lanes'
-    noise one block of ``NOISE_BLOCK`` values (whole rows, at least one) at
-    a time, each block's just before its rows are stepped.  A step evaluates
-    ``m.raw_eval`` once on the array of all lanes with the float64
-    operations of :func:`chain_states`, so each chain equals a
-    :func:`chain_states` run over its own column of the noise.  A yielded
-    block belongs to the caller, who may overwrite it.
-    """
-    j = _lane_starts(m, L, lanes, burn_in, rng)
-    lo, hi = _maps.EPS, 1.0 - _maps.EPS
-    block = max(NOISE_BLOCK // lanes, 1)
-    for r0 in range(0, rows, block):
-        noise = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), lanes))
-        states = np.empty(noise.shape, dtype=np.int64)
-        for u, row in zip(noise, states):
-            # the map at j/L, and 1 - EPS at j = L, clamped and scaled by L
-            y = np.clip(m.raw_eval(np.where(j < L, j / L, hi)), lo, hi)
-            y *= L
-            u += y
-            np.floor(u, out=u)
-            np.clip(u, 1, L, out=u)
-            row[:] = u
-            j = row
-        # a copy, so that the caller may overwrite the block; the spent noise
-        # (u is a view of it) goes before the next block's is drawn
-        j = states[-1].copy()
-        del noise, u
-        yield states
 
 
 def _noisy_lane_starts(m: MapModel, lanes: int, burn_in: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -417,7 +331,7 @@ def _fp_apply(terms: list, w: np.ndarray) -> np.ndarray:
     new = np.maximum(np.diff(phi), 0.0)
     total = new.sum()
     if total <= 0:
-        raise RuntimeError("transfer step annihilated all mass")
+        raise MassLossError("transfer step annihilated all mass")
     new *= n / total
     return new
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -61,7 +62,7 @@ class MapModel:
     ``raw_eval`` is M itself, unclamped.  On a float array it returns the
     array of values; on a Python float it returns a Python float, bit for
     bit the element the array path gives for that x.  The scalar path is
-    what a serial chain steps (``density.chain_states``), so it stays free
+    what a serial chain steps (``bitstream.chain_states``), so it stays free
     of numpy calls.
     """
 
@@ -170,7 +171,7 @@ def _smooth_branches(f, cut_points: Sequence[float], inverses: Sequence | None =
 
 def _linear_branch(x0: float, x1: float, y0: float, y1: float) -> Branch:
     if y0 == y1:
-        raise ValueError(f"flat segment on ({x0}, {x1}): map must be strictly monotone per branch")
+        raise MapConfigError(f"flat segment on ({x0}, {x1}): map must be strictly monotone per branch")
     slope_ = (y1 - y0) / (x1 - x0)
 
     def inverse(y):
@@ -285,31 +286,76 @@ class MapConfigError(ValueError):
     """Malformed or unsupported map configuration."""
 
 
-def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[float], name: str = "polynomial") -> MapModel:
-    coeffs = [float(c) for c in coefficients]
-    for cp in critical_points:
-        if not 0.0 < cp < 1.0:
-            raise MapConfigError(f"critical point outside (0,1): {cp}")
+def _numbers(name: str, values, *, empty: bool = False) -> list[float]:
+    """`values` as floats, or MapConfigError unless it is a list of finite
+    numbers (a non-empty one unless `empty`)."""
+    if isinstance(values, (list, tuple, np.ndarray)) and (empty or len(values) > 0):
+        if all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            try:
+                out = [float(v) for v in values]
+            except OverflowError:  # an integer beyond the float range
+                out = [math.inf]
+            if all(map(math.isfinite, out)):
+                return out
+    kind = "a list" if empty else "a non-empty list"
+    raise MapConfigError(f"{name} must be {kind} of finite numbers, got {values!r}")
+
+
+def _horner(coeffs: list[float]):
+    """x -> sum_k coeffs[k] x^k on floats and float arrays: the Horner steps of
+    np.polynomial.polynomial.polyval, written out so that a float costs no
+    numpy call."""
 
     def f(x):
-        # the Horner steps of np.polynomial.polynomial.polyval, written out so
-        # that a float costs no numpy call
         acc = coeffs[-1] + x * 0
         for c in coeffs[-2::-1]:
             acc = c + acc * x
         return acc
 
+    return f
+
+
+def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[float], name: str = "polynomial") -> MapModel:
+    """The polynomial sum_k coefficients[k] x^k, split into monotone branches
+    at the declared critical points.
+
+    Raises MapConfigError unless the critical points are distinct and lie in
+    (0, 1), the values at the branch ends lie in [0, 1] (up to the 1e-12 that
+    ``_smooth_branches`` snaps), and the polynomial is monotone on every
+    declared branch: its values at the branch ends and at the real parts of
+    the roots of its derivative inside the branch, in order, never step the
+    other way by more than 1e-12.  Together these hold M((0, 1)) in [0, 1].
+    """
+    coeffs = _numbers("coefficients", coefficients)
+    cuts = sorted(_numbers("critical_points", critical_points, empty=True))
+    for cp in cuts:
+        if not 0.0 < cp < 1.0:
+            raise MapConfigError(f"critical point outside (0,1): {cp}")
+    if len(set(cuts)) < len(cuts):
+        raise MapConfigError(f"critical points repeat: {cuts}")
+
+    f = _horner(coeffs)
+    edges = [0.0, *cuts, 1.0]
+    for x in edges:
+        if not -1e-12 <= f(x) <= 1.0 + 1e-12:
+            raise MapConfigError(f"value {f(x)!r} at x = {x} lies outside [0, 1]")
+    P = np.polynomial.polynomial
+    stationary = P.polyroots(P.polyder(coeffs)).real.tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        steps = np.diff([f(x) for x in [lo, *sorted(r for r in stationary if lo < r < hi), hi]])
+        if f(lo) == f(hi) or (steps.min() < -1e-12 and steps.max() > 1e-12):
+            raise MapConfigError(f"not monotone on the branch ({lo}, {hi}); declare every critical point")
     return MapModel(
         name=name,
         raw_eval=f,
-        branches=_smooth_branches(f, critical_points),
+        branches=_smooth_branches(f, cuts),
     )
 
 
 def piecewise_linear_map(breakpoints: Sequence[float], values: Sequence[float], name: str = "piecewise_linear") -> MapModel:
     """Continuous piecewise-linear map through (breakpoints[i], values[i])."""
-    xs = [float(x) for x in breakpoints]
-    ys = [float(y) for y in values]
+    xs = _numbers("breakpoints", breakpoints)
+    ys = _numbers("values", values)
     if len(xs) != len(ys) or len(xs) < 2:
         raise MapConfigError("breakpoints and values must be equal-length lists (>= 2 entries)")
     if xs[0] != 0.0 or xs[-1] != 1.0 or any(a >= b for a, b in zip(xs, xs[1:])):
@@ -354,7 +400,7 @@ def map_from_config(cfg: dict) -> MapModel:
     kind = cfg.get("type")
     if kind == "builtin":
         name = cfg.get("name")
-        if name not in BUILTIN_MAPS:
+        if not isinstance(name, str) or name not in BUILTIN_MAPS:
             raise MapConfigError(f"unknown builtin map {name!r}; choose from {sorted(BUILTIN_MAPS)}")
         return BUILTIN_MAPS[name]()
     if kind == "polynomial":

@@ -8,7 +8,7 @@ their masses one word at a time, the route that the cut/code refinement in
 ``chaosrng.partition`` replaces.  :func:`uniform_density` and :func:`fp_step`
 (one transfer-operator step) serve the density tests, and
 :func:`scaled_map_table` is the map table that the grid chains of
-``chaosrng.density`` are held against.
+``chaosrng.bitstream`` are held against.
 """
 from __future__ import annotations
 

@@ -3,10 +3,11 @@ from hypothesis import strategies as st
 
 import chaosrng as cr
 
-#: polynomial configs of degree 0 to 5; values outside [0, 1] are left to the
-#: callers' clamp
+#: polynomials of degree 0 to 5, evaluated as polynomial configs are, as maps
+#: without branches: most leave [0, 1], which ``polynomial_map`` rejects, and
+#: so test the callers' clamp
 polynomial_maps = st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=6).map(
-    lambda c: cr.polynomial_map(c, critical_points=[])
+    lambda c: cr.MapModel(name="polynomial", raw_eval=cr.maps._horner(c), branches=())
 )
 
 

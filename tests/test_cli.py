@@ -14,16 +14,27 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chaosrng import analysis
+from chaosrng import analysis, density
 from chaosrng.analysis import InvariantViolation
 from chaosrng.bitstream import read_stream, read_stream_ascii
-from chaosrng.cli import COMMANDS, RUNNERS, AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
+from chaosrng.cli import ANALYSIS_ERRORS, COMMANDS, RUNNERS, AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+#: the RuntimeWarnings a command gives (README), each by a phrase of its message
+WARNING_KINDS = ("below one density bin", "tail spread", "per-bit entropy increased")
+
+
+def warning_kinds(caught) -> set:
+    """The kinds of the recorded warnings; fails on a warning of no known kind."""
+    kinds = [next((k for k in WARNING_KINDS if k in str(w.message)), None) for w in caught]
+    assert None not in kinds, [str(w.message) for w in caught]
+    return set(kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +289,14 @@ def test_analyze_both_methods_reports_their_l1(tmp_path, capsys):
 
 
 def test_analyze_bernoulli_offset_partition(tmp_path, capsys):
-    # uniform invariant density: S(0) = (0, 0.7) has bias exactly 0.2
-    code, out, _ = run(
-        capsys, "analyze", "--map", "bernoulli", "--s0", "0:0.7",
-        "--depth", "4", "--L", "512", "--out-dir", str(tmp_path),
-    )
-    assert code == 0
+    # uniform invariant density: S(0) = (0, 0.7) has bias exactly 0.2; with
+    # this partition h_N has not settled by depth 4
+    with pytest.warns(RuntimeWarning) as caught:
+        code, out, _ = run(
+            capsys, "analyze", "--map", "bernoulli", "--s0", "0:0.7",
+            "--depth", "4", "--L", "512", "--out-dir", str(tmp_path),
+        )
+    assert code == 0 and warning_kinds(caught) == {"tail spread"}
     report = json.loads((tmp_path / "report.json").read_text())
     assert abs(report["bias"] - 0.2) < 0.01
 
@@ -523,13 +536,15 @@ def test_monte_carlo_floors_only_where_a_monte_carlo_density_is_built(tmp_path, 
 
 
 def test_monte_carlo_warnings_reach_the_caller(tmp_path, capsys):
-    # logistic cells near 0 shrink below a 1/64 bin from depth 4
-    with pytest.warns(RuntimeWarning, match="below one density bin"):
+    # logistic cells near 0 shrink below a 1/64 bin from depth 4; at K = 6400
+    # h_N rises by 8.75e-3, above the Monte Carlo slack 0.5 / sqrt(K) = 6.25e-3
+    with pytest.warns(RuntimeWarning) as caught:
         code, out, _ = run(
             capsys, "analyze", "--map", "logistic", "--method", "montecarlo",
             "--L", "64", "--K", "6400", "--depth", "6", "--out-dir", str(tmp_path),
         )
     assert code == 0 and out.startswith("analyze map=logistic")
+    assert warning_kinds(caught) == set(WARNING_KINDS)
 
 
 def test_analysis_failure_exits_1(tmp_path, capsys):
@@ -540,6 +555,13 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
     )
     assert code == 1
     assert "analysis failure" in err
+
+
+def test_operator_mass_loss_is_an_analysis_failure():
+    # a transfer step that carries no mass raised a bare RuntimeError, which
+    # main does not catch
+    with pytest.raises(ANALYSIS_ERRORS, match="annihilated all mass"):
+        density._fp_apply([], np.ones(8))
 
 
 @pytest.mark.parametrize(
@@ -578,6 +600,31 @@ def test_analysis_failure_exits_1(tmp_path, capsys):
         pytest.param({}, ["--tol", "inf"], "density.tol", id="tol-flag-inf"),
         pytest.param('{"input_rate": 1e999}', [], "input_rate", id="input_rate-1e999"),
         pytest.param({}, ["--rate", "inf"], "input_rate", id="input_rate-flag-inf"),
+        # map configs that raised a traceback (exit 1)
+        *(
+            pytest.param({"map": {"type": "polynomial", **kw}}, [], "map", id=f"polynomial-{name}")
+            for name, kw in [
+                ("coefficients-abc", {"coefficients": "abc", "critical_points": []}),
+                ("critical-points-x", {"coefficients": [0, 4, -4], "critical_points": ["x"]}),
+                ("coefficients-empty", {"coefficients": [], "critical_points": []}),
+                ("critical-points-scalar", {"coefficients": [0, 4, -4], "critical_points": 0.5}),
+                ("critical-points-repeated", {"coefficients": [0, 4, -4], "critical_points": [0.5, 0.5]}),
+                # accepted with wrong answers: a peak of 1.25 (h read 0.31), and
+                # undeclared critical points (no convergence, or all mass lost)
+                ("peak-above-one", {"coefficients": [0, 5, -5], "critical_points": [0.5]}),
+                ("critical-point-misplaced", {"coefficients": [0, 4, -4], "critical_points": [0.3]}),
+                ("critical-point-missing", {"coefficients": [0, 4, -4], "critical_points": []}),
+            ]
+        ),
+        pytest.param(
+            {"map": {"type": "piecewise_linear", "breakpoints": [0, "a", 1], "values": [0, 1, 0]}}, [], "map",
+            id="piecewise-breakpoint-a",
+        ),
+        pytest.param(
+            {"map": {"type": "piecewise_linear", "breakpoints": [0, 0.5, 1], "values": [0, 1, 1]}}, [], "map",
+            id="piecewise-flat",
+        ),
+        pytest.param({"map": {"type": "builtin", "name": ["tent"]}}, [], "map", id="builtin-name-list"),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

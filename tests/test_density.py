@@ -15,14 +15,13 @@ import chaosrng as cr
 from chaosrng import bitstream, density
 from chaosrng.analysis import run_analysis
 from chaosrng import maps as _maps
-from chaosrng.bitstream import generate_bits
+from chaosrng.bitstream import chain_states, generate_bits
 from chaosrng.density import (
     DEFAULT_BURN_IN,
     MC_GRID_FACTOR,
     DensityHistogram,
     NonConvergenceError,
     ResolutionError,
-    chain_states,
     density_for,
     fp_fixed_point,
     l1_distance,
@@ -259,18 +258,21 @@ def lead_chain_starts(m, L, lanes, burn_in, rng):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lane_starts_are_the_lead_chains_last_states(data):
-    # the burn-in is stepped in blocks of NOISE_BLOCK values that end inside
-    # and at the end of it; the generator is left where one draw leaves it
+    # the chunk loop that steps the serial stream and the lanes' lead chain:
+    # chunks of NOISE_BLOCK values that end inside and at the end of the
+    # run join into one chain_states run over one draw, and the generator
+    # is left where that draw leaves it
     m = _maps.BUILTIN_MAPS[data.draw(st.sampled_from(sorted(_maps.BUILTIN_MAPS)))]()
     L = data.draw(st.sampled_from([64, 1000, 1 << 24]))
-    lanes, burn_in = data.draw(st.integers(1, 50)), data.draw(st.integers(1, 300))
-    seed = data.draw(st.integers(0, 2**32))
+    n, j0 = data.draw(st.integers(0, 500)), data.draw(st.integers(1, 64))
+    seed, block = data.draw(st.integers(0, 2**32)), data.draw(st.integers(1, 400))
     rng = np.random.default_rng(seed)
-    with mock.patch.object(density, "NOISE_BLOCK", data.draw(st.integers(1, 400))):
-        starts = density._lane_starts(m, L, lanes, burn_in, rng)
+    with mock.patch.object(density, "NOISE_BLOCK", block):
+        chunks = list(bitstream._chain_chunks(m, j0, L, n, rng))
+    assert len(chunks) == -(-n // block) and all(c.dtype == np.int64 and c.size <= block for c in chunks)
     ref = np.random.default_rng(seed)
-    assert starts.dtype == np.int64
-    assert starts.tolist() == lead_chain_starts(m, L, lanes, burn_in, ref).tolist()
+    states = chain_states(m, ref.uniform(-1.0, 1.0, size=n), j0, L)
+    assert np.concatenate([np.zeros(0, np.int64), *chunks]).tolist() == states.tolist()
     assert rng.uniform() == ref.uniform()
 
 
@@ -423,32 +425,25 @@ def test_stream_lanes_match_serial_chains(data):
         assert block[:, b].tolist() == s.symbol_of(states / L).tolist(), b
 
 
-@pytest.mark.parametrize("L", [1000, 1 << 24])
-def test_lane_blocks_belong_to_the_caller(cubic, L):
-    # a caller that overwrites every block gets the same later blocks as one
-    # that keeps them
-    kept = [b.copy() for b in density.lane_states(cubic, L, 64, 700, 100, np.random.default_rng(4))]
-    for n, b in enumerate(density.lane_states(cubic, L, 64, 700, 100, np.random.default_rng(4))):
-        assert np.array_equal(b, kept[n]) and b.min() >= 1 and b.max() <= L
-        b[:] = 0
-    assert n + 1 == len(kept) == 3 and sum(len(b) for b in kept) == 700
-
-
 def test_lanes_evaluate_the_top_state_below_one():
     # at state L the lanes evaluate the map at x = 1 - EPS, not at 1, as
     # chain_states does.  On a grid of 2^53 points L * |M(1) - M(1 - EPS)|
-    # spans several cells on every built-in map, so the two give different
-    # next states; every lane starts at L
+    # spans several cells on every built-in map; the lead chain is patched
+    # so that every lane starts at L, and a cut halfway between the two
+    # next states gives the first row's bits of the evaluation below one
     L, lanes, rows = 1 << 53, 5, 3
+
+    def lead_at_top(m, j, L, n, rng):
+        yield np.full(n, L, dtype=np.int64)
+
     for name, make in sorted(_maps.BUILTIN_MAPS.items()):
         m = make()
         at_one, below = (min(max(m.raw_eval(x), _maps.EPS), 1.0 - _maps.EPS) for x in (1.0, 1.0 - _maps.EPS))
         assert L * abs(at_one - below) > 4, name
-        with mock.patch.object(density, "_lane_starts", lambda *args: np.full(lanes, L, dtype=np.int64)):
-            (block,) = density.lane_states(m, L, lanes, rows, 100, np.random.default_rng(6))
-        noise = np.random.default_rng(6).uniform(-1.0, 1.0, size=(rows, lanes))
-        for b in range(lanes):
-            assert block[:, b].tolist() == chain_states(m, noise[:, b], L, L).tolist(), (name, b)
+        s = SymbolPartition.from_pairs([(0.0, (at_one + below) / 2)])
+        with mock.patch.object(bitstream, "_chain_chunks", lead_at_top):
+            block = generate_bits(m, s, rows, seed=6, L=L, lanes=lanes)
+        assert block[0].tolist() == [s.symbol_of(below)] * lanes != [s.symbol_of(at_one)] * lanes, name
 
 
 def test_stream_lanes_reject_what_they_do_not_model(cubic, branch_part):

@@ -1,6 +1,7 @@
 """Probability tables, entropy curves, and the rate budget."""
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -227,3 +228,28 @@ def test_report_flags_entropy_increase():
     bad = EntropyReport(H=[1.5], h=[1.5], h_estimate=1.5, spread=0.0, bias=0.0)
     with pytest.raises(TableError):
         bad.validate()
+
+
+@pytest.mark.parametrize("K", [409_600, 4_000_000, 16_000_000])
+def test_monte_carlo_slack_follows_the_visit_count(K):
+    # the slack of a Monte Carlo report is 0.5 / sqrt(K): an increase just
+    # above it still warns, one just below it, or above the operator's 1e-6
+    # slack, does not
+    slack = 0.5 / math.sqrt(K)
+    for rise, warns in ((1.01 * slack, True), (0.99 * slack, False)):
+        h = [0.99, 0.98, 0.98 + rise]
+        r = EntropyReport(
+            H=list(accumulate(h)), h=h, h_estimate=h[-1], spread=rise, bias=0.07,
+            provenance={"density_method": "montecarlo", "K": K},
+        )
+        assert r.monotone_defect() == pytest.approx(rise) and rise > 1e-6
+        if warns:
+            with pytest.warns(RuntimeWarning, match="per-bit entropy increased"):
+                r.validate()
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r.validate()
+        r.provenance["density_method"] = "fp_operator"
+        with pytest.warns(RuntimeWarning, match="per-bit entropy increased"):
+            r.validate()

@@ -139,6 +139,22 @@ def test_polynomial_requires_declared_critical_points():
         cr.map_from_config({"type": "polynomial", "coefficients": [0, 4, -4]})
 
 
+@pytest.mark.parametrize(
+    "coefficients, critical_points",
+    [
+        ([0.0, 4.0, -4.0], [0.5]),  # the logistic map
+        ([0.0, 1.5 * math.sqrt(3.0), 0.0, -1.5 * math.sqrt(3.0)], [XB]),  # the cubic, peak 1 + 2e-16
+        ([0.0, 0.0, 1.0], []),  # x^2: monotone without a critical point
+        ([0.0, 0.0, 1.0], [0.3]),  # a declared point where the slope does not vanish
+        ([0.0, 3.0, -6.0, 4.0], []),  # 0.5 + 4 (x - 1/2)^3: a flat inflection at 1/2
+    ],
+)
+def test_polynomial_configs_with_monotone_branches_build(coefficients, critical_points):
+    # the config checks reject only what leaves [0, 1] or turns inside a branch
+    m = cr.polynomial_map(coefficients, critical_points)
+    assert len(m.branches) == len(critical_points) + 1
+
+
 def test_piecewise_linear_map_and_errors():
     m = cr.piecewise_linear_map([0.0, 0.25, 1.0], [0.0, 1.0, 0.0])
     assert m(0.125) == pytest.approx(0.5)
