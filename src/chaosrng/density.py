@@ -304,8 +304,7 @@ def _fp_data(m: MapModel, grid: str, n: int) -> list:
     terms = []
     for br in m.branches:
         ylo, yhi = br.image
-        e = np.clip(edges, ylo, yhi)
-        x = np.clip(np.asarray(br.inverse(e), dtype=float), br.lo, br.hi)
+        x = br.inverse(np.clip(edges, ylo, yhi))
         pos = _grid_position(grid, x, n)
         b = np.clip(np.floor(pos).astype(np.int64), 0, n - 1)
         frac = pos - b

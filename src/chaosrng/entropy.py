@@ -187,18 +187,26 @@ class EntropyReport:
         `MONOTONE_SLACK`, or beyond MC_MONOTONE_SLACK / sqrt(K) on a Monte
         Carlo density whose provenance states its K visits, warns rather
         than fails here; strict enforcement belongs to the caller that
-        controls the density accuracy.
+        controls the density accuracy.  The warning names the setting that
+        shrinks the rise: L or tol for the operator, L (with K >= 100 L) for
+        Monte Carlo.
         """
         for n, Hn in enumerate(self.H, start=1):
             if not -1e-9 <= Hn <= n + 1e-9:
                 raise TableError(f"H_{n} = {Hn} outside [0, {n}]")
         worst, slack, K = self.monotone_defect(), MONOTONE_SLACK, self.provenance.get("K")
-        if self.provenance.get("density_method") == "montecarlo" and K:
-            slack = MC_MONOTONE_SLACK / math.sqrt(K)
+        # the operator's rise shrinks with its bin width and its tolerance; a
+        # Monte Carlo rise is mostly a resolution bias, which more visits at
+        # the same L do not remove
+        lever = "raise L or lower tol"
+        if self.provenance.get("density_method") == "montecarlo":
+            lever = "raise L, keeping K >= 100 L"
+            if K:
+                slack = MC_MONOTONE_SLACK / math.sqrt(K)
         if worst > slack:
             warnings.warn(
                 f"per-bit entropy increased by {worst:.2e} along the curve; the density is "
-                "not stationary enough at this depth (raise L or K)",
+                f"not stationary enough at this depth ({lever})",
                 RuntimeWarning,
                 stacklevel=2,
             )

@@ -1,10 +1,11 @@
 """One-dimensional chaotic maps on the open unit interval.
 
 A map model bundles the transformation function x -> M(x) with its
-decomposition into strictly monotone branches.  Each branch knows its own
-inverse, which is what makes exact interval preimages (and hence symbolic
-partition refinement) possible: a closed form for the built-ins and for
-piecewise-linear maps, bisection for polynomial configs.
+decomposition into strictly monotone branches.  Each map declares its
+branches once, each with its own inverse, which is what makes exact interval
+preimages (and hence symbolic partition refinement) possible: a closed form
+for the built-ins and for piecewise-linear maps, bisection for polynomial
+configs.  Every inverse lands inside its branch, so no caller clips again.
 
 Built-ins:
 
@@ -41,8 +42,12 @@ class DomainError(ValueError):
 class Branch:
     """A maximal strictly monotone piece of a map.
 
-    ``inverse`` maps any point of the branch image back to its unique
-    preimage inside (lo, hi); it accepts scalars or numpy arrays.
+    ``increasing`` and ``image`` agree with the map's values at lo and hi
+    (its limits from inside the branch, at a jump).
+    ``inverse`` maps any point of the branch image back to its preimage.
+    Every inverse, closed form, linear or bisection, keeps one contract
+    (``_inverse``): it lands in [lo, hi], and it returns a Python float for
+    a scalar and a new float array, the caller's to write, for an array.
     ``linear`` marks a branch of constant slope, on which the transfer
     operator is exact on a uniform grid (see ``density.solve_grid``).
     """
@@ -92,7 +97,7 @@ def preimages(m: MapModel, y: float) -> list[float]:
     """
     if not 0.0 < y < 1.0:
         raise DomainError(f"target outside (0,1): {y!r}")
-    roots = sorted(float(br.inverse(y)) for br in m.branches if br.image[0] <= y <= br.image[1])
+    roots = sorted(br.inverse(y) for br in m.branches if br.image[0] <= y <= br.image[1])
     out: list[float] = []
     for r in roots:
         if not out or r - out[-1] > 1e-9:
@@ -104,88 +109,43 @@ def preimages(m: MapModel, y: float) -> list[float]:
 # Branch construction
 
 
-def _bisect_inverse(f, lo: float, hi: float, increasing: bool):
-    """Derivative-free inverse of a strictly monotone f on [lo, hi]."""
-
-    def inverse(y):
-        y_arr = np.asarray(y, dtype=float)
-        a = np.full(y_arr.shape, lo)
-        b = np.full(y_arr.shape, hi)
-        for _ in range(_BISECT_ITER):
-            mid = 0.5 * (a + b)
-            go_right = np.asarray(f(mid)) < y_arr if increasing else np.asarray(f(mid)) > y_arr
-            a = np.where(go_right, mid, a)
-            b = np.where(go_right, b, mid)
-        x = 0.5 * (a + b)
-        if np.ndim(y) == 0:
-            return float(x)
-        return x
-
-    return inverse
-
-
-def _closed_form_inverse(g, lo: float, hi: float):
-    """Branch inverse from an exact formula g, clipped into [lo, hi]."""
+def _inverse(g, lo: float, hi: float):
+    """The branch inverse y -> clip(g(y), lo, hi) for an array function g,
+    taking and returning what ``Branch`` promises."""
 
     def inverse(y):
         x = np.clip(g(np.asarray(y, dtype=float)), lo, hi)
-        if np.ndim(y) == 0:
-            return float(x)
-        return x
+        return float(x) if np.ndim(y) == 0 else x
 
     return inverse
 
 
-def _smooth_branches(f, cut_points: Sequence[float], inverses: Sequence | None = None) -> tuple[Branch, ...]:
-    """Split (0,1) at the declared critical points into monotone branches.
+def _bisect_inverse(f, lo: float, hi: float, increasing: bool):
+    """Derivative-free inverse of a strictly monotone f on [lo, hi]."""
 
-    `inverses`, when given, holds one exact formula per branch, used in place
-    of bisection and clipped into the branch (`_closed_form_inverse`).
-    """
-    edges = [0.0, *sorted(cut_points), 1.0]
-    branches = []
-    for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        probe_lo = lo + 1e-9 * (hi - lo)
-        probe_hi = hi - 1e-9 * (hi - lo)
-        increasing = f(probe_hi) > f(probe_lo)
-        vals = sorted((float(np.clip(f(lo), 0.0, 1.0)), float(np.clip(f(hi), 0.0, 1.0))))
-        # float evaluation at a critical point can miss an exact extremum of
-        # 0 or 1 by a few ulp, which bisection would turn into an O(1e-9)
-        # endpoint gap; snap to the exact bound
-        vals = [0.0 if v < 1e-12 else 1.0 if v > 1.0 - 1e-12 else v for v in vals]
-        if inverses is None:
-            inverse = _bisect_inverse(f, lo, hi, bool(increasing))
-        else:
-            inverse = _closed_form_inverse(inverses[i], lo, hi)
-        branches.append(
-            Branch(
-                lo=lo,
-                hi=hi,
-                increasing=bool(increasing),
-                inverse=inverse,
-                image=(vals[0], vals[1]),
-            )
-        )
-    return tuple(branches)
+    def g(y):
+        a = np.full(y.shape, lo)
+        b = np.full(y.shape, hi)
+        for _ in range(_BISECT_ITER):
+            mid = 0.5 * (a + b)
+            go_right = f(mid) < y if increasing else f(mid) > y
+            a = np.where(go_right, mid, a)
+            b = np.where(go_right, b, mid)
+        return 0.5 * (a + b)
+
+    return _inverse(g, lo, hi)
 
 
 def _linear_branch(x0: float, x1: float, y0: float, y1: float) -> Branch:
     if y0 == y1:
         raise MapConfigError(f"flat segment on ({x0}, {x1}): map must be strictly monotone per branch")
     slope_ = (y1 - y0) / (x1 - x0)
-
-    def inverse(y):
-        x = x0 + (np.asarray(y, dtype=float) - y0) / slope_
-        if np.ndim(y) == 0:
-            return float(x)
-        return x
-
     lo_img, hi_img = sorted((y0, y1))
     return Branch(
         lo=x0,
         hi=x1,
         increasing=slope_ > 0,
-        inverse=inverse,
+        inverse=_inverse(lambda y: x0 + (y - y0) / slope_, x0, x1),
         image=(max(0.0, lo_img), min(1.0, hi_img)),
         linear=True,
     )
@@ -212,12 +172,10 @@ def cubic_sample_map() -> MapModel:
     return MapModel(
         name="cubic_sample",
         raw_eval=f,
-        branches=_smooth_branches(
-            f,
-            [_XB],
-            inverses=(
-                lambda y: r * np.sin(np.arcsin(y) / 3.0),
-                lambda y: r * np.sin((np.pi - np.arcsin(y)) / 3.0),
+        branches=(
+            Branch(0.0, _XB, True, _inverse(lambda y: r * np.sin(np.arcsin(y) / 3.0), 0.0, _XB), (0.0, 1.0)),
+            Branch(
+                _XB, 1.0, False, _inverse(lambda y: r * np.sin((np.pi - np.arcsin(y)) / 3.0), _XB, 1.0), (0.0, 1.0)
             ),
         ),
     )
@@ -259,13 +217,9 @@ def logistic_map() -> MapModel:
     return MapModel(
         name="logistic",
         raw_eval=f,
-        branches=_smooth_branches(
-            f,
-            [0.5],
-            inverses=(
-                lambda y: y / (2.0 * (1.0 + np.sqrt(1.0 - y))),
-                lambda y: 0.5 * (1.0 + np.sqrt(1.0 - y)),
-            ),
+        branches=(
+            Branch(0.0, 0.5, True, _inverse(lambda y: y / (2.0 * (1.0 + np.sqrt(1.0 - y))), 0.0, 0.5), (0.0, 1.0)),
+            Branch(0.5, 1.0, False, _inverse(lambda y: 0.5 * (1.0 + np.sqrt(1.0 - y)), 0.5, 1.0), (0.0, 1.0)),
         ),
     )
 
@@ -321,7 +275,7 @@ def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[floa
 
     Raises MapConfigError unless the critical points are distinct and lie in
     (0, 1), the values at the branch ends lie in [0, 1] (up to the 1e-12 that
-    ``_smooth_branches`` snaps), and the polynomial is monotone on every
+    the branch images snap), and the polynomial is monotone on every
     declared branch: its values at the branch ends and at the real parts of
     the roots of its derivative inside the branch, in order, never step the
     other way by more than 1e-12.  Together these hold M((0, 1)) in [0, 1].
@@ -340,16 +294,23 @@ def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[floa
         if not -1e-12 <= f(x) <= 1.0 + 1e-12:
             raise MapConfigError(f"value {f(x)!r} at x = {x} lies outside [0, 1]")
     P = np.polynomial.polynomial
-    stationary = P.polyroots(P.polyder(coeffs)).real.tolist()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            stationary = P.polyroots(P.polyder(coeffs)).real.tolist()
+    except np.linalg.LinAlgError as e:  # a leading coefficient so small that the companion matrix overflows
+        raise MapConfigError(f"cannot find the critical points of {coeffs}: {e}") from e
+    branches = []
     for lo, hi in zip(edges, edges[1:]):
-        steps = np.diff([f(x) for x in [lo, *sorted(r for r in stationary if lo < r < hi), hi]])
-        if f(lo) == f(hi) or (steps.min() < -1e-12 and steps.max() > 1e-12):
+        y0, y1 = f(lo), f(hi)
+        steps = np.diff([y0, *(f(r) for r in sorted(r for r in stationary if lo < r < hi)), y1])
+        if y0 == y1 or (steps.min() < -1e-12 and steps.max() > 1e-12):
             raise MapConfigError(f"not monotone on the branch ({lo}, {hi}); declare every critical point")
-    return MapModel(
-        name=name,
-        raw_eval=f,
-        branches=_smooth_branches(f, cuts),
-    )
+        # float evaluation at a critical point can miss an exact extremum of
+        # 0 or 1 by a few ulp, which bisection would turn into an O(1e-9)
+        # endpoint gap; snap to the exact bound
+        image = sorted(0.0 if v < 1e-12 else 1.0 if v > 1.0 - 1e-12 else v for v in (y0, y1))
+        branches.append(Branch(lo, hi, y1 > y0, _bisect_inverse(f, lo, hi, y1 > y0), tuple(image)))
+    return MapModel(name, f, tuple(branches))
 
 
 def piecewise_linear_map(breakpoints: Sequence[float], values: Sequence[float], name: str = "piecewise_linear") -> MapModel:
@@ -391,6 +352,14 @@ def piecewise_linear_map(breakpoints: Sequence[float], values: Sequence[float], 
     )
 
 
+#: the keys each map type reads; a map config holds no others
+_MAP_KEYS = {
+    "builtin": ("type", "name"),
+    "polynomial": ("type", "name", "coefficients", "critical_points"),
+    "piecewise_linear": ("type", "name", "breakpoints", "values"),
+}
+
+
 def map_from_config(cfg: dict) -> MapModel:
     """Build a map from its JSON config dict.
 
@@ -398,19 +367,24 @@ def map_from_config(cfg: dict) -> MapModel:
              "name"/"coefficients"/"breakpoints", "critical_points": [...]}
     """
     kind = cfg.get("type")
+    if not isinstance(kind, str) or kind not in _MAP_KEYS:
+        raise MapConfigError(f"unknown map type {kind!r}")
+    unknown = sorted(set(cfg) - set(_MAP_KEYS[kind]))
+    if unknown:
+        raise MapConfigError(f"unknown key(s) {unknown} in a {kind} map; want {list(_MAP_KEYS[kind])}")
+    name = cfg.get("name", kind)
     if kind == "builtin":
-        name = cfg.get("name")
         if not isinstance(name, str) or name not in BUILTIN_MAPS:
-            raise MapConfigError(f"unknown builtin map {name!r}; choose from {sorted(BUILTIN_MAPS)}")
+            raise MapConfigError(f"unknown builtin map {cfg.get('name')!r}; choose from {sorted(BUILTIN_MAPS)}")
         return BUILTIN_MAPS[name]()
+    if not isinstance(name, str):
+        raise MapConfigError(f"name must be a string, got {name!r}")
     if kind == "polynomial":
         if "coefficients" not in cfg:
             raise MapConfigError("polynomial map needs 'coefficients'")
         if "critical_points" not in cfg:
             raise MapConfigError("polynomial map needs 'critical_points' (declared, not inferred)")
-        return polynomial_map(cfg["coefficients"], cfg["critical_points"], cfg.get("name", "polynomial"))
-    if kind == "piecewise_linear":
-        if "breakpoints" not in cfg or "values" not in cfg:
-            raise MapConfigError("piecewise_linear map needs 'breakpoints' and 'values'")
-        return piecewise_linear_map(cfg["breakpoints"], cfg["values"], cfg.get("name", "piecewise_linear"))
-    raise MapConfigError(f"unknown map type {kind!r}")
+        return polynomial_map(cfg["coefficients"], cfg["critical_points"], name)
+    if "breakpoints" not in cfg or "values" not in cfg:
+        raise MapConfigError("piecewise_linear map needs 'breakpoints' and 'values'")
+    return piecewise_linear_map(cfg["breakpoints"], cfg["values"], name)

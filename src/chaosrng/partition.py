@@ -154,7 +154,7 @@ def refine_once(m: MapModel, s: SymbolPartition, p: SymbolPartition) -> SymbolPa
         ylo, yhi = br.image
         y = np.concatenate(([ylo], p.cuts[(p.cuts > ylo) & (p.cuts < yhi)], [yhi]))
         par = np.searchsorted(p.cuts, y[:-1], side="right") - 1
-        x = np.asarray(br.inverse(y), dtype=float)
+        x = br.inverse(y)
         if not br.increasing:
             x, par = x[::-1], par[::-1]
         x[0], x[-1] = br.lo, br.hi  # the image ends pull back to the branch ends

@@ -26,6 +26,7 @@ from chaosrng.bitstream import (
     write_stream,
     write_stream_ascii,
 )
+from chaosrng.entropy import ProbabilityTable
 from chaosrng.maps import EPS
 from reference import scaled_map_table
 
@@ -312,6 +313,19 @@ def test_total_variation():
     assert total_variation(a, b) == pytest.approx(0.25, abs=1e-3)
     with pytest.raises(ValueError):
         total_variation(a, empirical_pattern_probs(np.tile([0, 1], 300), 2))
+
+
+@given(D=st.integers(2, 5), data=st.data())
+def test_total_variation_bounds_every_marginal(D, data):
+    # verify compares the word laws at its deepest depth only: dropping the
+    # last or the first bits of both laws never raises their TV
+    weights = st.lists(st.floats(0.0, 1.0), min_size=2**D, max_size=2**D).filter(lambda w: sum(w) > 0)
+    a, b = (ProbabilityTable(D, np.array(w) / sum(w)) for w in (data.draw(weights), data.draw(weights)))
+    tv = total_variation(a, b)
+    for n in range(1, D):
+        last = total_variation(*(ProbabilityTable(n, t.p.reshape(2**n, -1).sum(axis=1)) for t in (a, b)))
+        first = total_variation(*(ProbabilityTable(n, t.p.reshape(-1, 2**n).sum(axis=0)) for t in (a, b)))
+        assert max(last, first) <= tv + 1e-12, (n, last, first, tv)
 
 
 def test_von_neumann_known_pairs():

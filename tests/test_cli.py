@@ -614,6 +614,8 @@ def test_operator_mass_loss_is_an_analysis_failure():
                 ("peak-above-one", {"coefficients": [0, 5, -5], "critical_points": [0.5]}),
                 ("critical-point-misplaced", {"coefficients": [0, 4, -4], "critical_points": [0.3]}),
                 ("critical-point-missing", {"coefficients": [0, 4, -4], "critical_points": []}),
+                # a subnormal leading coefficient overflowed the derivative's roots
+                ("coefficients-subnormal-lead", {"coefficients": [0, 0.5, 0, 1e-310], "critical_points": []}),
             ]
         ),
         pytest.param(
@@ -625,6 +627,23 @@ def test_operator_mass_loss_is_an_analysis_failure():
             id="piecewise-flat",
         ),
         pytest.param({"map": {"type": "builtin", "name": ["tent"]}}, [], "map", id="builtin-name-list"),
+        # map configs that were accepted: a name that is not a string (printed
+        # as map=['x', 1]), and keys no map type reads (ignored)
+        *(
+            pytest.param({"map": cfg}, [], "map", id=name)
+            for name, cfg in [
+                ("polynomial-name-list", {"type": "polynomial", "coefficients": [0, 4, -4],
+                                          "critical_points": [0.5], "name": ["x", 1]}),
+                ("piecewise-name-number", {"type": "piecewise_linear", "breakpoints": [0, 0.5, 1],
+                                           "values": [0, 1, 0], "name": 3}),
+                ("builtin-extra-key", {"type": "builtin", "name": "tent", "extra": 1}),
+                ("polynomial-extra-key", {"type": "polynomial", "coefficients": [0, 4, -4],
+                                          "critical_points": [0.5], "extra": 1}),
+                ("piecewise-critical-points", {"type": "piecewise_linear", "breakpoints": [0, 0.5, 1],
+                                               "values": [0, 1, 0], "critical_points": [0.5]}),
+                ("type-list", {"type": ["builtin"], "name": "tent"}),
+            ]
+        ),
     ],
 )
 def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):

@@ -253,3 +253,21 @@ def test_monte_carlo_slack_follows_the_visit_count(K):
         r.provenance["density_method"] = "fp_operator"
         with pytest.warns(RuntimeWarning, match="per-bit entropy increased"):
             r.validate()
+
+
+@pytest.mark.parametrize(
+    "method, lever",
+    [("fp_operator", "raise L or lower tol"), ("montecarlo", "raise L, keeping K >= 100 L")],
+)
+def test_monotone_warning_names_the_lever_of_its_method(method, lever):
+    # K means nothing to the operator; on Monte Carlo a larger K alone leaves
+    # the resolution bias where it is
+    h = [0.99, 0.98, 0.99]
+    r = EntropyReport(
+        H=list(accumulate(h)), h=h, h_estimate=h[-1], spread=0.01, bias=0.07,
+        provenance={"density_method": method, "K": 4_000_000},
+    )
+    with pytest.warns(RuntimeWarning, match="per-bit entropy increased") as record:
+        r.validate()
+    (message,) = [str(w.message) for w in record]
+    assert message.endswith(f"at this depth ({lever})")

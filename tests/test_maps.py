@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import chaosrng as cr
 from chaosrng.maps import EPS, DomainError, MapConfigError
 from reference import IntervalSet, preimage_of_set
-from strategies import map_models
+from strategies import map_models, piecewise_linear_maps
 
 XB = 1.0 / math.sqrt(3.0)
 
@@ -153,6 +153,53 @@ def test_polynomial_configs_with_monotone_branches_build(coefficients, critical_
     # the config checks reject only what leaves [0, 1] or turns inside a branch
     m = cr.polynomial_map(coefficients, critical_points)
     assert len(m.branches) == len(critical_points) + 1
+
+
+@st.composite
+def polynomial_configs(draw):
+    """Polynomial configs that ``polynomial_map`` accepts: a scaled logistic
+    map with its critical point, or a mix of powers of x, perhaps reflected,
+    split at up to two points where its slope does not vanish."""
+    if draw(st.booleans()):
+        a = draw(st.floats(0.01, 1.0))
+        return cr.polynomial_map([0.0, 4.0 * a, -4.0 * a], [0.5])
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0))
+    top = draw(st.floats(0.01, 1.0))
+    coeffs = [0.0, *(top * v / sum(w) for v in w)]
+    if draw(st.booleans()):
+        coeffs = [1.0, *(-c for c in coeffs[1:])]
+    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=2, unique=True))
+    try:
+        return cr.polynomial_map(coeffs, cuts)
+    except MapConfigError:  # cuts so close that the map is flat between them, or a negligible leading term
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.one_of(
+        st.sampled_from(sorted(cr.maps.BUILTIN_MAPS)).map(lambda name: cr.maps.BUILTIN_MAPS[name]()),
+        polynomial_configs(),
+        piecewise_linear_maps(),
+    ),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_every_branch_inverse_keeps_the_contract(m, inner):
+    for br in m.branches:
+        a, b = br.image
+        # the image, in the branch's direction, is the map at the branch ends
+        # (at a jump such as the Bernoulli map's, its limit one ulp inside)
+        for x, inside, want in ((br.lo, br.hi, a if br.increasing else b), (br.hi, br.lo, b if br.increasing else a)):
+            assert min(abs(m.raw_eval(v) - want) for v in (x, math.nextafter(x, inside))) <= 1e-12, (br, x)
+        ys = [a, b, math.nextafter(a, b), math.nextafter(b, a), *(a + t * (b - a) for t in inner)]
+        y = np.array(ys)
+        xs = br.inverse(y)
+        assert type(xs) is np.ndarray and xs.dtype == np.float64 and xs.shape == (len(ys),)
+        assert not np.shares_memory(xs, y)  # refine_once writes into it
+        assert np.all((br.lo <= xs) & (xs <= br.hi)), (br, ys, xs)
+        for y in ys:
+            x = br.inverse(y)
+            assert type(x) is float and br.lo <= x <= br.hi, (br, y, x)
 
 
 def test_piecewise_linear_map_and_errors():

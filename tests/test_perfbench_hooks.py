@@ -2,6 +2,7 @@
 its workloads pass command lines.  Each name it relies on must exist."""
 import contextlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -101,3 +102,28 @@ def test_traced_verify_runs_inside_traced_stages(monkeypatch, tmp_path, capsys):
     # evaluations belong to the stage that runs the lanes, not to the root
     stray = [s for s in rec.spans if s.parent == root and s.name == "maps.raw_eval"]
     assert not stray, f"{len(stray)} maps.raw_eval spans directly under the root"
+
+
+def test_byte_oracle_commands_parse(monkeypatch, tmp_path):
+    # tools/byte_oracle.py runs the benchmark's workloads, plus analyze and
+    # bitgen on its own map configs; each command must be a valid seed-0 run
+    # with an output directory of its own
+    run = load_perfbench(monkeypatch, "run")
+    spec = importlib.util.spec_from_file_location("byte_oracle", PERFBENCH.parent / "tools" / "byte_oracle.py")
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    names = [w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+    cmds = oracle.commands(run.WORKLOADS, names)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / oracle.OUT_REL / "maps").mkdir(parents=True)
+    for kind, cfg in oracle.MAP_CONFIGS.items():
+        (tmp_path / oracle.OUT_REL / "maps" / f"{kind}.json").write_text(json.dumps(cfg))
+    out_dirs, maps_run = set(), set()
+    for label, argv in cmds:
+        command, cfg = _config_from_args(argv)
+        m, _ = cfg.validate(command)
+        assert cfg.seed == 0, label
+        out_dirs.add(cfg.out_dir)
+        maps_run.add(m.name)
+    assert len(out_dirs) == len(cmds)
+    assert maps_run == {*maps.BUILTIN_MAPS, "polynomial", "piecewise_linear"}
