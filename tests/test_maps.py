@@ -192,10 +192,10 @@ def test_every_branch_inverse_keeps_the_contract(m, inner):
         for x, inside, want in ((br.lo, br.hi, a if br.increasing else b), (br.hi, br.lo, b if br.increasing else a)):
             assert min(abs(m.raw_eval(v) - want) for v in (x, math.nextafter(x, inside))) <= 1e-12, (br, x)
         ys = [a, b, math.nextafter(a, b), math.nextafter(b, a), *(a + t * (b - a) for t in inner)]
-        y = np.array(ys)
-        xs = br.inverse(y)
-        assert type(xs) is np.ndarray and xs.dtype == np.float64 and xs.shape == (len(ys),)
-        assert not np.shares_memory(xs, y)  # refine_once writes into it
+        arr = np.array(ys)
+        xs = br.inverse(arr)
+        assert type(xs) is np.ndarray and xs.dtype == np.float64 and xs.shape == arr.shape
+        assert not np.shares_memory(xs, arr)  # refine_once writes into it
         assert np.all((br.lo <= xs) & (xs <= br.hi)), (br, ys, xs)
         for y in ys:
             x = br.inverse(y)
