@@ -409,7 +409,10 @@ def cmd_verify(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
         lanes = _density.LANES
         block = _bitstream.generate_bits(m, s, -(-_CHECK_BITS // lanes), seed=cfg.seed, L=1 << 24, lanes=lanes)
         # one count, at the deepest checked depth: the TV of two word laws
-        # bounds the TV of their marginals, the shorter word laws (data processing)
+        # bounds the TV of their marginals, the shorter word laws (data
+        # processing).  It holds up to each lane's last D - N windows, which a
+        # depth-N count adds: a share (D - N) / (rows - N + 1) of its windows, drawn
+        # from the same law, so negligible against the 0.01 tolerance.
         D = min(depth, 4)
         tv = _bitstream.total_variation(res_fp.tables[D - 1], _bitstream.empirical_pattern_probs(block, D))
     checks.append(("max|h_N(mc) - h_N(fp)|", dh, 0.01, dh < 0.01))

@@ -1,7 +1,11 @@
 """Hypothesis strategies for map models, shared by the property tests."""
+from hypothesis import assume
 from hypothesis import strategies as st
 
 import chaosrng as cr
+from chaosrng.maps import MapConfigError
+
+builtin_maps = st.sampled_from(sorted(cr.maps.BUILTIN_MAPS)).map(lambda name: cr.maps.BUILTIN_MAPS[name]())
 
 #: polynomials of degree 0 to 5, evaluated as polynomial configs are, as maps
 #: without branches: most leave [0, 1], which ``polynomial_map`` rejects, and
@@ -21,8 +25,24 @@ def piecewise_linear_maps(draw):
     return cr.piecewise_linear_map(xs, ys)
 
 
-map_models = st.one_of(
-    st.sampled_from(sorted(cr.maps.BUILTIN_MAPS)).map(lambda name: cr.maps.BUILTIN_MAPS[name]()),
-    polynomial_maps,
-    piecewise_linear_maps(),
-)
+@st.composite
+def polynomial_configs(draw):
+    """Polynomial configs that ``polynomial_map`` accepts: a scaled logistic
+    map with its critical point, or a mix of powers of x, perhaps reflected,
+    split at up to two points where its slope does not vanish."""
+    if draw(st.booleans()):
+        a = draw(st.floats(0.01, 1.0))
+        return cr.polynomial_map([0.0, 4.0 * a, -4.0 * a], [0.5])
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0))
+    top = draw(st.floats(0.01, 1.0))
+    coeffs = [0.0, *(top * v / sum(w) for v in w)]
+    if draw(st.booleans()):
+        coeffs = [1.0, *(-c for c in coeffs[1:])]
+    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=2, unique=True))
+    try:
+        return cr.polynomial_map(coeffs, cuts)
+    except MapConfigError:  # cuts so close that the map is flat between them, or a negligible leading term
+        assume(False)
+
+
+map_models = st.one_of(builtin_maps, polynomial_maps, piecewise_linear_maps())

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chaosrng as cr
 from chaosrng.maps import EPS, DomainError, MapConfigError
 from reference import IntervalSet, preimage_of_set
-from strategies import map_models, piecewise_linear_maps
+from strategies import builtin_maps, map_models, piecewise_linear_maps, polynomial_configs
 
 XB = 1.0 / math.sqrt(3.0)
 
@@ -155,33 +155,9 @@ def test_polynomial_configs_with_monotone_branches_build(coefficients, critical_
     assert len(m.branches) == len(critical_points) + 1
 
 
-@st.composite
-def polynomial_configs(draw):
-    """Polynomial configs that ``polynomial_map`` accepts: a scaled logistic
-    map with its critical point, or a mix of powers of x, perhaps reflected,
-    split at up to two points where its slope does not vanish."""
-    if draw(st.booleans()):
-        a = draw(st.floats(0.01, 1.0))
-        return cr.polynomial_map([0.0, 4.0 * a, -4.0 * a], [0.5])
-    w = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5).filter(lambda w: sum(w) > 0))
-    top = draw(st.floats(0.01, 1.0))
-    coeffs = [0.0, *(top * v / sum(w) for v in w)]
-    if draw(st.booleans()):
-        coeffs = [1.0, *(-c for c in coeffs[1:])]
-    cuts = draw(st.lists(st.floats(0.01, 0.99), max_size=2, unique=True))
-    try:
-        return cr.polynomial_map(coeffs, cuts)
-    except MapConfigError:  # cuts so close that the map is flat between them, or a negligible leading term
-        assume(False)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
-    m=st.one_of(
-        st.sampled_from(sorted(cr.maps.BUILTIN_MAPS)).map(lambda name: cr.maps.BUILTIN_MAPS[name]()),
-        polynomial_configs(),
-        piecewise_linear_maps(),
-    ),
+    m=st.one_of(builtin_maps, polynomial_configs(), piecewise_linear_maps()),
     inner=st.lists(st.floats(0.0, 1.0), max_size=20),
 )
 def test_every_branch_inverse_keeps_the_contract(m, inner):

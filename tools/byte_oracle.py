@@ -1,10 +1,10 @@
 """Byte oracle: do two source trees write the same bytes?
 
-Usage: python3 tools/byte_oracle.py PARENT_TREE CHANGE_TREE [--workload NAME ...]
+Usage: python3 tools/byte_oracle.py PARENT_TREE CHANGE_TREE
 
 Runs every operation of the benchmark's workloads (``WORKLOADS`` in
-``perfbench/run.py``, loaded read-only from CHANGE_TREE; by default the
-workloads that ``BENCHMARK.json`` names) at seed 0 in each tree, from that
+``perfbench/run.py``, loaded read-only from CHANGE_TREE; the workloads that
+its ``BENCHMARK.json`` names) at seed 0 in each tree, from that
 tree's own ``src/``, with the same relative ``--out-dir``.  The analyze and
 bitgen operations also run on a polynomial and on a piecewise-linear map
 config, so bisection and linear branch inverses are covered as well as the
@@ -83,10 +83,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", action="append", help="a WORKLOADS name (repeatable); default: BENCHMARK.json's")
     args = ap.parse_args(argv)
     trees = (args.parent.resolve(), args.change.resolve())
-    names = args.workload or [w["name"] for w in json.loads((trees[1] / "BENCHMARK.json").read_text())["workloads"]]
+    names = [w["name"] for w in json.loads((trees[1] / "BENCHMARK.json").read_text())["workloads"]]
     cmds = commands(load_workloads(trees[1]), names)
     for tree in trees:
         shutil.rmtree(tree / OUT_REL, ignore_errors=True)
