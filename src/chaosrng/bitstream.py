@@ -87,7 +87,8 @@ def _chain_chunks(m: MapModel, j: int, L: int, n: int, rng: np.random.Generator)
     """
     block = _density.NOISE_BLOCK
     for lo in range(0, n, block):
-        states = chain_states(m, rng.uniform(-1.0, 1.0, size=min(block, n - lo)), j, L)
+        # a buffer per chunk: none is held while the caller reads a chunk
+        states = chain_states(m, _density.uniform_noise(rng, np.empty(min(block, n - lo))), j, L)
         yield states
         j = int(states[-1])
 
@@ -214,17 +215,27 @@ def _lane_block(m, s, rows, seed, L, lanes):
     lo, hi = EPS, 1.0 - EPS
     block = max(_density.NOISE_BLOCK // lanes, 1)
     out = np.empty((rows, lanes), dtype=np.uint8)
+    buf = np.empty((min(block, rows), lanes))
+    x, y = np.empty(lanes), np.empty(lanes)
     for r0 in range(0, rows, block):
-        states = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), lanes))
+        states = _density.uniform_noise(rng, buf[: rows - r0])
         for u in states:
-            # the map at j/L, and 1 - EPS at j = L, clamped and scaled by L
-            y = np.clip(m.raw_eval(np.where(j < L, j / L, hi)), lo, hi)
+            # the map at j/L, and 1 - EPS at j = L (j <= L after the clamp),
+            # clamped and scaled by L
+            np.divide(j, L, out=x)
+            np.copyto(x, hi, where=j >= L)
+            np.maximum(m.raw_eval(x), lo, out=y)
+            np.minimum(y, hi, out=y)
             y *= L
             u += y
             np.floor(u, out=u)
-            np.clip(u, 1, L, out=u)
+            np.maximum(u, 1, out=u)
+            np.minimum(u, L, out=u)
             j = u
-        out[r0 : r0 + len(states)] = s.symbol_of(states / L)
+        # the last row starts the next block, whose noise overwrites `buf`
+        j = states[-1].copy()
+        states /= L
+        out[r0 : r0 + len(states)] = s.symbol_of(states)
     return out
 
 

@@ -169,8 +169,8 @@ def l1_distance(a: DensityHistogram, b: DensityHistogram) -> float:
 #: that no output depends on the machine.  Each fans its lanes out of one
 #: burned-in lead chain, so burn-in is paid once and a wider row costs only
 #: its own numpy work.  On a 2-core Xeon a verify-size cubic Monte Carlo run
-#: (K = 4e6) took 0.079 s at 1024 lanes, 0.052 s at 4096 and 0.049 s at
-#: 8192, best of 5
+#: (K = 4e6) took 0.063 s at 1024 lanes, 0.046 s at 4096 and 0.043 s at
+#: 8192, best of 5 rounds that rotate the order of the three lane counts
 LANES = 4096
 #: noise values per draw of every chain sampler: the grid chain's chunks
 #: (``bitstream.bit_chunks`` and the stream lanes' lead chain), the noisy
@@ -179,6 +179,20 @@ LANES = 4096
 #: cost about 40 bytes a state, so 2^14 keeps it near 1 MB; chunks of 2^12
 #: to 2^16 stepped a 2e6-state chain equally fast, within noise
 NOISE_BLOCK = 1 << 14
+
+
+def uniform_noise(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with noise uniform on (-1, 1) and return it.
+
+    The same doubles as ``rng.uniform(-1.0, 1.0, size=out.shape)``, which
+    computes -1 + 2r from one double r per value as well (2r is exact), and
+    `rng` ends in the same state; but drawn into the caller's float64 buffer
+    through ``rng.random(out=...)``, numpy's faster path.
+    """
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
 
 
 def _noisy_lane_starts(m: MapModel, lanes: int, burn_in: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -198,8 +212,9 @@ def _noisy_lane_starts(m: MapModel, lanes: int, burn_in: int, sigma: float, rng:
     x = rng.uniform()
     starts = np.empty(lanes)
     n = burn_in + lanes - 1
+    buf = np.empty(min(NOISE_BLOCK, n))
     for b0 in range(0, n, NOISE_BLOCK):
-        noise = rng.uniform(-1.0, 1.0, size=min(NOISE_BLOCK, n - b0))
+        noise = uniform_noise(rng, buf[: n - b0])
         for k, u in enumerate(memoryview(noise), b0 + 1 - burn_in):
             y = 1.0 - abs(1.0 - abs(f(x) + sigma * u))
             x = lo if y < lo else hi if y > hi else y
@@ -230,8 +245,9 @@ def mc_density(
     blocks of max(NOISE_BLOCK // LANES, 1) rows.  The K counted visits are
     their ceil(K / LANES) steps, of which the last counts only the first
     K - (ceil(K / LANES) - 1) * LANES chains.  Each counted state x goes to
-    bin min(floor(x * L), L - 1).  Every lane equals a scalar chain over its
-    own column of the noise, and the run is deterministic for a given seed.
+    bin floor(x * L), which is at most L - 1 because x <= 1 - EPS.  Every
+    lane equals a scalar chain over its own column of the noise, and the run
+    is deterministic for a given seed.
     """
     if L < 64:
         raise ValueError(f"L={L} too small; need at least 64 grid points")
@@ -249,9 +265,10 @@ def mc_density(
     rows, block = -(-K // LANES), max(NOISE_BLOCK // LANES, 1)
     counts = np.zeros(L, dtype=np.int64)
     left = K
+    buf = np.empty((min(block, rows), LANES))
     for r0 in range(0, rows, block):
         # each row of noise is stepped in place into the states it leads to
-        states = rng.uniform(-1.0, 1.0, size=(min(block, rows - r0), LANES))
+        states = uniform_noise(rng, buf[: rows - r0])
         states *= sigma
         for y in states:
             y += m.raw_eval(x)
@@ -259,18 +276,19 @@ def mc_density(
             np.subtract(1.0, y, out=y)
             np.abs(y, out=y)
             np.subtract(1.0, y, out=y)
-            np.clip(y, lo, hi, out=y)
+            np.maximum(y, lo, out=y)
+            np.minimum(y, hi, out=y)
             x = y
         x = states[-1].copy()
         # the first `left` states in row-major order are whole rows, then the
-        # last step of the first chains only
+        # last step of the first chains only.  A state lies in [EPS, 1 - EPS],
+        # so its bin needs no clamp to L - 1: EPS = 1e-15 > 2^-53, so
+        # (1 - EPS) * L rounds below L at every L, and truncates to L - 1 at
+        # most
         counted = states.ravel()[:left]
         counted *= L
-        bins = counted.astype(np.int64)
-        np.minimum(bins, L - 1, out=bins)
-        counts += np.bincount(bins, minlength=L)
+        counts += np.bincount(counted.astype(np.int64), minlength=L)
         left -= counted.size
-        del states, y, counted, bins  # before the next block is drawn
 
     weights = counts * (L / K)
     hist = DensityHistogram(

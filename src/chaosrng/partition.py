@@ -13,6 +13,7 @@ maps, whose bisection can land ~1e-8 off near a critical value (see `maps`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +60,33 @@ class SymbolPartition:
 
     def symbol_of(self, x):
         """Code of each x in (0, 1] (a float or an array), with the left-cell
-        tie convention (lo, hi] for boundary points."""
-        return self.codes[np.searchsorted(self.cuts, x) - 1]
+        tie convention (lo, hi] for boundary points: a numpy integer for a
+        scalar or 0-d x, an array of x's shape otherwise.
+
+        Raises ValueError when any x lies outside (0, 1] or is NaN: 0 lies in
+        no interval.  The interval of x is the number of inner cuts below it,
+        the same as ``searchsorted(cuts, x) - 1``, found by a branch-free
+        binary search over the inner cuts padded with +inf to 2^k - 1 entries:
+        one comparison per level, each a gather of one cut per x.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.size and not (x.min() > 0.0 and x.max() <= 1.0):
+            bad = x[~((x > 0.0) & (x <= 1.0))].flat[0]
+            raise ValueError(f"symbol_of needs x in (0, 1], got {float(bad)!r}")
+        pad = self._search_cuts
+        step = (pad.size + 1) // 2
+        i = (pad[step - 1] < x) * step
+        while step > 1:
+            step //= 2
+            i += (pad[i + (step - 1)] < x) * step
+        return self.codes[i]
+
+    @cached_property
+    def _search_cuts(self) -> np.ndarray:
+        """The inner cuts padded with +inf to 2^k - 1 entries, k >= 1."""
+        inner = self.cuts[1:-1]
+        size = 2 ** max(int(inner.size).bit_length(), 1) - 1
+        return np.concatenate((inner, np.full(size - inner.size, np.inf)))
 
     def _run_bounds(self) -> np.ndarray:
         """Index of the first interval of each run of equal codes, then codes.size."""

@@ -276,6 +276,38 @@ def test_lane_starts_are_the_lead_chains_last_states(data):
     assert rng.uniform() == ref.uniform()
 
 
+@given(
+    st.integers(0, 2**32),
+    st.one_of(st.tuples(st.sampled_from([0, 1, 2, 7, 33])), st.tuples(st.integers(0, 5), st.integers(0, 9))),
+    st.integers(0, 3),
+)
+def test_uniform_noise_is_the_uniform_draw(seed, shape, spare):
+    # every sampler draws its noise through uniform_noise, into a buffer,
+    # often a leading slice of a larger one: the doubles and the generator's
+    # next draw are those of one uniform(-1, 1) draw of the same shape
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    buf = np.full((shape[0] + spare, *shape[1:]), np.nan)
+    got = density.uniform_noise(rng, buf[: shape[0]])
+    want = ref.uniform(-1.0, 1.0, size=shape)
+    assert np.shares_memory(got, buf) or got.size == 0
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(buf[shape[0] :]).all()
+    assert rng.uniform() == ref.uniform()
+
+
+@settings(max_examples=200)
+@given(st.integers(64, 2**52) | st.sampled_from([2**k for k in range(6, 53)]))
+def test_counted_states_bin_inside_the_grid_without_a_clamp(L):
+    # mc_density's states lie in [EPS, 1 - EPS], and it bins x at
+    # int(x * L) with no clamp: (1 - EPS) * L rounds below L, since
+    # EPS = 1e-15 > 2^-53.  The end states fall in the end bins while
+    # L * EPS < 1 (L <= 2^49)
+    lo, hi = int(_maps.EPS * L), int((1.0 - _maps.EPS) * L)
+    assert 0 <= lo <= hi <= L - 1
+    if L <= 2**49:
+        assert (lo, hi) == (0, L - 1)
+
+
 def noisy_chain(m, noise, x, sigma):
     """mc_density's chain stepped alone on Python floats from x, one state
     per noise value: x <- M(x) + sigma * u, reflected at 0 and 1, clamped."""

@@ -58,6 +58,47 @@ def test_symbol_of_matches_interval_set(ends, xs):
     assert s.symbol_of(np.array(xs)).tolist() == want
 
 
+@st.composite
+def partitions_and_points(draw):
+    """A depth-1 partition of up to 64 S(0) pairs, and points of (0, 1] that
+    probe it: every cut, each cut's neighbouring doubles, 1 and uniform draws."""
+    ends = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=128, unique=True)))
+    s = SymbolPartition.from_pairs(list(zip(ends[0::2], ends[1::2])))
+    cuts = s.cuts[1:]
+    near = np.concatenate((np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0)))
+    drawn = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=20))
+    xs = np.concatenate((cuts, near[(near > 0.0) & (near <= 1.0)], [1.0], drawn))
+    return s, xs
+
+
+@given(partitions_and_points(), st.integers(1, 5))
+def test_symbol_of_matches_searchsorted(case, lanes):
+    # the binary search against the sorted-cut lookup it replaced, in value
+    # and in type, for Python floats, 0-d arrays and (rows, lanes) blocks
+    s, xs = case
+
+    def reference(x):
+        return s.codes[np.searchsorted(s.cuts, x) - 1]
+
+    for x in xs.tolist():
+        for arg in (x, np.array(x)):
+            got, want = s.symbol_of(arg), reference(arg)
+            assert type(got) is type(want) and got == want, (x, got, want)
+    block = xs[: xs.size // lanes * lanes].reshape(-1, lanes)
+    got, want = s.symbol_of(block), reference(block)
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_symbol_of_rejects_points_outside_the_unit_interval():
+    # 0 lies in no interval (lo, hi], and neither does anything past 1 or NaN
+    s = SymbolPartition.from_pairs([(0.0, 0.5)])
+    for bad in (0.0, -0.25, math.nextafter(1.0, 2.0), 2.0, math.nan):
+        for arg in (bad, np.array(bad), np.array([[0.25, bad], [1.0, 0.75]])):
+            with pytest.raises(ValueError, match=f"got {bad!r}"):
+                s.symbol_of(arg)
+
+
 def test_validate_rejects_overlap_and_gap():
     with pytest.raises(ValueError, match="complement"):
         SymbolPartition.from_pairs([(0.0, 0.6)], [(0.4, 1.0)])
