@@ -239,6 +239,17 @@ def _lane_block(m, s, rows, seed, L, lanes):
     return out
 
 
+def _window_codes(bits: np.ndarray, N: int) -> np.ndarray:
+    """Codes of the N-bit windows down each column of a (rows, lanes) block, a
+    row per start, first bit most significant, in the narrowest unsigned type."""
+    n = max(bits.shape[0] - N + 1, 0)
+    acc = bits[:n].astype(np.min_scalar_type(2**N - 1))
+    for k in range(1, N):
+        acc <<= 1
+        acc |= bits[k : n + k]
+    return acc
+
+
 class PatternCounter:
     """Sliding-window counts of the words of every depth 1..n_max over a
     stream fed in chunks; the brute-force P_N oracle.
@@ -246,10 +257,10 @@ class PatternCounter:
     A chunk is a 1-D piece of one stream, or a (rows, lanes) block of as many
     streams side by side; windows run down each column, never across columns,
     and a 1-D stream is the one-lane case.  Only the n_max-bit windows are
-    counted, and the last n_max - 1 rows carry over to the next chunk.  Depth
-    N - 1 follows from depth N by summing over the last bit, which misses
-    only each lane's one (N - 1)-window that starts at row n - N + 1, read
-    from the carried rows.
+    counted, and the last n_max - 1 rows carry over to the next chunk.  A
+    shorter depth N reads the first N bits of every n_max-window, which
+    misses only each lane's last n_max - N windows of depth N: they lie in
+    the carried rows and are counted from them.
     """
 
     def __init__(self, n_max: int):
@@ -261,13 +272,8 @@ class PatternCounter:
         self._tail = None  # the carried rows; its width fixes the lane count
 
     def update(self, chunk) -> None:
-        """Count the n_max-windows that end in `chunk`.
-
-        Window codes are built in the narrowest unsigned type that holds
-        n_max bits (uint8 up to 8, uint16 up to 16) and counted about
-        ``_COUNT_SLICE`` windows at a time, so that bincount's int64 copy of
-        the codes stays small.
-        """
+        """Count the n_max-windows that end in `chunk`, about ``_COUNT_SLICE``
+        at a time, so that bincount's int64 copy of their codes stays small."""
         chunk = np.asarray(chunk, dtype=np.uint8)
         block = chunk[:, None] if chunk.ndim == 1 else chunk
         if block.ndim != 2 or (self._tail is not None and block.shape[1] != self._tail.shape[1]):
@@ -276,17 +282,12 @@ class PatternCounter:
             self._tail = np.zeros((0, block.shape[1]), dtype=np.uint8)
         bits = np.concatenate((self._tail, block)) if self._tail.size else block
         N = self.n_max
-        code_type = np.min_scalar_type(2**N - 1)
         n_windows = bits.shape[0] - N + 1  # per lane
         step = max(_COUNT_SLICE // bits.shape[1], 1)
         for lo in range(0, n_windows, step):
             # windows lo..hi-1 read rows lo..hi+N-2: slices overlap by N - 1 rows
             hi = min(lo + step, n_windows)
-            acc = bits[lo:hi].astype(code_type)
-            for k in range(1, N):
-                acc <<= 1
-                acc |= bits[lo + k : hi + k]
-            self._counts += np.bincount(acc.ravel(), minlength=2**N)
+            self._counts += np.bincount(_window_codes(bits[lo : hi + N - 1], N).ravel(), minlength=2**N)
         # a copy, so that a whole stream passed as one chunk is not kept alive
         self._tail = bits[max(bits.shape[0] - (N - 1), 0) :].copy()
         self.n_bits += chunk.size
@@ -295,13 +296,9 @@ class PatternCounter:
         """Window counts at depth N, indexed by word code."""
         if not 1 <= N <= self.n_max:
             raise ValueError(f"depth {N} outside 1..{self.n_max}")
-        c = self._counts.copy()
-        tail = self._tail if self._tail is not None else np.zeros((0, 1), dtype=np.uint8)
-        for d in range(self.n_max - 1, N - 1, -1):
-            c = c[0::2] + c[1::2]
-            if tail.shape[0] >= d:  # each lane has a last d-window
-                words = (tail[-d:].astype(np.int64) << np.arange(d - 1, -1, -1)[:, None]).sum(axis=0)
-                c += np.bincount(words, minlength=2**d)
+        c = self._counts.reshape(2**N, -1).sum(axis=1)
+        if self._tail is not None:
+            c += np.bincount(_window_codes(self._tail, N).ravel(), minlength=2**N)
         return c
 
     def table(self, N: int) -> ProbabilityTable:

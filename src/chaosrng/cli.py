@@ -340,7 +340,7 @@ def cmd_bitgen(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     h = cfg.sha256()
     # one pass over the stream's chunks; no consumer holds more than a chunk
     patterns, extractor = _bitstream.PatternCounter(4), _bitstream.VonNeumannExtractor()
-    ones = vn_ones = 0
+    vn_ones = 0
     with contextlib.ExitStack() as files:
         writers = [files.enter_context(_bitstream.StreamWriter(out / "stream.bits"))]
         if cfg.ascii:
@@ -353,7 +353,6 @@ def cmd_bitgen(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
         for chunk in chunks:
             for w in writers:
                 w.write(chunk)
-            ones += int(chunk.sum())
             patterns.update(chunk)
             if cfg.von_neumann:
                 vn = extractor.update(chunk)
@@ -363,7 +362,7 @@ def cmd_bitgen(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     summary = {
         "map": m.name,
         "length": n,
-        "monobit_frequency": ones / n,
+        "monobit_frequency": int(patterns.counts(1)[1]) / n,
         "patterns": {},
     }
     print(f"bitgen map={m.name} bits={n} monobit(ones)={summary['monobit_frequency']:.4f}")

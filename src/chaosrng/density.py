@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -73,23 +74,47 @@ def _grid_edges(grid: str, n: int) -> np.ndarray:
     return i / n if grid == "uniform" else np.sin(i * (0.5 * np.pi / n)) ** 2
 
 
-def _grid_position(grid: str, x, n: int) -> np.ndarray:
-    """Bin index plus fraction inside the bin of each x on an n-bin grid."""
+def _locate(grid: str, x, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin of each x on an n-bin grid, x clipped into [0, 1], and the
+    fraction of that bin below x in the grid's coordinate; x = 1 is the
+    whole last bin."""
     x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
     if grid == "arcsine":
         x = np.arcsin(np.sqrt(x)) * (2.0 / np.pi)
-    return x * n
+    pos = x * n
+    b = np.minimum(pos.astype(np.int64), n - 1)
+    return b, pos - b
+
+
+class _Cumulative:
+    """F(b, frac) of grid weights w (n times the bin masses): the mass below
+    fraction frac of bin b (see :func:`_locate`), linear within each bin.  A
+    class, not a closure, so that a histogram that caches one still pickles."""
+
+    def __init__(self, w: np.ndarray):
+        self.w = w
+        self.cum = np.concatenate(([0.0], np.cumsum(w / w.size)))
+
+    def __call__(self, b, frac):
+        # cum[b] + frac * (w[b] / n) in place: the operator's loop keeps no
+        # n-array of masses and makes two temporaries a call, not four
+        f = self.w[b]
+        f /= self.w.size
+        f *= frac
+        f += self.cum[b]
+        return f
 
 
 @dataclass
 class DensityHistogram:
     """Grid density: weights[i] approximates f on bin [i/L, (i+1)/L).
 
-    An operator density keeps the grid it was solved on: ``grid_weights``
-    holds n times the mass of each of the n bins of ``grid``, and ``weights``
-    are read off its cumulative at the uniform edges j/L (pass
-    ``weights=None``).  Without ``grid_weights`` the L uniform bins are the
-    grid.  Treated as immutable once built (the cumulative table is cached).
+    ``grid_weights`` holds n times the mass of each of the n bins of
+    ``grid``, which the cumulative is read from.  An operator density keeps
+    the grid it was solved on and reads ``weights`` off it at the uniform
+    edges j/L (pass ``weights=None``); one passed without ``grid_weights``,
+    as a Monte Carlo histogram is, is its own grid.  Treated as immutable
+    once built (the cumulative table is cached).
     """
 
     L: int
@@ -100,6 +125,8 @@ class DensityHistogram:
     grid_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if self.grid_weights is None:
+            self.grid_weights = self.weights
         if self.weights is None:
             self.weights = self.L * np.diff(self.cumulative(np.arange(self.L + 1) / self.L))
 
@@ -108,34 +135,22 @@ class DensityHistogram:
             raise ValueError("weights length must equal L")
         if self.grid not in GRIDS:
             raise ValueError(f"unknown density grid {self.grid!r}")
-        for w in (self.weights, self._solve_weights):
+        for w in (self.weights, self.grid_weights):
             if np.any(w < 0):
                 raise ValueError("negative density weight")
             total = w.sum() / w.size
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"density not normalized: integral = {total!r}")
 
-    @property
-    def _solve_weights(self) -> np.ndarray:
-        return self.weights if self.grid_weights is None else self.grid_weights
-
-    def _cum_table(self) -> np.ndarray:
-        cum = getattr(self, "_cum_cache", None)
-        if cum is None:
-            w = self._solve_weights
-            cum = np.concatenate(([0.0], np.cumsum(w / w.size)))
-            self._cum_cache = cum
-        return cum
+    @cached_property
+    def _cdf(self):
+        return _Cumulative(self.grid_weights)
 
     def cumulative(self, x) -> np.ndarray:
-        """Integral of the density over (0, x), linear within each bin of the
-        grid in that grid's coordinate (x, or theta on the arcsine grid)."""
-        cum = self._cum_table()
-        w = self._solve_weights
-        n = w.size
-        pos = _grid_position(self.grid, x, n)
-        b = np.minimum(pos.astype(np.int64), n - 1)
-        return cum[b] + (pos - b) * (w[b] / n)
+        """Integral of the density over (0, x) for each x, clipped into
+        [0, 1]: linear within each bin of ``grid_weights`` in the grid's
+        coordinate (x, or theta on the arcsine grid)."""
+        return self._cdf(*_locate(self.grid, x, self.grid_weights.size))
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
@@ -322,34 +337,25 @@ def _fp_data(m: MapModel, grid: str, n: int) -> list:
     terms = []
     for br in m.branches:
         ylo, yhi = br.image
-        x = br.inverse(np.clip(edges, ylo, yhi))
-        pos = _grid_position(grid, x, n)
-        b = np.clip(np.floor(pos).astype(np.int64), 0, n - 1)
-        frac = pos - b
         sign = 1.0 if br.increasing else -1.0
         # preimage interval of (0, e) starts at the branch end mapping to y=0
         base = br.lo if br.increasing else br.hi
-        bpos = float(_grid_position(grid, base, n))
-        bb = min(int(np.floor(bpos)), n - 1)
-        terms.append((sign, b, frac, bb, bpos - bb))
+        located = _locate(grid, br.inverse(np.clip(edges, ylo, yhi)), n)
+        terms.append((sign, located, _locate(grid, base, n)))
     return terms
 
 
 def _fp_apply(terms: list, w: np.ndarray) -> np.ndarray:
     """Grid weights (n times the bin masses) after one operator step."""
-    n = w.size
-    masses = w / n
-    cum = np.concatenate(([0.0], np.cumsum(masses)))
-    phi = np.zeros(n + 1)
-    for sign, b, frac, bb, bfrac in terms:
-        fx = cum[b] + frac * masses[b]
-        fbase = cum[bb] + bfrac * masses[bb]
-        phi += sign * (fx - fbase)
+    F = _Cumulative(w)
+    phi = np.zeros(w.size + 1)
+    for sign, located, base in terms:
+        phi += sign * (F(*located) - F(*base))
     new = np.maximum(np.diff(phi), 0.0)
     total = new.sum()
     if total <= 0:
         raise MassLossError("transfer step annihilated all mass")
-    new *= n / total
+    new *= w.size / total
     return new
 
 

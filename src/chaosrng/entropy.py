@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -174,10 +174,6 @@ class EntropyReport:
     overhead: float | None = None
     provenance: dict = field(default_factory=dict)
 
-    @property
-    def depth(self) -> int:
-        return len(self.H)
-
     def validate(self) -> None:
         """Bounds and monotonicity checks.
 
@@ -218,17 +214,7 @@ class EntropyReport:
         return max(0.0, max((b - a for a, b in zip(self.h, self.h[1:])), default=0.0))
 
     def to_dict(self) -> dict:
-        return {
-            "H": self.H,
-            "h": self.h,
-            "h_estimate": self.h_estimate,
-            "spread": self.spread,
-            "bias": self.bias,
-            "input_rate": self.input_rate,
-            "recommended_rate": self.recommended_rate,
-            "overhead": self.overhead,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2))

@@ -109,10 +109,10 @@ class SymbolPartition:
         """Width of the narrowest cell component, i.e. of a run of equal codes."""
         return float(np.min(np.diff(self.cuts[self._run_bounds()])))
 
-    def word_of(self, x: float) -> str | None:
-        """Word of start x, with the left-cell tie convention (lo, hi]."""
-        i = int(np.searchsorted(self.cuts, x)) - 1
-        return format(int(self.codes[i]), f"0{self.depth}b") if 0.0 < x <= 1.0 else None
+    def word_of(self, x: float) -> str:
+        """Word of start x, as an N-bit string: :meth:`symbol_of`'s code, with
+        its tie convention (lo, hi] and its ValueError for x outside (0, 1]."""
+        return format(int(self.symbol_of(x)), f"0{self.depth}b")
 
     def validate(self, m: MapModel, parent: "SymbolPartition | None" = None) -> None:
         """Structural checks; with a `parent`, the children must reassemble its
@@ -187,7 +187,7 @@ def refine_once(m: MapModel, s: SymbolPartition, p: SymbolPartition) -> SymbolPa
         pulled.append((br, x, par))
     cuts = _sorted_distinct(np.concatenate([s.cuts, *(x for _, x, _ in pulled)]))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    codes = s.codes[np.searchsorted(s.cuts, mids) - 1] << p.depth
+    codes = s.symbol_of(mids) << p.depth
     for br, x, par in pulled:
         inside = (mids > br.lo) & (mids < br.hi)
         codes[inside] |= p.codes[par[np.searchsorted(x, mids[inside]) - 1]]

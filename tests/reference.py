@@ -6,13 +6,15 @@ two sets describing the same region compare equal.  With
 :func:`preimage_of_set` and :func:`set_mass` it computes refined cells and
 their masses one word at a time, the route that the cut/code refinement in
 ``chaosrng.partition`` replaces.  :func:`uniform_density` and :func:`fp_step`
-(one transfer-operator step) serve the density tests, and
+(one transfer-operator step) serve the density tests,
 :func:`scaled_map_table` is the map table that the grid chains of
-``chaosrng.bitstream`` are held against.
+``chaosrng.bitstream`` are held against, and :func:`markov_word_entropies`
+gives the exact block entropies of a piecewise-linear Markov map.
 """
 from __future__ import annotations
 
 import bisect
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -164,7 +166,7 @@ def fp_step(m, f: DensityHistogram) -> DensityHistogram:
     accumulated branch by branch from the cumulative of f.
     """
     f.validate()
-    w = f._solve_weights
+    w = f.grid_weights
     new = density._fp_apply(density._fp_data(m, f.grid, w.size), w)
     meta = {"iterations": f.meta.get("iterations", 0) + 1}
     return DensityHistogram(L=f.L, weights=None, method="fp_operator", meta=meta, grid=f.grid, grid_weights=new)
@@ -195,3 +197,55 @@ def scaled_map_table(m, L: int) -> np.ndarray:
         np.clip(np.asarray(m.raw_eval(grid), dtype=float), EPS, 1.0 - EPS, out=vals)
         vals *= L
     return table
+
+
+def markov_word_entropies(breakpoints, values, cut: float, depth: int) -> list[float]:
+    """Exact block entropies H_1..H_depth, in bits, of the symbol process of
+    the continuous piecewise-linear map through (breakpoints[i], values[i]),
+    with bit 0 on (0, cut] and 1 on (cut, 1], under its invariant density.
+
+    Every input is read as the nearest fraction with denominator at most
+    2^20 (0.3 as 3/10), and the forward orbits of the breakpoints and of the
+    cut are found in rational arithmetic; they must be finite.  Their points
+    split [0, 1] into intervals that M maps linearly onto unions of
+    intervals, a Markov partition.  The invariant density is constant on
+    each interval, with masses pi from pi P = pi, where P_ij is the share of
+    M(I_i) that I_j covers, and a word's probability is the forward product
+    pi D_{w_1} P D_{w_2} ... P D_{w_N} 1, D_b the 0/1 diagonal of the
+    intervals whose bit is b.  P must be primitive, so that pi is unique.
+    """
+    xs = [Fraction(x).limit_denominator(1 << 20) for x in breakpoints]
+    ys = [Fraction(y).limit_denominator(1 << 20) for y in values]
+    c = Fraction(cut).limit_denominator(1 << 20)
+
+    def M(x):
+        k = min(bisect.bisect_right(xs, x), len(xs) - 1)  # x on the segment xs[k-1]..xs[k]
+        return ys[k - 1] + (ys[k] - ys[k - 1]) * (x - xs[k - 1]) / (xs[k] - xs[k - 1])
+
+    points, todo = set(), [*xs, c]
+    while todo:
+        x = todo.pop()
+        if x not in points:
+            if len(points) > 1000:
+                raise ValueError("the forward orbits of the breakpoints and the cut exceed 1000 points")
+            points.add(x)
+            todo.append(M(x))
+    pts = sorted(points)
+    intervals = list(zip(pts, pts[1:]))
+    P = np.zeros((len(intervals), len(intervals)))
+    for i, (a, b) in enumerate(intervals):
+        lo, hi = sorted((M(a), M(b)))
+        for j, (u, v) in enumerate(intervals):
+            if lo <= u and v <= hi:
+                P[i, j] = (v - u) / (hi - lo)
+    n = len(intervals)
+    pi = np.linalg.lstsq(np.vstack((P.T - np.eye(n), np.ones(n))), np.append(np.zeros(n), 1.0), rcond=None)[0]
+    onehot = np.array([[(v > c) == b for _, v in intervals] for b in (0, 1)], dtype=float)
+    words = pi * onehot  # row w: pi D_{w_1} P ... D_{w_N}, one row per word code
+    H = []
+    for _ in range(depth):
+        p = words.sum(axis=1)
+        p = p[p > 0]
+        H.append(float(-(p * np.log2(p)).sum()))
+        words = ((words @ P)[:, None, :] * onehot).reshape(-1, n)
+    return H

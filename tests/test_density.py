@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 from unittest import mock
 
@@ -86,6 +87,15 @@ def test_csv_and_json_output(tmp_path):
     assert rows[0] == "t,f"
     assert len(rows) == 17
     assert h.to_dict()["L"] == 16
+
+
+def test_density_pickles_with_its_cached_cumulative(cubic):
+    # an operator density reads its weights through the cached cumulative
+    f = fp_fixed_point(cubic, 64)
+    g = pickle.loads(pickle.dumps(f))
+    x = np.linspace(0.0, 1.0, 33)
+    assert g.cumulative(x).tolist() == f.cumulative(x).tolist()
+    assert g.weights.tolist() == f.weights.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,15 @@ def test_symbol_of_rejects_points_outside_the_unit_interval():
                 s.symbol_of(arg)
 
 
+def test_word_of_rejects_points_outside_the_unit_interval(cubic, branch_part):
+    # word_of reads symbol_of's code, so it keeps symbol_of's domain
+    p = refinement_ladder(cubic, branch_part, 3)[-1]
+    for bad in (0.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            p.word_of(bad)
+    assert p.word_of(1.0) == format(int(p.codes[-1]), "03b")
+
+
 def test_validate_rejects_overlap_and_gap():
     with pytest.raises(ValueError, match="complement"):
         SymbolPartition.from_pairs([(0.0, 0.6)], [(0.4, 1.0)])

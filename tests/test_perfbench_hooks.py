@@ -106,8 +106,9 @@ def test_traced_verify_runs_inside_traced_stages(monkeypatch, tmp_path, capsys):
 
 def test_byte_oracle_commands_parse(monkeypatch, tmp_path):
     # tools/byte_oracle.py runs the benchmark's workloads, plus analyze and
-    # bitgen on its own map configs; each command must be a valid seed-0 run
-    # with an output directory of its own
+    # bitgen on its own map configs, density files of every map kind and a
+    # Monte Carlo analysis; each command must be a valid seed-0 run with an
+    # output directory of its own
     run = load_perfbench(monkeypatch, "run")
     spec = importlib.util.spec_from_file_location("byte_oracle", PERFBENCH.parent / "tools" / "byte_oracle.py")
     oracle = importlib.util.module_from_spec(spec)
@@ -118,12 +119,15 @@ def test_byte_oracle_commands_parse(monkeypatch, tmp_path):
     (tmp_path / oracle.OUT_REL / "maps").mkdir(parents=True)
     for kind, cfg in oracle.MAP_CONFIGS.items():
         (tmp_path / oracle.OUT_REL / "maps" / f"{kind}.json").write_text(json.dumps(cfg))
-    out_dirs, maps_run = set(), set()
+    out_dirs, maps_run, runs = set(), set(), set()
     for label, argv in cmds:
         command, cfg = _config_from_args(argv)
         m, _ = cfg.validate(command)
         assert cfg.seed == 0, label
         out_dirs.add(cfg.out_dir)
         maps_run.add(m.name)
+        runs.add((command, cfg.method, m.name))
     assert len(out_dirs) == len(cmds)
     assert maps_run == {*maps.BUILTIN_MAPS, "polynomial", "piecewise_linear"}
+    assert {("density", "both", name) for name in ("cubic_sample", "polynomial", "piecewise_linear")} <= runs
+    assert ("analyze", "montecarlo", "cubic_sample") in runs

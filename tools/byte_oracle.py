@@ -5,10 +5,13 @@ Usage: python3 tools/byte_oracle.py PARENT_TREE CHANGE_TREE
 Runs every operation of the benchmark's workloads (``WORKLOADS`` in
 ``perfbench/run.py``, loaded read-only from CHANGE_TREE; the workloads that
 its ``BENCHMARK.json`` names) at seed 0 in each tree, from that
-tree's own ``src/``, with the same relative ``--out-dir``.  The analyze and
-bitgen operations also run on a polynomial and on a piecewise-linear map
-config, so bisection and linear branch inverses are covered as well as the
-built-ins' closed forms.
+tree's own ``src/``, with the same relative ``--out-dir``.  It adds the
+commands of ``EXTRA_OPS``, which no workload runs: ``density --method
+both``, the only writer of density files, and a Monte Carlo ``analyze``.
+The analyze, bitgen and density operations with a built-in ``--map``, the
+Monte Carlo analyze excepted, also run on a polynomial and on a
+piecewise-linear map config, so bisection and linear branch inverses are
+covered as well as the built-ins' closed forms.
 
 For every command it compares the exit code, stdout and each file written,
 by sha256.  Stderr is not compared: warnings name source paths, which differ
@@ -35,6 +38,11 @@ MAP_CONFIGS = {
     "polynomial": {"type": "polynomial", "coefficients": [0, 4, -4], "critical_points": [0.5]},
     "piecewise_linear": {"type": "piecewise_linear", "breakpoints": [0, 0.4, 1], "values": [0, 1, 0]},
 }
+#: label: (argv without --seed, --workers and --out-dir, whether it also runs on MAP_CONFIGS)
+EXTRA_OPS = {
+    "density-both": (["density", "--map", "cubic_sample", "--method", "both"], True),
+    "analyze-montecarlo": (["analyze", "--map", "cubic_sample", "--method", "montecarlo", "--depth", "8"], False),
+}
 
 
 def load_workloads(tree: Path) -> dict:
@@ -50,20 +58,25 @@ def load_workloads(tree: Path) -> dict:
 
 def commands(workloads: dict, names: list[str]) -> list[tuple[str, list[str]]]:
     """(label, argv) of every command to compare, each with its own --out-dir."""
+    ops = [
+        (f"{name}/{op.name}", op.argv(0), op.args[0] in ("analyze", "bitgen"))
+        for name in names
+        for op in workloads[name]
+    ]
+    ops += [(label, [*args, "--seed", "0", "--workers", "1", "--out-dir", OUT_REL], vary)
+            for label, (args, vary) in EXTRA_OPS.items()]
     out = []
-    for name in names:
-        for op in workloads[name]:
-            argv = op.argv(0)
-            variants = [(f"{name}/{op.name}", argv)]
-            if argv[0] in ("analyze", "bitgen") and "--map" in argv:
-                i = argv.index("--map") + 1
-                variants += [
-                    (f"{name}/{op.name}-{kind}", [*argv[:i], f"{OUT_REL}/maps/{kind}.json", *argv[i + 1:]])
-                    for kind in MAP_CONFIGS
-                ]
-            for label, args in variants:
-                j = args.index("--out-dir") + 1
-                out.append((label, [*args[:j], f"{OUT_REL}/{label}", *args[j + 1:]]))
+    for label, argv, vary in ops:
+        variants = [(label, argv)]
+        if vary and "--map" in argv:
+            i = argv.index("--map") + 1
+            variants += [
+                (f"{label}-{kind}", [*argv[:i], f"{OUT_REL}/maps/{kind}.json", *argv[i + 1:]])
+                for kind in MAP_CONFIGS
+            ]
+        for variant, args in variants:
+            j = args.index("--out-dir") + 1
+            out.append((variant, [*args[:j], f"{OUT_REL}/{variant}", *args[j + 1:]]))
     return out
 
 
