@@ -23,7 +23,7 @@ import numpy as np
 from . import density as _density
 from .density import RNG_ALGORITHM
 from .entropy import ProbabilityTable
-from .maps import EPS, MapModel
+from .maps import EPS, ArgumentError, MapModel
 from .partition import SymbolPartition
 
 DEFAULT_STREAM_L = 1 << 20
@@ -110,20 +110,20 @@ def bit_chunks(
     memory at every length and grid L.  The arguments are checked on the
     call, before the first chunk is asked for.
     """
-    _check_stream(length, L, dither, start)
+    check_stream(length, L, dither, start)
     rng = np.random.Generator(np.random.PCG64(seed))
     if dither:
         return _dithered_chunks(m, s, length, rng, L, start)
     return _raw_chunks(m, s, length, rng, start)
 
 
-def _check_stream(length, L, dither, start) -> None:
+def check_stream(length, L, dither, start) -> None:
     if length < 1:
-        raise ValueError("length must be at least 1")
+        raise ArgumentError("length", f"must be positive, got {length!r}")
     if dither and not 64 <= L <= MAX_STREAM_L:
-        raise ValueError(f"dither grid L={L} out of range; need 64..2^53")
+        raise ArgumentError("stream_grid", f"need 64..2^53 for a dithered stream, got {L!r}")
     if start is not None and not 0.0 < start < 1.0:
-        raise ValueError(f"start must lie in (0,1), got {start}")
+        raise ArgumentError("start", f"must lie in (0, 1), got {start!r}")
 
 
 def _dithered_chunks(m, s, length, rng, L, start):
@@ -180,7 +180,7 @@ def generate_bits(
     if lanes != 1:
         if lanes < 1 or not dither or start is not None:
             raise ValueError("the lane sampler needs lanes >= 1, dither on and no start")
-        _check_stream(length, L, dither, start)
+        check_stream(length, L, dither, start)
         return _lane_block(m, s, length, seed, L, lanes)
     chunks = bit_chunks(m, s, length, seed=seed, L=L, dither=dither, start=start)
     out = np.empty(length, dtype=np.uint8)

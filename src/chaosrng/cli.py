@@ -34,6 +34,7 @@ COMMANDS = ("density", "analyze", "bitgen", "verify")
 _DENSITY_READERS = ("density", "analyze", "verify")  # the commands that build a density
 #: bits in verify's check stream
 _CHECK_BITS = 1_000_000
+L1_GATE = 0.05  # verify's gate on L1(mc, fp)
 _JSON_NAMES = {
     int: "an integer",
     float: "a number",
@@ -197,10 +198,10 @@ class AnalysisConfig:
         return out
 
     def validate(self, command: str | None = None) -> tuple[_maps.MapModel, _partition.SymbolPartition]:
-        """Check every field, and return the map and the partition the config
-        describes, built here once.  The floors on K and burn_in hold only where
-        a Monte Carlo density is built: in `verify`, and by method except in
-        `bitgen`."""
+        """Check every field, each one a library function reads through that
+        function's own check, and return the map and the partition the config
+        describes, built here once.  The floors on K and burn_in hold only where a
+        Monte Carlo density is built: in `verify`, and by method except in `bitgen`."""
         for f in fields(self):
             _check_type(f.metadata["path"], getattr(self, f.name), f.type)
         if self.method not in DENSITY_METHODS:
@@ -208,30 +209,22 @@ class AnalysisConfig:
         for fmt in self.formats:
             if fmt not in FORMATS:
                 raise ConfigError(f"output.formats: {fmt!r} not one of {FORMATS}")
-        if self.L < 64:
-            raise ConfigError(f"density.L: need an integer >= 64, got {self.L!r}")
-        if command == "verify" or (command != "bitgen" and self.method != "fp_operator"):
-            if self.K < 100 * self.L:
-                raise ConfigError(f"density.K: need an integer >= 100*L = {100 * self.L}, got {self.K!r}")
-            if self.burn_in < 1_000:
-                raise ConfigError(f"density.burn_in: need >= 1000, got {self.burn_in!r}")
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"density.tol: must be positive and finite, got {self.tol!r}")
-        if self.grid_factor is not None and self.grid_factor < 1:
-            raise ConfigError(f"density.grid_factor: need a positive integer, got {self.grid_factor!r}")
-        if not 1 <= self.depth <= _partition.DEFAULT_MAX_DEPTH:
-            raise ConfigError(f"depth: need 1..{_partition.DEFAULT_MAX_DEPTH}, got {self.depth!r}")
+        monte_carlo = command == "verify" or (command != "bitgen" and self.method != "fp_operator")
+        floors = {"K": self.K, "burn_in": self.burn_in} if monte_carlo else {}
+        try:
+            _density.check_arguments(L=self.L, tol=self.tol, grid_factor=self.grid_factor, **floors)
+            _partition.check_depth(self.depth)
+            _bitstream.check_stream(self.length, self.stream_grid, self.dither, self.start)
+            _entropy.check_rate(self.input_rate)
+        except _maps.ArgumentError as e:
+            path = next(f.metadata["path"] for f in fields(self) if f.name == e.param)
+            raise ConfigError(f"{path}: {e.reason}") from e
+        # verify's L1 gate must clear the sampling error of K visits (README)
+        need = math.ceil(((1.2 * math.sqrt(2 * self.L / math.pi) + 4 * math.sqrt(1 - 2 / math.pi)) / L1_GATE) ** 2)
+        if command == "verify" and self.K < need:
+            raise ConfigError(f"density.K: verify's L1 gate {L1_GATE} needs K >= {need} at L = {self.L}, got {self.K}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be non-negative, got {self.seed!r}")
-        if self.length < 1:
-            raise ConfigError(f"length: must be positive, got {self.length!r}")
-        # the bounds generate_bits checks, checked before any work starts
-        if self.dither and not 64 <= self.stream_grid <= _bitstream.MAX_STREAM_L:
-            raise ConfigError(f"stream_grid: need 64..2^53 for a dithered stream, got {self.stream_grid!r}")
-        if self.start is not None and not 0.0 < self.start < 1.0:
-            raise ConfigError(f"start: must lie in (0, 1), got {self.start!r}")
-        if self.input_rate is not None and not 0 < self.input_rate < math.inf:
-            raise ConfigError(f"input_rate: must be positive and finite, got {self.input_rate!r}")
         if self.workers not in (None, 1):
             raise ConfigError(f"workers: only null or 1 is accepted, got {self.workers!r}")
         try:
@@ -394,7 +387,7 @@ def cmd_verify(cfg: AnalysisConfig, m: _maps.MapModel, s: _partition.SymbolParti
     fp = _compute_density(cfg, m, "fp_operator")
     mc = _compute_density(cfg, m, "montecarlo")
     d = _density.l1_distance(mc, fp)
-    checks.append(("L1(mc, fp)", d, 0.05, d < 0.05))
+    checks.append(("L1(mc, fp)", d, L1_GATE, d < L1_GATE))
 
     try:
         res_fp = _analysis.run_analysis(m, s, depth, density=fp)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import maps as _maps
-from .maps import MapModel
+from .maps import ArgumentError, MapModel
 
 RNG_ALGORITHM = "PCG64"
 
@@ -34,7 +34,7 @@ DEFAULT_TOL = 1e-9
 MC_GRID_FACTOR = 16
 
 
-class ResolutionError(ValueError):
+class ResolutionError(ArgumentError):
     """Requested resolution is below the method's floor (K must be >> L)."""
 
 
@@ -49,6 +49,20 @@ class NonConvergenceError(RuntimeError):
         )
         self.distance = distance
         self.iterations = iterations
+
+
+def check_arguments(*, L=None, K=None, burn_in=None, tol=None, grid_factor=None) -> None:
+    """Raise :class:`ArgumentError` for the first argument outside its domain; None skips a check."""
+    if L is not None and L < 64:
+        raise ArgumentError("L", f"need an integer >= 64, got {L!r}")
+    if K is not None and K < 100 * L:
+        raise ResolutionError("K", f"need an integer >= 100*L = {100 * L}, got {K!r}")
+    if burn_in is not None and burn_in < 1_000:
+        raise ArgumentError("burn_in", f"need >= 1000, got {burn_in!r}")
+    if tol is not None and not 0 < tol < np.inf:
+        raise ArgumentError("tol", f"must be positive and finite, got {tol!r}")
+    if grid_factor is not None and grid_factor < 1:
+        raise ArgumentError("grid_factor", f"need a positive integer, got {grid_factor!r}")
 
 
 #: bin edges of a density grid with n bins: uniform in x ("uniform"), or
@@ -264,14 +278,7 @@ def mc_density(
     lane equals a scalar chain over its own column of the noise, and the run
     is deterministic for a given seed.
     """
-    if L < 64:
-        raise ValueError(f"L={L} too small; need at least 64 grid points")
-    if K < 100 * L:
-        raise ResolutionError(f"K={K} is below the resolution floor 100*L={100 * L}; visit counts need K >> L")
-    if burn_in < 1_000:
-        raise ValueError(f"burn_in={burn_in} too small; need at least 1000 to pass the transient")
-    if grid_factor < 1:
-        raise ValueError(f"grid_factor={grid_factor} must be a positive integer")
+    check_arguments(L=L, K=K, burn_in=burn_in, grid_factor=grid_factor)
     sigma = 1.0 / (grid_factor * L)
     # spawned, not SeedSequence(seed) itself: the stream every earlier Monte Carlo output drew from
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
@@ -374,10 +381,7 @@ def fp_fixed_point(
     max_iter runs out.  The histogram keeps the solve grid for its
     cumulative and reads its L uniform-bin weights off it.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if grid_factor < 1:
-        raise ValueError("grid_factor must be a positive integer")
+    check_arguments(tol=tol, grid_factor=grid_factor)
     grid = solve_grid(m)
     n = L * grid_factor
     terms = _fp_data(m, grid, n)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .density import DensityHistogram
+from .maps import ArgumentError
 from .partition import SymbolPartition
 
 
@@ -148,11 +149,15 @@ def entropy_rate_estimate(h, window: int = 4) -> float:
     return float(spread)
 
 
+def check_rate(R: float | None) -> None:
+    if R is not None and not 0 < R < math.inf:
+        raise ArgumentError("input_rate", f"must be positive and finite, got {R!r}")
+
+
 def rate_budget(R: float, h: float) -> tuple[float, float]:
     """Maximum truly-random output rate R_d = h * R for input rate R, and the
     extraction overhead 1/h (inf when h = 0: no extractable entropy)."""
-    if R <= 0:
-        raise ValueError("input rate must be positive")
+    check_rate(R)
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"entropy per bit must lie in [0, 1], got {h}")
     if h == 0.0:

@@ -38,6 +38,14 @@ class DomainError(ValueError):
     """Argument outside the open unit interval."""
 
 
+class ArgumentError(ValueError):
+    """An argument outside its domain; `param` names its config field."""
+
+    def __init__(self, param: str, reason: str):
+        super().__init__(f"{param}: {reason}")
+        self.param, self.reason = param, reason
+
+
 @dataclass(frozen=True)
 class Branch:
     """A maximal strictly monotone piece of a map.

@@ -17,12 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .maps import MapModel
+from .maps import ArgumentError, MapModel
 
 DEFAULT_MAX_DEPTH = 20
 
 
-class RefinementError(ValueError):
+class RefinementError(ArgumentError):
     """Refinement refused (depth beyond the configured cap or resolution)."""
 
 
@@ -194,18 +194,18 @@ def refine_once(m: MapModel, s: SymbolPartition, p: SymbolPartition) -> SymbolPa
     return SymbolPartition(cuts=cuts, codes=codes, depth=p.depth + 1)
 
 
+def check_depth(N: int) -> None:
+    if not 1 <= N <= DEFAULT_MAX_DEPTH:
+        raise RefinementError("depth", f"need 1..{DEFAULT_MAX_DEPTH} (cell widths shrink geometrically, and a depth "
+                              f"that exceeds the cap drops them below any usable grid resolution), got {N!r}")
+
+
 def refinement_ladder(m: MapModel, s: SymbolPartition, N: int) -> list[SymbolPartition]:
     """The partitions at depths 1..N: `s` itself, then each refinement built
     from the one before."""
     if s.depth != 1:
-        raise RefinementError(f"refinement starts from a depth-1 partition, got depth {s.depth}")
-    if N < 1:
-        raise RefinementError("depth must be at least 1")
-    if N > DEFAULT_MAX_DEPTH:
-        raise RefinementError(
-            f"depth {N} exceeds the cap {DEFAULT_MAX_DEPTH}: cell widths shrink geometrically and "
-            "drop below any usable grid resolution"
-        )
+        raise RefinementError("partition", f"refinement starts from a depth-1 partition, got depth {s.depth}")
+    check_depth(N)
     ladder = [s]
     while ladder[-1].depth < N:
         ladder.append(refine_once(m, s, ladder[-1]))

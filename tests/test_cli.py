@@ -3,6 +3,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,10 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chaosrng as cr
 from chaosrng import analysis, density
 from chaosrng.analysis import InvariantViolation
 from chaosrng.bitstream import read_stream, read_stream_ascii
 from chaosrng.cli import ANALYSIS_ERRORS, COMMANDS, RUNNERS, AnalysisConfig, ConfigError, _build_parser, _config_from_args, main
+from chaosrng.maps import ArgumentError
 
 
 def run(capsys, *argv):
@@ -654,6 +657,72 @@ def test_malformed_value_exits_2(tmp_path, capsys, config, flags, path):
     code, _, err = run(capsys, *command, "--config", str(p), *flags, "--out-dir", str(tmp_path))
     assert code == 2
     assert f"config error: {path}: " in err
+
+
+TENT, PART = cr.tent_map(), cr.symmetric_partition()
+
+
+def analyze_tent(input_rate):
+    return cr.run_analysis(TENT, PART, 2, density=cr.fp_fixed_point(TENT, 256), input_rate=input_rate)
+
+
+# each argument rule, broken once through the library function that reads the
+# value and once through the config field: (call, field, CLI argv)
+ARGUMENT_RULES = {
+    "L": (lambda: cr.mc_density(TENT, 32, seed=0, K=200_000), "L", ["density", "--L", "32"]),
+    "K": (lambda: cr.mc_density(TENT, 1024, seed=0, K=10_240), "K",
+          ["density", "--method", "montecarlo", "--L", "1024", "--K", "10240"]),
+    "burn_in": (lambda: cr.mc_density(TENT, 1024, seed=0, K=200_000, burn_in=10), "burn_in",
+                ["analyze", "--method", "montecarlo", "--burn-in", "10"]),
+    "tol-0": (lambda: cr.fp_fixed_point(TENT, 256, tol=0.0), "tol", ["density", "--tol", "0"]),
+    "tol-inf": (lambda: cr.fp_fixed_point(TENT, 256, tol=math.inf), "tol", ["density", "--tol", "inf"]),
+    "tol-nan": (lambda: cr.fp_fixed_point(TENT, 256, tol=math.nan), "tol", ["density", "--tol", "nan"]),
+    "grid_factor-mc": (lambda: cr.mc_density(TENT, 64, seed=0, K=6_400, grid_factor=0), "grid_factor",
+                       ["density", "--method", "montecarlo", "--grid-factor", "0"]),
+    "grid_factor-fp": (lambda: cr.fp_fixed_point(TENT, 256, grid_factor=0), "grid_factor",
+                       ["density", "--grid-factor", "0"]),
+    "depth-0": (lambda: cr.refinement_ladder(TENT, PART, 0), "depth", ["analyze", "--depth", "0"]),
+    "depth-21": (lambda: cr.refinement_ladder(TENT, PART, 21), "depth", ["verify", "--depth", "21"]),
+    "length": (lambda: cr.generate_bits(TENT, PART, 0, seed=0), "length", ["bitgen", "--length", "0"]),
+    "stream_grid-8": (lambda: cr.generate_bits(TENT, PART, 10, seed=0, L=8), "stream_grid",
+                      ["bitgen", "--stream-grid", "8"]),
+    "stream_grid-2^53+1": (lambda: cr.bit_chunks(TENT, PART, 10, seed=0, L=2**53 + 1), "stream_grid",
+                           ["bitgen", "--stream-grid", str(2**53 + 1)]),
+    "start": (lambda: cr.generate_bits(TENT, PART, 10, seed=0, start=1.5), "start", ["bitgen", "--start", "1.5"]),
+    "input_rate-negative": (lambda: cr.rate_budget(-1.0, 0.5), "input_rate", ["analyze", "--rate", "-1"]),
+    "input_rate-inf": (lambda: cr.rate_budget(math.inf, 0.5), "input_rate", ["analyze", "--rate", "inf"]),
+    "input_rate-nan": (lambda: cr.rate_budget(math.nan, 0.5), "input_rate", ["analyze", "--rate", "nan"]),
+    # run_analysis reported R_d = inf (written to report.json as `Infinity`) and nan
+    "run_analysis-inf": (lambda: analyze_tent(math.inf), "input_rate", ["analyze", "--rate", "1e999"]),
+    "run_analysis-nan": (lambda: analyze_tent(math.nan), "input_rate", ["analyze", "--rate", "NaN"]),
+}
+
+
+@pytest.mark.parametrize("rule", list(ARGUMENT_RULES))
+def test_each_argument_rule_is_the_librarys_and_the_configs(tmp_path, capsys, rule):
+    call, name, argv = ARGUMENT_RULES[rule]
+    with pytest.raises(ArgumentError) as exc:
+        call()
+    assert exc.value.param == name
+    assert str(exc.value).startswith(f"{name}: ")
+    (f,) = [f for f in fields(AnalysisConfig) if f.name == name]
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith(f"config error: {f.metadata['path']}: "), err
+    assert not any(tmp_path.iterdir())  # refused before any work
+
+
+def test_verify_refuses_a_K_too_small_for_its_L1_gate(tmp_path, capsys):
+    # 1.2 times the expected L1 of K visits, at most sqrt(2L/(pi K)), plus 4 sd
+    # of sqrt((1 - 2/pi)/K), must stay under the 0.05 gate: at the default L 4096,
+    # K = 1e6 read L1(mc, fp) 0.052-0.054 and failed on every built-in map
+    code, _, err = run(capsys, "verify", "--K", "1000000", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error: density.K: ") and "needs K >= 1622505 at L = 4096" in err
+    code, _, err = run(capsys, "verify", "--L", "256", "--K", "125750", "--out-dir", str(tmp_path))
+    assert code == 2 and "needs K >= 125751 at L = 256" in err
+    code, out, err = run(capsys, "verify", "--K", "1622505", "--out-dir", str(tmp_path))
+    assert code == 0, out + err
 
 
 def test_malformed_config_file_exits_2(tmp_path, capsys):

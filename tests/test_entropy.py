@@ -184,6 +184,19 @@ def test_block_probabilities_renormalization_guard():
         block_probabilities(broken, uniform_density(64))
 
 
+def test_block_probabilities_renormalize_the_raw_cell_masses():
+    # the bisected polynomial logistic's cell masses sum to 1 + 1.7e-14 at
+    # every depth, so a table that skipped the division would differ
+    m = cr.map_from_config({"type": "polynomial", "coefficients": [0, 4, -4], "critical_points": [0.5]})
+    f = cr.fp_fixed_point(m, 1024)
+    for p in refinement_ladder(m, cr.symmetric_partition(), 8):
+        raw = np.bincount(p.codes, weights=np.diff(f.cumulative(p.cuts)), minlength=2**p.depth)
+        assert raw.sum() != 1.0
+        t = block_probabilities(p, f)
+        assert np.array_equal(t.p, raw / raw.sum()), p.depth
+        assert t.meta["renormalization"] == 1.0 / raw.sum()
+
+
 def test_entropy_rate_estimate():
     spread = entropy_rate_estimate([1.0, 0.9851, 0.985, 0.9849, 0.98488], window=4)
     assert spread == pytest.approx(0.9851 - 0.98488)

@@ -56,3 +56,18 @@ def test_rejects_unpaired_readings():
         verdict([1.0], [1.0], "lower", 0.25)
     with pytest.raises(ValueError):
         verdict([1.0, 2.0], [1.0, 2.0], "faster", 0.25)
+
+
+def test_bytecode_in_only_one_tree_is_refused(tmp_path):
+    # a tree that holds compiled bytecode skips compiling in every child
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for tree in (parent, change):
+        (tree / "src" / "pkg").mkdir(parents=True)
+    assert perf_pairs.bytecode_skew(parent, change) is None
+    (change / "src" / "pkg" / "__pycache__").mkdir()
+    msg = perf_pairs.bytecode_skew(parent, change)
+    assert msg.startswith(f"{change}: src/ holds __pycache__")
+    (parent / "src" / "__pycache__").mkdir()
+    assert perf_pairs.bytecode_skew(parent, change) is None
+    (change / "src" / "pkg" / "__pycache__").rmdir()
+    assert perf_pairs.bytecode_skew(parent, change).startswith(f"{parent}: src/ holds __pycache__")

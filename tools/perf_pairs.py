@@ -12,9 +12,11 @@ to the ``run_seconds`` of the change tree's ``BENCHMARK.json``.
 
 Each run's result is the JSON object on the last line of its stdout.  The
 script exits 1 when a run does not end with one, reads ``correct: false`` or
-fails an operation.  Otherwise, for every end-to-end metric of the change
-tree's ``BENCHMARK.json``, it prints each side's median and quartiles, the
-change's wins out of N and the :func:`verdict`, and exits 0.
+fails an operation, and before the first run when only one tree's ``src/``
+holds ``__pycache__`` (:func:`bytecode_skew`).  Otherwise, for every
+end-to-end metric of the change tree's ``BENCHMARK.json``, it prints each
+side's median and quartiles, the change's wins out of N and the
+:func:`verdict`, and exits 0.
 """
 from __future__ import annotations
 
@@ -72,6 +74,22 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def bytecode_skew(parent: Path, change: Path) -> str | None:
+    """Why the two trees cannot be compared, or None: only one tree's ``src/``
+    holds ``__pycache__``.
+
+    Where PYTHONDONTWRITEBYTECODE=1 is set, the tree with bytecode skips
+    compiling the package in every child and the other does not, which moved
+    setup_s by 15-24 ms and analyze-d11's peak RSS by 1.2 MB on 10 of 10
+    pairs, all of it credited to the code.
+    """
+    cached = [tree for tree in (parent, change) if any((tree / "src").rglob("__pycache__"))]
+    if len(cached) != 1:
+        return None
+    return (f"{cached[0]}: src/ holds __pycache__ and the other tree's does not; "
+            "remove it, or compile both trees, so that both children compile alike")
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result JSON of one benchmark run in `tree`; exits 1 on a bad run."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -100,6 +118,9 @@ def main(argv=None) -> int:
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
     trees = (args.parent.resolve(), args.change.resolve())
+    skew = bytecode_skew(*trees)
+    if skew:
+        sys.exit(skew)
     spec = json.loads((trees[1] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     readings: tuple[list, list] = ([], [])
