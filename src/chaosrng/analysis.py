@@ -75,6 +75,7 @@ def run_analysis(
 ) -> AnalysisResult:
     """Full pipeline for one map + partition on a precomputed `density`
     (build it with `density.density_for`, `fp_fixed_point` or `mc_density`)."""
+    _entropy.check_rate(input_rate)
     ladder = refinement_ladder(m, s, depth)
     tables = [_entropy.block_probabilities(p, density) for p in ladder]
     H = [_entropy.block_entropy(t) for t in tables]

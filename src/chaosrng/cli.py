@@ -466,7 +466,6 @@ def _config_from_args(argv) -> tuple[str, AnalysisConfig]:
 
 
 ANALYSIS_ERRORS = (
-    _density.MassLossError,
     _density.NonConvergenceError,
     _density.ResolutionError,
     _entropy.AccuracyError,

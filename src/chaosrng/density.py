@@ -38,10 +38,6 @@ class ResolutionError(ArgumentError):
     """Requested resolution is below the method's floor (K must be >> L)."""
 
 
-class MassLossError(RuntimeError):
-    """A transfer-operator step carried no mass into any bin."""
-
-
 class NonConvergenceError(RuntimeError):
     def __init__(self, distance: float, iterations: int):
         super().__init__(
@@ -353,17 +349,17 @@ def _fp_data(m: MapModel, grid: str, n: int) -> list:
 
 
 def _fp_apply(terms: list, w: np.ndarray) -> np.ndarray:
-    """Grid weights (n times the bin masses) after one operator step."""
+    """Grid weights (n times the bin masses) after one operator step.
+
+    A Markov step: every branch pulls its image ends back onto its own ends,
+    so phi runs from 0 to the total mass, and each bin's mass is the mass of
+    its preimage, never negative; nothing is clamped or rescaled.
+    """
     F = _Cumulative(w)
     phi = np.zeros(w.size + 1)
     for sign, located, base in terms:
         phi += sign * (F(*located) - F(*base))
-    new = np.maximum(np.diff(phi), 0.0)
-    total = new.sum()
-    if total <= 0:
-        raise MassLossError("transfer step annihilated all mass")
-    new *= w.size / total
-    return new
+    return w.size * np.diff(phi)
 
 
 def fp_fixed_point(

@@ -5,7 +5,8 @@ decomposition into strictly monotone branches.  Each map declares its
 branches once, each with its own inverse, which is what makes exact interval
 preimages (and hence symbolic partition refinement) possible: a closed form
 for the built-ins and for piecewise-linear maps, bisection for polynomial
-configs.  Every inverse lands inside its branch, so no caller clips again.
+configs.  Every inverse lands inside its branch and pulls the image ends back
+onto the branch ends exactly, so no caller clips or snaps again.
 
 Built-ins:
 
@@ -54,8 +55,9 @@ class Branch:
     (its limits from inside the branch, at a jump).
     ``inverse`` maps any point of the branch image back to its preimage.
     Every inverse, closed form, linear or bisection, keeps one contract
-    (``_inverse``): it lands in [lo, hi], and it returns a Python float for
-    a scalar and a new float array, the caller's to write, for an array.
+    (``_branch``): it lands in [lo, hi], it pulls the image ends back onto
+    exactly lo and hi, and it returns a Python float for a scalar and a new
+    float array, the caller's to write, for an array.
     ``linear`` marks a branch of constant slope, on which the transfer
     operator is exact on a uniform grid (see ``density.solve_grid``).
     """
@@ -117,19 +119,32 @@ def preimages(m: MapModel, y: float) -> list[float]:
 # Branch construction
 
 
-def _inverse(g, lo: float, hi: float):
-    """The branch inverse y -> clip(g(y), lo, hi) for an array function g,
-    taking and returning what ``Branch`` promises."""
+def _branch(lo: float, hi: float, g, y_lo: float, y_hi: float, linear: bool = False) -> Branch:
+    """The branch of M on [lo, hi] with end values y_lo = M(lo) and y_hi =
+    M(hi) (its limits from inside, at a jump), inverted by the array function g.
+
+    Its inverse keeps the contract every ``Branch`` promises: y_lo and y_hi
+    pull back to exactly lo and hi, and any other y to g(y) clipped into
+    [lo, hi], so the preimages of a set that covers the image tile the branch.
+    """
+    if y_lo == y_hi:
+        raise MapConfigError(f"flat segment on ({lo}, {hi}): map must be strictly monotone per branch")
 
     def inverse(y):
-        x = np.clip(g(np.asarray(y, dtype=float)), lo, hi)
-        return float(x) if np.ndim(y) == 0 else x
+        if np.ndim(y) == 0:
+            return lo if y == y_lo else hi if y == y_hi else float(np.clip(g(np.asarray(y, dtype=float)), lo, hi))
+        y = np.asarray(y, dtype=float)
+        x = np.clip(g(y), lo, hi)
+        x[y == y_lo] = lo
+        x[y == y_hi] = hi
+        return x
 
-    return inverse
+    return Branch(lo, hi, y_hi > y_lo, inverse, (min(y_lo, y_hi), max(y_lo, y_hi)), linear)
 
 
 def _bisect_inverse(f, lo: float, hi: float, increasing: bool):
-    """Derivative-free inverse of a strictly monotone f on [lo, hi]."""
+    """Derivative-free inverse of a strictly monotone f on [lo, hi], as an
+    array function."""
 
     def g(y):
         a = np.full(y.shape, lo)
@@ -141,22 +156,12 @@ def _bisect_inverse(f, lo: float, hi: float, increasing: bool):
             b = np.where(go_right, b, mid)
         return 0.5 * (a + b)
 
-    return _inverse(g, lo, hi)
+    return g
 
 
 def _linear_branch(x0: float, x1: float, y0: float, y1: float) -> Branch:
-    if y0 == y1:
-        raise MapConfigError(f"flat segment on ({x0}, {x1}): map must be strictly monotone per branch")
     slope_ = (y1 - y0) / (x1 - x0)
-    lo_img, hi_img = sorted((y0, y1))
-    return Branch(
-        lo=x0,
-        hi=x1,
-        increasing=slope_ > 0,
-        inverse=_inverse(lambda y: x0 + (y - y0) / slope_, x0, x1),
-        image=(max(0.0, lo_img), min(1.0, hi_img)),
-        linear=True,
-    )
+    return _branch(x0, x1, lambda y: x0 + (y - y0) / slope_, y0, y1, linear=True)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +186,8 @@ def cubic_sample_map() -> MapModel:
         name="cubic_sample",
         raw_eval=f,
         branches=(
-            Branch(0.0, _XB, True, _inverse(lambda y: r * np.sin(np.arcsin(y) / 3.0), 0.0, _XB), (0.0, 1.0)),
-            Branch(
-                _XB, 1.0, False, _inverse(lambda y: r * np.sin((np.pi - np.arcsin(y)) / 3.0), _XB, 1.0), (0.0, 1.0)
-            ),
+            _branch(0.0, _XB, lambda y: r * np.sin(np.arcsin(y) / 3.0), 0.0, 1.0),
+            _branch(_XB, 1.0, lambda y: r * np.sin((np.pi - np.arcsin(y)) / 3.0), 1.0, 0.0),
         ),
     )
 
@@ -226,8 +229,8 @@ def logistic_map() -> MapModel:
         name="logistic",
         raw_eval=f,
         branches=(
-            Branch(0.0, 0.5, True, _inverse(lambda y: y / (2.0 * (1.0 + np.sqrt(1.0 - y))), 0.0, 0.5), (0.0, 1.0)),
-            Branch(0.5, 1.0, False, _inverse(lambda y: 0.5 * (1.0 + np.sqrt(1.0 - y)), 0.5, 1.0), (0.0, 1.0)),
+            _branch(0.0, 0.5, lambda y: y / (2.0 * (1.0 + np.sqrt(1.0 - y))), 0.0, 1.0),
+            _branch(0.5, 1.0, lambda y: 0.5 * (1.0 + np.sqrt(1.0 - y)), 1.0, 0.0),
         ),
     )
 
@@ -314,10 +317,9 @@ def polynomial_map(coefficients: Sequence[float], critical_points: Sequence[floa
         if y0 == y1 or (steps.min() < -1e-12 and steps.max() > 1e-12):
             raise MapConfigError(f"not monotone on the branch ({lo}, {hi}); declare every critical point")
         # float evaluation at a critical point can miss an exact extremum of
-        # 0 or 1 by a few ulp, which bisection would turn into an O(1e-9)
-        # endpoint gap; snap to the exact bound
-        image = sorted(0.0 if v < 1e-12 else 1.0 if v > 1.0 - 1e-12 else v for v in (y0, y1))
-        branches.append(Branch(lo, hi, y1 > y0, _bisect_inverse(f, lo, hi, y1 > y0), tuple(image)))
+        # 0 or 1 by a few ulp; snap the end values to the exact bound
+        ends = (0.0 if v < 1e-12 else 1.0 if v > 1.0 - 1e-12 else v for v in (y0, y1))
+        branches.append(_branch(lo, hi, _bisect_inverse(f, lo, hi, y1 > y0), *ends))
     return MapModel(name, f, tuple(branches))
 
 

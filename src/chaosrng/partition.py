@@ -175,7 +175,7 @@ def refine_once(m: MapModel, s: SymbolPartition, p: SymbolPartition) -> SymbolPa
     Within a branch each new interval pulls back a piece of one parent
     interval, whose code follows the first bit; M is never evaluated forward.
     """
-    pulled = []  # per branch: preimages ascending, parent interval of the piece after each
+    pulled = []  # per branch: preimages ascending from br.lo to br.hi, parent interval of the piece after each
     for br in m.branches:
         ylo, yhi = br.image
         y = np.concatenate(([ylo], p.cuts[(p.cuts > ylo) & (p.cuts < yhi)], [yhi]))
@@ -183,7 +183,6 @@ def refine_once(m: MapModel, s: SymbolPartition, p: SymbolPartition) -> SymbolPa
         x = br.inverse(y)
         if not br.increasing:
             x, par = x[::-1], par[::-1]
-        x[0], x[-1] = br.lo, br.hi  # the image ends pull back to the branch ends
         pulled.append((br, x, par))
     cuts = _sorted_distinct(np.concatenate([s.cuts, *(x for _, x, _ in pulled)]))
     mids = 0.5 * (cuts[:-1] + cuts[1:])

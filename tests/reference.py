@@ -159,8 +159,8 @@ def uniform_density(L: int, method: str = "fp_operator") -> DensityHistogram:
 
 
 def fp_step(m, f: DensityHistogram) -> DensityHistogram:
-    """One application of the density transfer operator, renormalized, on
-    the grid f was solved on (its uniform bins if it has no other).
+    """One application of the density transfer operator, a mass-preserving
+    step, on the grid f was solved on (its uniform bins if it has no other).
 
     new mass of grid bin i = density mass of its preimage under M,
     accumulated branch by branch from the cumulative of f.

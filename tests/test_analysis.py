@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaosrng as cr
+from chaosrng import analysis
 from chaosrng.analysis import check_invariants, run_analysis
 from chaosrng.entropy import ProbabilityTable
-from reference import markov_word_entropies
+from reference import markov_word_entropies, uniform_density
 from strategies import lattice_maps
 
 
@@ -39,6 +40,26 @@ def test_rate_budget_wiring(tent, sym_part):
     r = res.report
     assert r.recommended_rate == pytest.approx(2.0e6, rel=1e-6)
     assert r.overhead == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -1.0])
+def test_bad_input_rate_is_refused_before_any_work(monkeypatch, tent, sym_part, rate):
+    def refuse(*args):
+        raise AssertionError("the ladder was built")
+
+    monkeypatch.setattr(analysis, "refinement_ladder", refuse)
+    with pytest.raises(cr.maps.ArgumentError) as exc:
+        run_analysis(tent, sym_part, depth=4, density=uniform_density(64), input_rate=rate)
+    assert exc.value.param == "input_rate"
+
+
+def test_polynomial_logistic_is_exact(sym_part):
+    # the bisected branches pull the critical value 1 back onto 1/2 exactly,
+    # so the operator density is the logistic map's and every word is fair
+    m = cr.polynomial_map([0.0, 4.0, -4.0], [0.5])
+    r = run_analysis(m, sym_part, depth=11, density=cr.fp_fixed_point(m, 4096)).report
+    assert r.bias == 0.0
+    assert max(abs(h - 1.0) for h in r.h) <= 1e-15
 
 
 def test_precomputed_density_short_circuit(tent, sym_part):

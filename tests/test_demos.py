@@ -1,11 +1,14 @@
-"""Every script under demos/ runs to completion and prints its report."""
+"""Every script under demos/, and README's library quick start, runs to
+completion and prints its report."""
 import hashlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # text from a line each demo prints at or near its end
 MARKERS = {
@@ -33,3 +36,12 @@ def test_demo_runs(demo, capsys):
     out = capsys.readouterr().out
     assert MARKERS[demo.name] in out
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[demo.name]
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = [float(line) for line in capsys.readouterr().out.split()]
+    # each value at the precision of the comment beside it
+    assert [f"{v:.3g}" for v in printed] == ["0.0714", "0.981", "9.81e+05"]

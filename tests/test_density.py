@@ -31,7 +31,7 @@ from chaosrng.density import (
 )
 from chaosrng.partition import SymbolPartition
 from reference import IntervalSet, fp_step, scaled_map_table, set_mass, uniform_density
-from strategies import map_models
+from strategies import builtin_maps, map_models, piecewise_linear_maps, polynomial_configs
 
 
 def arcsine_histogram(L):
@@ -528,6 +528,32 @@ def test_fp_step_mass_preserving(cubic):
     unnormalized = DensityHistogram(L=512, weights=np.full(512, 2.0), method="fp_operator")
     with pytest.raises(ValueError, match="not normalized"):
         fp_step(cubic, unnormalized)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.one_of(builtin_maps, piecewise_linear_maps(), polynomial_configs()),
+    n=st.sampled_from([64, 333, 1024, 4096]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fp_step_is_a_markov_step(m, n, seed):
+    # every branch pulls its image ends back onto its own ends, so one step
+    # carries all the mass, none of it negative, with no clamp or rescale
+    w = np.random.default_rng(seed).exponential(size=n)
+    w *= n / w.sum()
+    new = density._fp_apply(density._fp_data(m, solve_grid(m), n), w)
+    assert new.min() >= 0.0
+    assert abs(new.sum() - w.sum()) / n <= 1e-13
+
+
+@pytest.mark.parametrize("L", [1024, 4096])
+def test_polynomial_logistic_is_the_logistic_map(logistic, L):
+    # the bisected branches meet the closed forms' exact ends, so the
+    # operator reads the same fixed point, the uniform one in theta
+    poly = _maps.polynomial_map([0.0, 4.0, -4.0], [0.5])
+    f, g = fp_fixed_point(poly, L), fp_fixed_point(logistic, L)
+    assert f.meta["iterations"] == g.meta["iterations"] == 1
+    assert np.abs(f.weights / g.weights - 1.0).max() <= 1e-11
 
 
 def test_fp_step_piles_mass_near_critical_value(cubic):

@@ -1,6 +1,7 @@
 """Probability tables, entropy curves, and the rate budget."""
 import math
 import warnings
+from contextlib import nullcontext
 from itertools import accumulate
 
 import numpy as np
@@ -184,15 +185,16 @@ def test_block_probabilities_renormalization_guard():
         block_probabilities(broken, uniform_density(64))
 
 
-def test_block_probabilities_renormalize_the_raw_cell_masses():
-    # the bisected polynomial logistic's cell masses sum to 1 + 1.7e-14 at
-    # every depth, so a table that skipped the division would differ
-    m = cr.map_from_config({"type": "polynomial", "coefficients": [0, 4, -4], "critical_points": [0.5]})
-    f = cr.fp_fixed_point(m, 1024)
-    for p in refinement_ladder(m, cr.symmetric_partition(), 8):
+def test_block_probabilities_renormalize_the_raw_cell_masses(cubic, branch_part):
+    # the cubic's Monte Carlo cell masses sum to 1 + 2.2e-16 at every depth,
+    # and the division moves every entry, so a table that skipped it would differ
+    f = cr.mc_density(cubic, 1024, K=409_600, burn_in=1000, seed=0)
+    for p in refinement_ladder(cubic, branch_part, 8):
         raw = np.bincount(p.codes, weights=np.diff(f.cumulative(p.cuts)), minlength=2**p.depth)
         assert raw.sum() != 1.0
-        t = block_probabilities(p, f)
+        # at depth 8 the narrowest cell is below one Monte Carlo bin
+        with pytest.warns(RuntimeWarning, match="below one density bin") if p.depth == 8 else nullcontext():
+            t = block_probabilities(p, f)
         assert np.array_equal(t.p, raw / raw.sum()), p.depth
         assert t.meta["renormalization"] == 1.0 / raw.sum()
 

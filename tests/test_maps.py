@@ -199,6 +199,15 @@ def test_map_config_roundtrip():
         cr.map_from_config({"type": "spline"})
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=st.one_of(builtin_maps, polynomial_configs(), piecewise_linear_maps()))
+def test_image_ends_pull_back_onto_the_branch_ends_exactly(m):
+    for br in m.branches:
+        at_lo, at_hi = br.image if br.increasing else br.image[::-1]
+        assert (br.inverse(at_lo), br.inverse(at_hi)) == (br.lo, br.hi), br
+        assert br.inverse(np.array([at_lo, at_hi])).tolist() == [br.lo, br.hi], br
+
+
 def test_branch_inverse_consistency(cubic):
     for br in cubic.branches:
         ys = np.linspace(br.image[0] + 1e-9, br.image[1] - 1e-9, 100)
@@ -235,8 +244,8 @@ def test_closed_form_inverse_matches_bisection(name, ys):
         assert np.all(step >= 0.0)
         assert isinstance(br.inverse(float(y[0])), float)
         ends = (br.lo, br.hi) if br.increasing else (br.hi, br.lo)
-        assert abs(br.inverse(0.0) - ends[0]) <= 1e-15
-        assert abs(br.inverse(1.0) - ends[1]) <= 1e-15
+        assert br.inverse(0.0) == ends[0]
+        assert br.inverse(1.0) == ends[1]
 
 
 def test_smooth_builtins_never_bisect(monkeypatch):

@@ -16,12 +16,15 @@ covered as well as the built-ins' closed forms.
 For every command it compares the exit code, stdout and each file written,
 by sha256.  Stderr is not compared: warnings name source paths, which differ
 between the trees.  Prints one line per command and exits 1 on any
-difference.  The outputs stay under ``.byte_oracle/`` in each tree, which
+difference; a differing ``.json`` or ``.csv`` file is followed by how far
+its numbers moved (:func:`drift`), so that a change of a few ulp reads as
+one.  The outputs stay under ``.byte_oracle/`` in each tree, which
 is emptied first.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import json
@@ -92,6 +95,48 @@ def run(tree: Path, argv: list[str]) -> dict[str, str]:
     return digest
 
 
+def _flatten(value, numbers: list[float]):
+    """The structure of a parsed document with every number replaced by "#"
+    and appended to `numbers`, in document order."""
+    if isinstance(value, dict):
+        return {k: _flatten(v, numbers) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_flatten(v, numbers) for v in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        numbers.append(float(value))
+        return "#"
+    return value
+
+
+def _csv_cell(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def drift(a: Path, b: Path) -> str:
+    """How far the numbers of two versions of a .json or .csv file moved: the
+    largest absolute difference between the numbers at matching positions
+    and the largest relative one, or "structure differs" when anything but
+    the numbers differs."""
+    docs = []
+    for path in (a, b):
+        text = path.read_text()
+        if path.suffix == ".json":
+            doc = json.loads(text)
+        else:
+            doc = [[_csv_cell(cell) for cell in row] for row in csv.reader(text.splitlines())]
+        numbers: list[float] = []
+        docs.append((_flatten(doc, numbers), numbers))
+    (shape_a, xs), (shape_b, ys) = docs
+    if shape_a != shape_b:
+        return "structure differs"
+    moved = [(abs(x - y), abs(x - y) / max(abs(x), abs(y))) for x, y in zip(xs, ys) if x != y] or [(0.0, 0.0)]
+    absolute, relative = map(max, zip(*moved))
+    return f"largest difference {absolute:.3g}, relative {relative:.3g}"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -110,7 +155,13 @@ def main(argv=None) -> int:
         before, after = (run(tree, argv) for tree in trees)
         diff = sorted(k for k in before.keys() | after.keys() if before.get(k) != after.get(k))
         differ += bool(diff)
-        status = f"DIFFERENT {', '.join(diff)}" if diff else "same"
+        out = argv[argv.index("--out-dir") + 1]
+        moved = [
+            f"{k} ({drift(trees[0] / out / k, trees[1] / out / k)})"
+            if k.endswith((".json", ".csv")) and k in before and k in after else k
+            for k in diff
+        ]
+        status = f"DIFFERENT {', '.join(moved)}" if diff else "same"
         print(f"{label}: {status} (exit code {after['exit code']}, stdout and {len(after) - 2} files)")
     print(f"{len(cmds) - differ} of {len(cmds)} commands byte-identical")
     return 1 if differ else 0
